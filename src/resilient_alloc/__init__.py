@@ -14,11 +14,9 @@ from .allocators import (
     AllocationTable,
     AllocatorConfig,
     HeuristicKind,
-    best_fit_network,
     cabf,
     cabf_inv,
     heuristic,
-    run_heuristic,
     verify_allocation_table,
 )
 from .catalog import ALGORITHM_NAMES, run_algorithm
@@ -34,22 +32,18 @@ from .flows import (
 from .metrics import AllocationReport, objective, report
 from .networks import (
     BUILTIN_KINDS,
-    FixedLatency,
     NetworkProfile,
-    UniformLatency,
     builtin_profile,
     load_networks,
     lora_profile,
 )
+from .rng import FixedDelay, UniformDelay
 from .simulator import (
-    FixedDuration,
     Handshake,
     InvalidScenario,
     NetworkEvent,
     Scenario,
     SimReport,
-    UniformDuration,
-    handshake_duration,
     load_scenario,
     run,
 )
@@ -64,8 +58,7 @@ __all__ = [
     "AllocationTable",
     "AllocatorConfig",
     "BUILTIN_KINDS",
-    "FixedDuration",
-    "FixedLatency",
+    "FixedDelay",
     "FlowSet",
     "FlowSpec",
     "Handshake",
@@ -78,15 +71,12 @@ __all__ = [
     "QosRequirement",
     "Scenario",
     "SimReport",
-    "UniformDuration",
-    "UniformLatency",
+    "UniformDelay",
     "ValidationError",
-    "best_fit_network",
     "builtin_profile",
     "cabf",
     "cabf_inv",
     "exact_solve",
-    "handshake_duration",
     "heuristic",
     "load_flow_set",
     "load_networks",
@@ -97,7 +87,6 @@ __all__ = [
     "report",
     "run",
     "run_algorithm",
-    "run_heuristic",
     "utilization",
     "validate_flow_set",
     "verify_allocation_table",

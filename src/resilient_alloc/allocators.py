@@ -142,25 +142,6 @@ def _pick_network(
     return best_id
 
 
-def best_fit_network(
-    flow: FlowSpec,
-    level: int,
-    networks: list[NetworkProfile],
-    table: AllocationTable,
-    factor: int,
-) -> str | None:
-    """Tightest network that can still take ``flow`` at ``level``.
-
-    Among networks whose residual covers the flow's utilization, returns the
-    one with the smallest residual after placement (earlier declaration wins
-    ties); None when the flow fits nowhere.
-    """
-    demand = utilization(flow, level, factor)
-    if demand is None:
-        raise ValueError(f"flow {flow.id!r} declares no QoS at level {level}")
-    return _pick_network(FitRule.BEST_FIT, demand, networks, table.residual)
-
-
 def _flows_by_level(flows: list[FlowSpec], l_max: int) -> dict[int, list[FlowSpec]]:
     by_level: dict[int, list[FlowSpec]] = {level: [] for level in range(1, l_max + 1)}
     for flow in flows:
@@ -183,12 +164,11 @@ def _relax_allocated(
         if current is None or current.level <= level:
             continue
         original, demand = table.remove(flow.id)
-        target = best_fit_network(flow, level, networks, table, factor)
+        relaxed = utilization(flow, level, factor)
+        target = _pick_network(FitRule.BEST_FIT, relaxed, networks, table.residual)
         if target is None:
             table.place(original, demand)
         else:
-            relaxed = utilization(flow, level, factor)
-            assert relaxed is not None
             table.place(Allocation(flow.id, target, level), relaxed)
 
 
@@ -202,37 +182,39 @@ def _allocate_new(
     for flow in declared_here:
         if flow.id in table.entries:
             continue
-        target = best_fit_network(flow, level, networks, table, factor)
+        demand = utilization(flow, level, factor)
+        target = _pick_network(FitRule.BEST_FIT, demand, networks, table.residual)
         if target is not None:
-            demand = utilization(flow, level, factor)
-            assert demand is not None
             table.place(Allocation(flow.id, target, level), demand)
+
+
+def _criticality_aware(
+    flows: list[FlowSpec],
+    networks: list[NetworkProfile],
+    cfg: AllocatorConfig,
+    admit_first: bool,
+) -> AllocationTable:
+    steps = (_allocate_new, _relax_allocated) if admit_first else (_relax_allocated, _allocate_new)
+    table = AllocationTable(networks)
+    by_level = _flows_by_level(flows, cfg.l_max)
+    for level in range(cfg.l_max, 0, -1):
+        for step in steps:
+            step(table, by_level[level], level, networks, cfg.factor)
+    return table
 
 
 def cabf(
     flows: list[FlowSpec], networks: list[NetworkProfile], cfg: AllocatorConfig
 ) -> AllocationTable:
     """Criticality-aware best fit: relax existing entries, then admit new ones."""
-    table = AllocationTable(networks)
-    by_level = _flows_by_level(flows, cfg.l_max)
-    for level in range(cfg.l_max, 0, -1):
-        declared = by_level[level]
-        _relax_allocated(table, declared, level, networks, cfg.factor)
-        _allocate_new(table, declared, level, networks, cfg.factor)
-    return table
+    return _criticality_aware(flows, networks, cfg, admit_first=False)
 
 
 def cabf_inv(
     flows: list[FlowSpec], networks: list[NetworkProfile], cfg: AllocatorConfig
 ) -> AllocationTable:
     """Inverted variant: admit new flows at each level before relaxing."""
-    table = AllocationTable(networks)
-    by_level = _flows_by_level(flows, cfg.l_max)
-    for level in range(cfg.l_max, 0, -1):
-        declared = by_level[level]
-        _allocate_new(table, declared, level, networks, cfg.factor)
-        _relax_allocated(table, declared, level, networks, cfg.factor)
-    return table
+    return _criticality_aware(flows, networks, cfg, admit_first=True)
 
 
 def heuristic(
@@ -265,8 +247,8 @@ def heuristic(
 
 def _baseline_kinds() -> dict[str, HeuristicKind]:
     kinds: dict[str, HeuristicKind] = {}
-    for side in (LevelSide.LOWEST_DEFINED, LevelSide.HIGHEST_DEFINED):
-        for fit in (FitRule.FIRST_FIT, FitRule.WORST_FIT, FitRule.BEST_FIT):
+    for fit in (FitRule.FIRST_FIT, FitRule.WORST_FIT, FitRule.BEST_FIT):
+        for side in (LevelSide.LOWEST_DEFINED, LevelSide.HIGHEST_DEFINED):
             for decreasing in (False, True):
                 kind = HeuristicKind(fit=fit, decreasing=decreasing, side=side)
                 kinds[kind.name] = kind
@@ -278,39 +260,7 @@ BASELINE_KINDS = _baseline_kinds()
 #: Row order used by the comparison table: first/worst/best-fit blocks with
 #: their decreasing and low/high-side variants, then the criticality-aware
 #: pair; callers append "exact" for the optimal solver.
-HEURISTIC_NAMES = (
-    "l-ff",
-    "l-ffd",
-    "h-ff",
-    "h-ffd",
-    "l-wf",
-    "l-wfd",
-    "h-wf",
-    "h-wfd",
-    "l-bf",
-    "l-bfd",
-    "h-bf",
-    "h-bfd",
-    "cabf",
-    "cabf-inv",
-)
-
-
-def run_heuristic(
-    name: str,
-    flows: list[FlowSpec],
-    networks: list[NetworkProfile],
-    cfg: AllocatorConfig,
-) -> AllocationTable:
-    """Dispatch one of the fourteen heuristics by CLI name."""
-    if name == "cabf":
-        return cabf(flows, networks, cfg)
-    if name == "cabf-inv":
-        return cabf_inv(flows, networks, cfg)
-    kind = BASELINE_KINDS.get(name)
-    if kind is None:
-        raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(HEURISTIC_NAMES)}")
-    return heuristic(kind, flows, networks, cfg)
+HEURISTIC_NAMES = tuple(BASELINE_KINDS) + ("cabf", "cabf-inv")
 
 
 def verify_allocation_table(

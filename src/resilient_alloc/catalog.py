@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .allocators import AllocationTable, AllocatorConfig, HEURISTIC_NAMES, run_heuristic
+from . import allocators
+from .allocators import BASELINE_KINDS, HEURISTIC_NAMES, AllocationTable, AllocatorConfig
 from .flows import FlowSpec
 from .networks import NetworkProfile
 from .solver import IlpInstance, exact_solve
@@ -29,4 +30,13 @@ def run_algorithm(
         return exact_solve(instance)
     if require_all:
         raise ValueError("require_all is only supported by the exact solver")
-    return run_heuristic(name, flows, networks, cfg)
+    # Allocators are looked up on their module at call time, so a caller
+    # that replaces one (a timing wrapper, say) sees every dispatch.
+    if name == "cabf":
+        return allocators.cabf(flows, networks, cfg)
+    if name == "cabf-inv":
+        return allocators.cabf_inv(flows, networks, cfg)
+    kind = BASELINE_KINDS.get(name)
+    if kind is None:
+        raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(HEURISTIC_NAMES)}")
+    return allocators.heuristic(kind, flows, networks, cfg)

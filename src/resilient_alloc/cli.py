@@ -18,6 +18,7 @@ from .allocators import AllocatorConfig
 from .catalog import ALGORITHM_NAMES, run_algorithm
 from .flows import ValidationError, load_flow_set
 from .metrics import (
+    format_columns,
     format_quantity,
     render_comparison_csv,
     render_comparison_json,
@@ -25,6 +26,7 @@ from .metrics import (
     report,
 )
 from .networks import BUILTIN_KINDS, builtin_profile, load_networks
+from .rng import FixedDelay
 from .solver import Infeasible
 
 SEED_ENV_VAR = "RESILIENT_ALLOC_SEED"
@@ -158,8 +160,7 @@ def _render_sim_table(rep: simulator.SimReport) -> str:
                     str(counts.err_not_delivered),
                 ]
             )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    lines += format_columns(rows)
     lines.append("")
     for network_id, counts in rep.per_network.items():
         lines.append(
@@ -215,10 +216,10 @@ def cmd_profiles(args) -> int:
     for kind in BUILTIN_KINDS:
         profile = builtin_profile(kind)
         latency = profile.latency
-        if hasattr(latency, "ms"):
-            latency_text = f"{float(latency.ms):g}"
+        if isinstance(latency, FixedDelay):
+            latency_text = f"{float(latency.seconds * 1000):g}"
         else:
-            latency_text = f"{float(latency.min_ms):g}..{float(latency.max_ms):g}"
+            latency_text = f"{float(latency.min_seconds * 1000):g}..{float(latency.max_seconds * 1000):g}"
         rows.append(
             [
                 kind,
@@ -235,9 +236,8 @@ def cmd_profiles(args) -> int:
                 f"{float(profile.connect_time_seconds):g}",
             ]
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    for row in rows:
-        sys.stdout.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
+    for line in format_columns(rows):
+        sys.stdout.write(line + "\n")
     return 0
 
 

@@ -30,6 +30,15 @@ MICRO = 10**6
 FORBIDDEN_NAME_CHARS = frozenset(",:<>\n")
 
 
+def check_flow_name(name: str) -> None:
+    """Raise ValueError if ``name`` is empty or holds a wire delimiter."""
+    if not name:
+        raise ValueError("flow name must be non-empty")
+    bad = FORBIDDEN_NAME_CHARS.intersection(name)
+    if bad:
+        raise ValueError(f"flow name {name!r} contains forbidden characters {sorted(bad)}")
+
+
 class ValidationError(ValueError):
     """A flow set violates one of its structural rules."""
 
@@ -71,11 +80,7 @@ class FlowSpec:
     qos: dict[int, QosRequirement] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        bad = FORBIDDEN_NAME_CHARS.intersection(self.name)
-        if bad:
-            raise ValueError(f"flow name {self.name!r} contains forbidden characters {sorted(bad)}")
-        if not self.name:
-            raise ValueError("flow name must be non-empty")
+        check_flow_name(self.name)
 
     def defined_levels(self) -> list[int]:
         return sorted(self.qos)
@@ -135,14 +140,17 @@ def validate_flow_set(flows: list[FlowSpec] | tuple[FlowSpec, ...], l_max: int) 
 
 
 def flow_from_dict(obj: dict) -> FlowSpec:
-    qos: dict[int, QosRequirement] = {}
-    for key, entry in obj.get("qos", {}).items():
-        level = int(key)
-        qos[level] = QosRequirement(
-            message_size_bytes=int(entry["c"]),
-            min_interval_seconds=as_fraction(entry["t"]),
-        )
-    return FlowSpec(id=str(obj["id"]), app=str(obj.get("app", "")), name=str(obj["name"]), qos=qos)
+    try:
+        qos: dict[int, QosRequirement] = {}
+        for key, entry in obj.get("qos", {}).items():
+            level = int(key)
+            qos[level] = QosRequirement(
+                message_size_bytes=int(entry["c"]),
+                min_interval_seconds=as_fraction(entry["t"]),
+            )
+        return FlowSpec(id=str(obj["id"]), app=str(obj.get("app", "")), name=str(obj["name"]), qos=qos)
+    except KeyError as exc:
+        raise ValueError(f"flow is missing key {exc}") from None
 
 
 def flow_set_from_dict(obj: dict) -> FlowSet:

@@ -100,6 +100,12 @@ def glyph_map(networks: list[NetworkProfile]) -> dict[str, str]:
     return glyphs
 
 
+def format_columns(rows: list[list[str]]) -> list[str]:
+    """Left-align each column to its widest cell, two spaces apart, trailing blanks trimmed."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows]
+
+
 def _cells(rep: AllocationReport, flows: list[FlowSpec], glyphs: dict[str, str]) -> list[str]:
     cells = []
     for flow in flows:
@@ -128,11 +134,8 @@ def render_comparison_table(
                 str(rep.objective),
             ]
         )
-    widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
     legend = "  ".join(f"{glyphs[p.id]} {p.name}" for p in networks)
-    lines = [f"factor={factor}  networks: {legend}"]
-    for row in [header] + body:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    lines = [f"factor={factor}  networks: {legend}"] + format_columns([header] + body)
     return "\n".join(lines) + "\n"
 
 

@@ -19,38 +19,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from .flows import MICRO
 from .rational import as_fraction
-
-if TYPE_CHECKING:
-    from .rng import SplitMix64
-
-MICRO = 10**6
-
-
-@dataclass(frozen=True)
-class FixedLatency:
-    """Constant one-way delivery latency in milliseconds."""
-
-    ms: Fraction
-
-    def sample(self, rng: "SplitMix64") -> Fraction:
-        return Fraction(self.ms) / 1000
-
-
-@dataclass(frozen=True)
-class UniformLatency:
-    """Latency drawn uniformly from [min_ms, max_ms) milliseconds."""
-
-    min_ms: Fraction
-    max_ms: Fraction
-
-    def sample(self, rng: "SplitMix64") -> Fraction:
-        return rng.uniform(Fraction(self.min_ms), Fraction(self.max_ms)) / 1000
-
-
-LatencyModel = FixedLatency | UniformLatency
+from .rng import DelayModel, FixedDelay, UniformDelay
 
 
 @dataclass(frozen=True)
@@ -68,7 +40,7 @@ class NetworkProfile:
     max_payload_bytes: int | None = None
     max_messages_per_day: int | None = None
     min_inter_message_gap_seconds: Fraction | None = None
-    latency: LatencyModel = FixedLatency(Fraction(0))
+    latency: DelayModel = FixedDelay(Fraction(0))
     connect_time_seconds: Fraction = Fraction(0)
     time_on_air_ms: Fraction | None = None
 
@@ -96,17 +68,17 @@ LORA_UPLINK_TABLE: dict[tuple[int, int], tuple[int, int, Fraction, int]] = {
     (7, 250): (11000, 222, Fraction("184.4"), 195),
 }
 
-_LORA_LATENCY = UniformLatency(Fraction(24), Fraction(2800))
+_LORA_LATENCY = UniformDelay(Fraction("0.024"), Fraction("2.8"))
 _LORA_CONNECT = Fraction("5.6")  # over-the-air activation, measured average
 
-_SIGFOX_LATENCY = UniformLatency(Fraction(1000), Fraction(4500))
+_SIGFOX_LATENCY = UniformDelay(Fraction(1), Fraction("4.5"))
 _SIGFOX_GAP = Fraction("10.5")  # mean spacing needed between uplinks
 _SIGFOX_CONNECT = Fraction("0.1")  # socket creation, a few milliseconds
 
-_WIFI_LATENCY = FixedLatency(Fraction("8"))
+_WIFI_LATENCY = FixedDelay(Fraction("0.008"))
 _WIFI_CONNECT = Fraction("7.7")  # scan plus association, measured average
 
-_NBIOT_LATENCY = FixedLatency(Fraction(576))
+_NBIOT_LATENCY = FixedDelay(Fraction("0.576"))
 _NBIOT_CONNECT = Fraction("15.5")  # init + attach + connect, no modem reset
 
 
@@ -194,12 +166,12 @@ def builtin_profile(kind: str) -> NetworkProfile:
     return factory()
 
 
-def _latency_from_dict(obj: dict) -> LatencyModel:
+def _latency_from_dict(obj: dict) -> DelayModel:
     if "fixed_ms" in obj:
-        return FixedLatency(as_fraction(obj["fixed_ms"]))
+        return FixedDelay(as_fraction(obj["fixed_ms"]) / 1000)
     if "uniform_ms" in obj:
         low, high = obj["uniform_ms"]
-        return UniformLatency(as_fraction(low), as_fraction(high))
+        return UniformDelay(as_fraction(low) / 1000, as_fraction(high) / 1000)
     raise ValueError(f"latency must specify fixed_ms or uniform_ms, got {obj!r}")
 
 
@@ -207,18 +179,23 @@ def network_from_dict(obj: dict) -> NetworkProfile:
     """Build a profile from JSON; ``{"builtin": kind}`` names a built-in."""
     if "builtin" in obj:
         return builtin_profile(obj["builtin"])
+    payload = obj.get("max_payload_bytes")
+    per_day = obj.get("max_messages_per_day")
     gap = obj.get("min_inter_message_gap_seconds")
-    return NetworkProfile(
-        id=str(obj["id"]),
-        name=str(obj.get("name", obj["id"])),
-        capacity_bps=int(obj["capacity_bps"]),
-        max_payload_bytes=obj.get("max_payload_bytes"),
-        max_messages_per_day=obj.get("max_messages_per_day"),
-        min_inter_message_gap_seconds=None if gap is None else as_fraction(gap),
-        latency=_latency_from_dict(obj["latency"]) if "latency" in obj else FixedLatency(Fraction(0)),
-        connect_time_seconds=as_fraction(obj.get("connect_time_seconds", 0)),
-        time_on_air_ms=as_fraction(obj["time_on_air_ms"]) if "time_on_air_ms" in obj else None,
-    )
+    try:
+        return NetworkProfile(
+            id=str(obj["id"]),
+            name=str(obj.get("name", obj["id"])),
+            capacity_bps=int(obj["capacity_bps"]),
+            max_payload_bytes=None if payload is None else int(payload),
+            max_messages_per_day=None if per_day is None else int(per_day),
+            min_inter_message_gap_seconds=None if gap is None else as_fraction(gap),
+            latency=_latency_from_dict(obj["latency"]) if "latency" in obj else FixedDelay(Fraction(0)),
+            connect_time_seconds=as_fraction(obj.get("connect_time_seconds", 0)),
+            time_on_air_ms=as_fraction(obj["time_on_air_ms"]) if "time_on_air_ms" in obj else None,
+        )
+    except KeyError as exc:
+        raise ValueError(f"network is missing key {exc}") from None
 
 
 def networks_from_json(entries: list[dict]) -> list[NetworkProfile]:

@@ -4,10 +4,14 @@ SplitMix64 is tiny, fully specified, and trivial to reimplement bit-exactly,
 which keeps simulation reports reproducible for a given seed. The generator
 name is recorded in every report so a reader can tell which algorithm
 produced the stream.
+
+The two delay models drawn from it (network latency, re-allocation
+handshake time) are exact rationals in seconds.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 RNG_NAME = "splitmix64"
@@ -32,3 +36,27 @@ class SplitMix64:
     def uniform(self, low: Fraction, high: Fraction) -> Fraction:
         """Exact rational sample in [low, high), uniform over a 2**64 grid."""
         return low + (high - low) * Fraction(self.next_u64(), 1 << 64)
+
+
+@dataclass(frozen=True)
+class FixedDelay:
+    """Constant delay in seconds."""
+
+    seconds: Fraction
+
+    def sample(self, rng: SplitMix64) -> Fraction:
+        return Fraction(self.seconds)
+
+
+@dataclass(frozen=True)
+class UniformDelay:
+    """Delay drawn uniformly from [min_seconds, max_seconds) seconds."""
+
+    min_seconds: Fraction
+    max_seconds: Fraction
+
+    def sample(self, rng: SplitMix64) -> Fraction:
+        return rng.uniform(Fraction(self.min_seconds), Fraction(self.max_seconds))
+
+
+DelayModel = FixedDelay | UniformDelay

@@ -50,7 +50,7 @@ from .catalog import ALGORITHM_NAMES, run_algorithm
 from .flows import FlowSpec, flow_from_dict, validate_flow_set
 from .networks import NetworkProfile, network_from_dict
 from .rational import as_fraction
-from .rng import RNG_NAME, SplitMix64
+from .rng import RNG_NAME, DelayModel, FixedDelay, SplitMix64, UniformDelay
 
 SIM_SCHEMA_VERSION = 1
 
@@ -68,35 +68,12 @@ class InvalidScenario(ValueError):
     """The scenario violates a structural rule."""
 
 
-@dataclass(frozen=True)
-class FixedDuration:
-    """Constant re-allocation context-switch time in seconds."""
-
-    seconds: Fraction
-
-    def sample(self, rng: SplitMix64) -> Fraction:
-        return Fraction(self.seconds)
+DEFAULT_HANDSHAKE = UniformDelay(Fraction("1.3"), Fraction("1.5"))
 
 
-@dataclass(frozen=True)
-class UniformDuration:
-    """Context-switch time drawn uniformly from [min, max) seconds."""
-
-    min_seconds: Fraction
-    max_seconds: Fraction
-
-    def sample(self, rng: SplitMix64) -> Fraction:
-        return rng.uniform(Fraction(self.min_seconds), Fraction(self.max_seconds))
-
-
-DurationModel = FixedDuration | UniformDuration
-
-DEFAULT_HANDSHAKE = UniformDuration(Fraction("1.3"), Fraction("1.5"))
-
-
-def handshake_duration(model: DurationModel, rng: SplitMix64) -> Fraction:
-    """One context-switch duration sample in seconds."""
-    return model.sample(rng)
+def _wire_period(period: Fraction) -> int | float:
+    """MFEA period field: whole seconds as an int, anything else as a float."""
+    return int(period) if period.denominator == 1 else float(period)
 
 
 @dataclass(frozen=True)
@@ -120,7 +97,7 @@ class Scenario:
     duration_seconds: Fraction
     seed: int
     events: tuple[NetworkEvent, ...] = ()
-    handshake: DurationModel = DEFAULT_HANDSHAKE
+    handshake: DelayModel = DEFAULT_HANDSHAKE
     initially_available: tuple[str, ...] | None = None
 
     def validate(self) -> None:
@@ -425,14 +402,11 @@ class _Simulation:
                 continue
             network_id, level = placed
             qos = flow.qos[level]
-            period = qos.min_interval_seconds
             entries.append(
                 wire.MfeaEntry(
                     payload_size=qos.message_size_bytes,
                     network=self.networks[network_id].profile.name,
-                    period_seconds=(
-                        int(period) if period.denominator == 1 else float(period)
-                    ),
+                    period_seconds=_wire_period(qos.min_interval_seconds),
                     flow_name=flow.name,
                     level=level,
                 )
@@ -448,7 +422,8 @@ class _Simulation:
         if body.startswith(b"<"):
             message = wire.parse_control(body.decode("utf-8"))
             if isinstance(message, wire.ReallocAccepted):
-                assert self.window_open and self.pending_active is not None
+                if not self.window_open or self.pending_active is None:
+                    raise AssertionError("node got a re-allocation accept outside an open window")
                 self.active = self.pending_active
                 self.pending_active = None
                 self.window_open = False
@@ -461,7 +436,8 @@ class _Simulation:
     def _node_on_app(self, message: wire.AppMessage) -> None:
         seq = self.attribution.popleft()
         record = self.msg_records[seq]
-        assert record.flow_name == message.flow_name
+        if record.flow_name != message.flow_name:
+            raise AssertionError(f"message from {message.flow_name!r} attributed to {record.flow_name!r}")
         counts = self._counts(record.flow_id, record.level)
 
         placed = self.active.get(message.flow_name)
@@ -521,7 +497,8 @@ class _Simulation:
         record = self.msg_records[seq]
         if record.cancelled:
             return
-        assert record.network_id is not None
+        if record.network_id is None:
+            raise AssertionError(f"message {seq} delivered without a network")
         runtime = self.networks[record.network_id]
         runtime.pending.pop(seq, None)
         self._counts(record.flow_id, record.level).delivered += 1
@@ -566,11 +543,10 @@ class _Simulation:
             else:
                 level = entry.level
                 qos = flow.qos[level]
-                assert entry.payload_size == qos.message_size_bytes
-                period = qos.min_interval_seconds
-                assert entry.period_seconds == (
-                    int(period) if period.denominator == 1 else float(period)
-                )
+                if entry.payload_size != qos.message_size_bytes:
+                    raise AssertionError(f"MFEA payload size disagrees for flow {flow.id}")
+                if entry.period_seconds != _wire_period(qos.min_interval_seconds):
+                    raise AssertionError(f"MFEA period disagrees for flow {flow.id}")
             qos = flow.qos[level]
             self.generators[flow.id] = _GeneratorConfig(
                 level=level,
@@ -647,7 +623,7 @@ class _Simulation:
             self.window_open = True
             self.window_start = self.now
             self._node_to_host(wire.encode_control(wire.ReallocInit()).encode("utf-8"))
-        duration = handshake_duration(self.scenario.handshake, self.rng)
+        duration = self.scenario.handshake.sample(self.rng)
         self._push(self.now + duration, _P_REALLOC_COMPLETE, 0, self._do_realloc_complete, self.realloc_epoch)
 
     def _do_realloc_complete(self, epoch: int) -> None:
@@ -702,18 +678,20 @@ class _Simulation:
         # Conservation and agreement between the wire view and the counters.
         for flow in self.scenario.flows:
             total = report.flow_totals(flow.id)
-            assert total.sent == (
-                total.delivered + total.err_not_allocated + total.err_not_delivered
-            ), f"conservation violated for flow {flow.id}"
-            assert self.wire_acks.get(flow.name, 0) == total.delivered
-            assert (
+            if total.sent != total.delivered + total.err_not_allocated + total.err_not_delivered:
+                raise AssertionError(f"conservation violated for flow {flow.id}")
+            if self.wire_acks.get(flow.name, 0) != total.delivered:
+                raise AssertionError(f"wire ACKs disagree with deliveries for flow {flow.id}")
+            if (
                 self.wire_errs.get((flow.name, wire.ErrorReason.NOT_ALLOCATED), 0)
-                == total.err_not_allocated
-            )
-            assert (
+                != total.err_not_allocated
+            ):
+                raise AssertionError(f"wire not-allocated ERRs disagree for flow {flow.id}")
+            if (
                 self.wire_errs.get((flow.name, wire.ErrorReason.NOT_DELIVERED), 0)
-                == total.err_not_delivered
-            )
+                != total.err_not_delivered
+            ):
+                raise AssertionError(f"wire not-delivered ERRs disagree for flow {flow.id}")
 
 
 def run(scenario: Scenario, transcript: list | None = None) -> SimReport:
@@ -729,12 +707,12 @@ def run(scenario: Scenario, transcript: list | None = None) -> SimReport:
 # --- scenario JSON -----------------------------------------------------------
 
 
-def _handshake_from_dict(obj: dict) -> DurationModel:
+def _handshake_from_dict(obj: dict) -> DelayModel:
     if "fixed_seconds" in obj:
-        return FixedDuration(as_fraction(obj["fixed_seconds"]))
+        return FixedDelay(as_fraction(obj["fixed_seconds"]))
     if "uniform_seconds" in obj:
         low, high = obj["uniform_seconds"]
-        return UniformDuration(as_fraction(low), as_fraction(high))
+        return UniformDelay(as_fraction(low), as_fraction(high))
     raise InvalidScenario(f"handshake must specify fixed_seconds or uniform_seconds, got {obj!r}")
 
 

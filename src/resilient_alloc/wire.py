@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .flows import FORBIDDEN_NAME_CHARS
+from .flows import check_flow_name
 
 HEADER = b":ML:"
 _MAX_LENGTH_DIGITS = 10
@@ -200,15 +200,6 @@ def decode_all(data: bytes) -> tuple[list[Frame | MalformedFrame], bytes]:
 # --- application messages ---------------------------------------------------
 
 
-def _check_flow_name(name: str) -> str:
-    if not name:
-        raise ValueError("flow name must be non-empty")
-    bad = FORBIDDEN_NAME_CHARS.intersection(name)
-    if bad:
-        raise ValueError(f"flow name {name!r} contains forbidden characters {sorted(bad)}")
-    return name
-
-
 @dataclass(frozen=True)
 class AppMessage:
     """One application message: flow name, criticality level, raw payload."""
@@ -218,7 +209,7 @@ class AppMessage:
     payload: bytes
 
     def __post_init__(self) -> None:
-        _check_flow_name(self.flow_name)
+        check_flow_name(self.flow_name)
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
 
@@ -268,7 +259,7 @@ class MfeaEntry:
             raise ValueError(f"period must be > 0, got {self.period_seconds}")
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
-        _check_flow_name(self.flow_name)
+        check_flow_name(self.flow_name)
 
 
 def _quote(value: str) -> str:
@@ -428,7 +419,7 @@ class Ack:
     flow_name: str
 
     def __post_init__(self) -> None:
-        _check_flow_name(self.flow_name)
+        check_flow_name(self.flow_name)
 
 
 @dataclass(frozen=True)
@@ -437,7 +428,7 @@ class Err:
     reason: ErrorReason
 
     def __post_init__(self) -> None:
-        _check_flow_name(self.flow_name)
+        check_flow_name(self.flow_name)
 
 
 ControlMessage = ReallocInit | ReallocAccepted | Ack | Err

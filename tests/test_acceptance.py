@@ -24,7 +24,7 @@ from resilient_alloc import (
     objective,
     report,
     run,
-    run_heuristic,
+    run_algorithm,
     verify_allocation_table,
     wire,
 )
@@ -75,7 +75,7 @@ def test_criterion_2_criticality_aware_pair_matches_optimum(assisted_living, tab
 def test_criterion_3_baseline_aggregates(assisted_living, table2_networks):
     flows = list(assisted_living.flows)
     results = {
-        name: _aggregates(run_heuristic(name, flows, table2_networks, CFG8), flows, table2_networks)
+        name: _aggregates(run_algorithm(name, flows, table2_networks, CFG8), flows, table2_networks)
         for name in L_SIDE + H_SIDE
     }
     low_expected = (18, Fraction(75), Fraction(1))
@@ -132,7 +132,7 @@ def test_criterion_5_oracle_equivalence_on_random_instances():
         assert best == brute, (flows, networks, cfg)
         for name in HEURISTIC_NAMES:
             heuristic_objective = objective(
-                run_heuristic(name, flows, networks, cfg), cfg.l_max
+                run_algorithm(name, flows, networks, cfg), cfg.l_max
             )
             assert heuristic_objective <= best, (name, flows, networks, cfg)
         checked += 1
@@ -148,7 +148,7 @@ def test_criterion_6_allocation_validity_on_random_instances():
     for _ in range(1000):
         flows, networks, cfg = random_instance(rng, max_flows=6)
         for name in HEURISTIC_NAMES:
-            table = run_heuristic(name, flows, networks, cfg)
+            table = run_algorithm(name, flows, networks, cfg)
             verify_allocation_table(table, flows, networks, cfg)
         instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor)
         verify_allocation_table(exact_solve(instance), flows, networks, cfg)

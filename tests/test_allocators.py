@@ -15,16 +15,16 @@ from resilient_alloc import (
     IlpInstance,
     NetworkProfile,
     QosRequirement,
-    best_fit_network,
     cabf,
     cabf_inv,
     exact_solve,
     objective,
+    heuristic,
     report,
-    run_heuristic,
+    run_algorithm,
     verify_allocation_table,
 )
-from resilient_alloc.allocators import HEURISTIC_NAMES
+from resilient_alloc.allocators import BASELINE_KINDS, HEURISTIC_NAMES
 from resilient_alloc.flows import utilization
 
 from enumeration_oracle import random_instance
@@ -49,17 +49,16 @@ class TestBestFit:
     def test_prefers_tightest_network(self, assisted_living, table2_networks):
         # flow 2 at its strictest level needs 4 bps; empty Sigfox (48) is tightest
         flow = assisted_living.flows[1]
-        table = AllocationTable(table2_networks)
-        assert best_fit_network(flow, 3, table2_networks, table, 8) == "sigfox"
+        table = heuristic(BASELINE_KINDS["h-bf"], [flow], table2_networks, CFG8)
+        assert table.entries[flow.id] == Allocation(flow.id, "sigfox", 3)
 
-    def test_none_when_nothing_fits(self, assisted_living, table2_networks):
-        # flow 4 needs 32000 bps; leave only Wi-Fi with a 30000 bps residual
+    def test_none_when_nothing_fits(self, assisted_living):
+        # flow 4 needs 32000 bps at level 1; Wi-Fi offers only 30000 bps
         flow = assisted_living.flows[3]
-        wifi = table2_networks[0]
-        table = AllocationTable([wifi])
-        table.place(Allocation("stuffing", "wifi", 1), 34_000_000_000)
+        wifi = NetworkProfile(id="wifi", name="Wi-Fi", capacity_bps=30_000)
+        table = heuristic(BASELINE_KINDS["l-bf"], [flow], [wifi], CFG8)
+        assert table.entries == {}
         assert table.residual["wifi"] == 30_000_000_000
-        assert best_fit_network(flow, 1, [wifi], table, 8) is None
 
     def test_tie_breaks_toward_earlier_declaration(self):
         flow = FlowSpec(id="1", app="A", name="f", qos={1: QosRequirement(10, Fraction(1))})
@@ -67,14 +66,8 @@ class TestBestFit:
             NetworkProfile(id="a", name="A", capacity_bps=100),
             NetworkProfile(id="b", name="B", capacity_bps=100),
         ]
-        table = AllocationTable(twins)
-        assert best_fit_network(flow, 1, twins, table, 8) == "a"
-
-    def test_undefined_level_is_an_error(self, assisted_living, table2_networks):
-        flow = assisted_living.flows[7]  # declares level 1 only
-        table = AllocationTable(table2_networks)
-        with pytest.raises(ValueError):
-            best_fit_network(flow, 2, table2_networks, table, 8)
+        table = heuristic(BASELINE_KINDS["l-bf"], [flow], twins, CFG8)
+        assert table.entries["1"].network_id == "a"
 
 
 class TestCriticalityAware:
@@ -186,7 +179,7 @@ class TestCriticalityAware:
 
 class TestBaselines:
     def test_low_first_fit_fills_wifi_and_skips_two(self, assisted_living, table2_networks):
-        table = run_heuristic("l-ff", list(assisted_living.flows), table2_networks, CFG8)
+        table = run_algorithm("l-ff", list(assisted_living.flows), table2_networks, CFG8)
         assert _levels(table, assisted_living.flows) == (1, 1, 1, 1, 1, None, None, 1)
         assert _networks(table, assisted_living.flows) == (
             "wifi", "wifi", "wifi", "wifi", "wifi", None, None, "wifi",
@@ -197,20 +190,20 @@ class TestBaselines:
         )
 
     def test_high_first_fit_serves_all_on_wifi(self, assisted_living, table2_networks):
-        table = run_heuristic("h-ff", list(assisted_living.flows), table2_networks, CFG8)
+        table = run_algorithm("h-ff", list(assisted_living.flows), table2_networks, CFG8)
         assert _levels(table, assisted_living.flows) == (3, 3, 2, 2, 2, 2, 2, 1)
         assert set(_networks(table, assisted_living.flows)) == {"wifi"}
         rep = report(table, list(assisted_living.flows), table2_networks, 3)
         assert (rep.objective, rep.avg_criticality) == (15, Fraction(17, 8))
 
     def test_high_best_fit_packs_everything_into_sigfox(self, assisted_living, table2_networks):
-        table = run_heuristic("h-bf", list(assisted_living.flows), table2_networks, CFG8)
+        table = run_algorithm("h-bf", list(assisted_living.flows), table2_networks, CFG8)
         assert _levels(table, assisted_living.flows) == (3, 3, 2, 2, 2, 2, 2, 1)
         assert set(_networks(table, assisted_living.flows)) == {"sigfox"}
 
     @pytest.mark.parametrize("name", ["l-ff", "l-ffd", "l-bf", "l-bfd", "l-wf", "l-wfd"])
     def test_low_side_aggregates(self, name, assisted_living, table2_networks):
-        table = run_heuristic(name, list(assisted_living.flows), table2_networks, CFG8)
+        table = run_algorithm(name, list(assisted_living.flows), table2_networks, CFG8)
         rep = report(table, list(assisted_living.flows), table2_networks, 3)
         assert (rep.objective, rep.percent_served, rep.avg_criticality) == (
             18, Fraction(75), Fraction(1),
@@ -218,7 +211,7 @@ class TestBaselines:
 
     @pytest.mark.parametrize("name", ["h-ff", "h-ffd", "h-bf", "h-bfd", "h-wf", "h-wfd"])
     def test_high_side_aggregates(self, name, assisted_living, table2_networks):
-        table = run_heuristic(name, list(assisted_living.flows), table2_networks, CFG8)
+        table = run_algorithm(name, list(assisted_living.flows), table2_networks, CFG8)
         rep = report(table, list(assisted_living.flows), table2_networks, 3)
         assert (rep.objective, rep.percent_served, rep.avg_criticality) == (
             15, Fraction(100), Fraction(17, 8),
@@ -246,7 +239,7 @@ class TestBaselines:
             "small": NetworkProfile(id="small", name="Small", capacity_bps=6),
         }
         networks = [bins[key] for key in order]
-        table = run_heuristic(name, [flow], networks, AllocatorConfig(l_max=1, factor=1))
+        table = run_algorithm(name, [flow], networks, AllocatorConfig(l_max=1, factor=1))
         assert table.entries["1"].network_id == expected
 
     def test_decreasing_sort_is_stable(self):
@@ -256,12 +249,12 @@ class TestBaselines:
             for i in range(1, 4)
         ]
         net = NetworkProfile(id="n", name="N", capacity_bps=160)  # fits two of 80 bps
-        table = run_heuristic("l-ffd", flows, [net], AllocatorConfig(l_max=1, factor=8))
+        table = run_algorithm("l-ffd", flows, [net], AllocatorConfig(l_max=1, factor=8))
         assert sorted(table.entries) == ["1", "2"]
 
     def test_unknown_name_rejected(self, assisted_living, table2_networks):
         with pytest.raises(ValueError):
-            run_heuristic("m-ff", list(assisted_living.flows), table2_networks, CFG8)
+            run_algorithm("m-ff", list(assisted_living.flows), table2_networks, CFG8)
 
     def test_config_bounds(self):
         with pytest.raises(ValueError):
@@ -313,7 +306,7 @@ class TestProperties:
     @settings(max_examples=300)
     def test_every_table_satisfies_the_structural_invariants(self, instance, name):
         flows, networks, cfg = instance
-        table = run_heuristic(name, flows, networks, cfg)
+        table = run_algorithm(name, flows, networks, cfg)
         verify_allocation_table(table, flows, networks, cfg)
 
     def test_all_algorithms_deterministic_and_valid_on_random_inputs(self):
@@ -321,8 +314,8 @@ class TestProperties:
         for _ in range(150):
             flows, networks, cfg = random_instance(rng, max_flows=6)
             for name in HEURISTIC_NAMES:
-                table = run_heuristic(name, flows, networks, cfg)
-                again = run_heuristic(name, flows, networks, cfg)
+                table = run_algorithm(name, flows, networks, cfg)
+                again = run_algorithm(name, flows, networks, cfg)
                 assert table == again
                 verify_allocation_table(table, flows, networks, cfg)
                 for allocation in table.entries.values():
@@ -340,7 +333,7 @@ class TestProperties:
                 cfg.l_max,
             )
             for name in HEURISTIC_NAMES:
-                table = run_heuristic(name, flows, networks, cfg)
+                table = run_algorithm(name, flows, networks, cfg)
                 assert objective(table, cfg.l_max) <= best
 
     def test_scaling_demand_and_capacity_together_preserves_entries(self):
@@ -384,14 +377,14 @@ class TestProperties:
                     for p in networks
                 ]
                 for name in HEURISTIC_NAMES:
-                    base = run_heuristic(name, flows, networks, cfg)
-                    scaled = run_heuristic(name, scaled_flows, scaled_networks, cfg)
+                    base = run_algorithm(name, flows, networks, cfg)
+                    scaled = run_algorithm(name, scaled_flows, scaled_networks, cfg)
                     assert base.entries == scaled.entries
 
     def test_utilization_demand_is_declared(self, assisted_living, table2_networks):
         flows = list(assisted_living.flows)
         for name in HEURISTIC_NAMES:
-            table = run_heuristic(name, flows, table2_networks, CFG8)
+            table = run_algorithm(name, flows, table2_networks, CFG8)
             for allocation in table.entries.values():
                 flow = next(f for f in flows if f.id == allocation.flow_id)
                 assert utilization(flow, allocation.level, 8) is not None

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 
+import pytest
 
 from resilient_alloc.cli import main
 
@@ -177,6 +178,44 @@ class TestFramePipes:
 
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize(
+        "flows,networks,code,message",
+        [
+            pytest.param(
+                '{"l_max": 1, "flows": [{"id": "1", "qos": {"1": {"c": 1, "t": 1}}}]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flow is missing key 'name'\n",
+                id="flow_without_name",
+            ),
+            pytest.param(
+                None,
+                '[{"id": "n", "capacity_bps": 100, "max_payload_bytes": "0"}]',
+                1,
+                "error: payload cap must be >= 1, got 0\n",
+                id="payload_cap_zero_as_string",
+            ),
+            pytest.param(
+                None,
+                '[{"id": "n", "capacity_bps": 100, "max_payload_bytes": "12", "max_messages_per_day": "140"}]',
+                0,
+                "",
+                id="payload_cap_as_string",
+            ),
+        ],
+    )
+    def test_malformed_json_fields_exit_without_traceback(
+        self, tmp_path, capsys, flows, networks, code, message
+    ):
+        flows_path = FLOWS
+        if flows is not None:
+            flows_path = str(tmp_path / "flows.json")
+            (tmp_path / "flows.json").write_text(flows)
+        (tmp_path / "nets.json").write_text(networks)
+        argv = ["allocate", "--flows", flows_path, "--networks", str(tmp_path / "nets.json")]
+        assert main(argv) == code
+        assert capsys.readouterr().err == message
+
     def test_unknown_flag_is_exit_one(self, capsys):
         assert main(["compare", "--flows", FLOWS, "--networks", TABLE2, "--bogus"]) == 1
 

@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction
 
-from resilient_alloc import AllocationTable, AllocatorConfig, cabf, objective, report, run_heuristic
+from resilient_alloc import AllocationTable, AllocatorConfig, cabf, objective, report, run_algorithm
 from resilient_alloc.metrics import (
     format_quantity,
     glyph_map,
@@ -24,7 +24,7 @@ class TestObjective:
         assert objective(table, 3) == 22
 
     def test_high_first_fit_scores_15(self, assisted_living, table2_networks):
-        table = run_heuristic("h-ff", list(assisted_living.flows), table2_networks, CFG8)
+        table = run_algorithm("h-ff", list(assisted_living.flows), table2_networks, CFG8)
         assert objective(table, 3) == 15
 
     def test_empty_table_scores_zero(self, table2_networks):
@@ -36,7 +36,7 @@ class TestObjective:
         for _ in range(80):
             flows, networks, cfg = random_instance(rng)
             for name in ("cabf", "h-bf", "l-ffd"):
-                table = run_heuristic(name, flows, networks, cfg)
+                table = run_algorithm(name, flows, networks, cfg)
                 histogram: dict[int, int] = {}
                 for entry in table.entries.values():
                     histogram[entry.level] = histogram.get(entry.level, 0) + 1
@@ -48,14 +48,14 @@ class TestObjective:
 
 class TestReport:
     def test_low_ffd_row(self, assisted_living, table2_networks):
-        table = run_heuristic("l-ffd", list(assisted_living.flows), table2_networks, CFG8)
+        table = run_algorithm("l-ffd", list(assisted_living.flows), table2_networks, CFG8)
         rep = report(table, list(assisted_living.flows), table2_networks, 3)
         assert rep.percent_served == Fraction(75)
         assert rep.avg_criticality == Fraction(1)
         assert rep.objective == 18
 
     def test_per_network_load_accounts_used_capacity(self, assisted_living, table2_networks):
-        table = run_heuristic("h-bf", list(assisted_living.flows), table2_networks, CFG8)
+        table = run_algorithm("h-bf", list(assisted_living.flows), table2_networks, CFG8)
         rep = report(table, list(assisted_living.flows), table2_networks, 3)
         used, capacity = rep.per_network_load["sigfox"]
         assert capacity == 48_000_000
@@ -72,7 +72,7 @@ class TestReport:
         rng = random.Random(0xF00D)
         for _ in range(60):
             flows, networks, cfg = random_instance(rng)
-            table = run_heuristic("cabf-inv", flows, networks, cfg)
+            table = run_algorithm("cabf-inv", flows, networks, cfg)
             rep = report(table, flows, networks, cfg.l_max)
             assert 0 <= rep.percent_served <= 100
             if rep.avg_criticality is not None:
@@ -103,7 +103,7 @@ class TestRendering:
 
     def test_csv_row_shape(self, assisted_living, table2_networks):
         flows = list(assisted_living.flows)
-        rows = [("h-ff", report(run_heuristic("h-ff", flows, table2_networks, CFG8), flows, table2_networks, 3))]
+        rows = [("h-ff", report(run_algorithm("h-ff", flows, table2_networks, CFG8), flows, table2_networks, 3))]
         text = render_comparison_csv(rows, flows, table2_networks)
         lines = text.strip().splitlines()
         assert lines[0].split(",")[:2] == ["algorithm", "flow_1"]

@@ -4,12 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from resilient_alloc import builtin_profile, lora_profile
+from resilient_alloc import FixedDelay, UniformDelay, builtin_profile, lora_profile
 from resilient_alloc.networks import (
     BUILTIN_KINDS,
-    FixedLatency,
     LORA_UPLINK_TABLE,
-    UniformLatency,
     network_from_dict,
     networks_from_json,
 )
@@ -33,7 +31,7 @@ class TestBuiltins:
         assert sigfox.max_payload_bytes == 12
         assert sigfox.max_messages_per_day == 140
         assert sigfox.min_inter_message_gap_seconds == Fraction("10.5")
-        assert sigfox.latency == UniformLatency(Fraction(1000), Fraction(4500))
+        assert sigfox.latency == UniformDelay(Fraction(1), Fraction("4.5"))
 
     def test_lora_builtins_match_the_uplink_table_rows(self):
         assert builtin_profile("lora_sf9_table2") == lora_profile(9, 125)
@@ -46,10 +44,10 @@ class TestBuiltins:
             assert profile.max_messages_per_day is None
 
     def test_latency_models(self):
-        assert builtin_profile("wifi_fipy").latency == FixedLatency(Fraction(8))
-        assert builtin_profile("nbiot_fipy").latency == FixedLatency(Fraction(576))
-        assert builtin_profile("lora_sf7_fipy").latency == UniformLatency(
-            Fraction(24), Fraction(2800)
+        assert builtin_profile("wifi_fipy").latency == FixedDelay(Fraction("0.008"))
+        assert builtin_profile("nbiot_fipy").latency == FixedDelay(Fraction("0.576"))
+        assert builtin_profile("lora_sf7_fipy").latency == UniformDelay(
+            Fraction("0.024"), Fraction("2.8")
         )
 
     def test_unknown_kind(self):
@@ -120,7 +118,7 @@ class TestJson:
         )
         assert profile.capacity_bps == 1234
         assert profile.min_inter_message_gap_seconds == Fraction(1, 4)
-        assert profile.latency == UniformLatency(Fraction(10), Fraction(20))
+        assert profile.latency == UniformDelay(Fraction("0.01"), Fraction("0.02"))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):

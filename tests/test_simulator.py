@@ -1,26 +1,30 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from resilient_alloc import (
-    FixedDuration,
+    FixedDelay,
     FlowSpec,
     InvalidScenario,
     NetworkEvent,
     NetworkProfile,
     QosRequirement,
     Scenario,
-    UniformDuration,
+    UniformDelay,
     builtin_profile,
-    handshake_duration,
     load_scenario,
     run,
 )
-from resilient_alloc.networks import FixedLatency
 from resilient_alloc.rng import SplitMix64
-from resilient_alloc.simulator import DEFAULT_HANDSHAKE
+from resilient_alloc.simulator import DEFAULT_HANDSHAKE, scenario_from_dict
+
+from conftest import REPO_ROOT
 
 
 def _scenario(flows, networks, **overrides) -> Scenario:
@@ -50,15 +54,15 @@ class TestHandshakeDuration:
     def test_default_model_stays_in_window(self):
         rng = SplitMix64(7)
         for _ in range(100):
-            value = handshake_duration(DEFAULT_HANDSHAKE, rng)
+            value = DEFAULT_HANDSHAKE.sample(rng)
             assert Fraction("1.3") <= value < Fraction("1.5")
 
     def test_fixed_zero_for_unit_tests(self):
-        assert handshake_duration(FixedDuration(Fraction(0)), SplitMix64(1)) == 0
+        assert FixedDelay(Fraction(0)).sample(SplitMix64(1)) == 0
 
     def test_same_seed_same_value(self):
-        first = handshake_duration(DEFAULT_HANDSHAKE, SplitMix64(99))
-        second = handshake_duration(DEFAULT_HANDSHAKE, SplitMix64(99))
+        first = DEFAULT_HANDSHAKE.sample(SplitMix64(99))
+        second = DEFAULT_HANDSHAKE.sample(SplitMix64(99))
         assert first == second
 
 
@@ -184,14 +188,14 @@ class TestAvailabilityChange:
     def test_in_flight_messages_on_lost_network_fail(self):
         flow = _simple_flow("1", c=10, t=10)
         slow = NetworkProfile(
-            id="slow", name="Slow", capacity_bps=1000, latency=FixedLatency(Fraction(2000))
+            id="slow", name="Slow", capacity_bps=1000, latency=FixedDelay(Fraction(2))
         )
         scenario = _scenario(
             [flow],
             [slow],
             duration_seconds=Fraction(25),
             events=(NetworkEvent(time=Fraction(11), network_id="slow", up=False),),
-            handshake=FixedDuration(Fraction(1, 2)),
+            handshake=FixedDelay(Fraction(1, 2)),
         )
         report = run(scenario)
         totals = report.flow_totals("1")
@@ -247,7 +251,7 @@ class TestAvailabilityChange:
             duration_seconds=Fraction(100),
             initially_available=("big",),
             events=(NetworkEvent(time=Fraction(50), network_id="small", up=True),),
-            handshake=FixedDuration(Fraction(0)),
+            handshake=FixedDelay(Fraction(0)),
         )
         report = run(scenario)
         assert len(report.handshakes) == 1
@@ -405,6 +409,66 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario):
             run(_scenario([flow], [net], algorithm="magic"))
 
-    def test_handshake_override_parses(self, wifi_loss_path):
-        scenario = load_scenario(wifi_loss_path)
-        assert scenario.handshake == UniformDuration(Fraction("1.3"), Fraction("1.5"))
+    @pytest.mark.parametrize(
+        "field,delay,expected",
+        [
+            pytest.param("handshake", None, DEFAULT_HANDSHAKE, id="default"),
+            pytest.param("latency", {"fixed_ms": 8}, FixedDelay(Fraction("0.008")), id="fixed_ms"),
+            pytest.param(
+                "latency",
+                {"uniform_ms": [24, 2800]},
+                UniformDelay(Fraction("0.024"), Fraction("2.8")),
+                id="uniform_ms",
+            ),
+            pytest.param("handshake", {"fixed_seconds": "1/2"}, FixedDelay(Fraction(1, 2)), id="fixed_seconds"),
+            pytest.param(
+                "handshake",
+                {"uniform_seconds": [1.3, 1.5]},
+                UniformDelay(Fraction("1.3"), Fraction("1.5")),
+                id="uniform_seconds",
+            ),
+            pytest.param("latency", {"fixed_seconds": 1}, None, id="latency_without_ms_key"),
+            pytest.param("handshake", {"fixed_ms": 1400}, None, id="handshake_without_seconds_key"),
+        ],
+    )
+    def test_delay_override_parses(self, wifi_loss_path, field, delay, expected):
+        doc = json.loads(wifi_loss_path.read_text())
+        if field == "latency":
+            doc["networks"][0] = {"id": "wifi", "capacity_bps": 750_000, "latency": delay}
+        elif delay is not None:
+            doc["handshake"] = delay
+        if expected is None:
+            with pytest.raises(ValueError, match="must specify"):
+                scenario_from_dict(doc)
+            return
+        scenario = scenario_from_dict(doc)
+        got = scenario.networks[0].latency if field == "latency" else scenario.handshake
+        assert got == expected
+
+    def test_invariants_are_checked_under_optimize_flag(self, wifi_loss_path):
+        # A tampered wire counter must still trip the consistency check when
+        # the interpreter strips assert statements (python -O).
+        script = (
+            "import sys\n"
+            "from resilient_alloc.simulator import _Simulation, load_scenario\n"
+            "sim = _Simulation(load_scenario(sys.argv[1]), None)\n"
+            "report = sim.run()\n"
+            "name = sim.scenario.flows[0].name\n"
+            "sim.wire_acks[name] = sim.wire_acks.get(name, 0) + 1\n"
+            "try:\n"
+            "    sim._check_consistency(report)\n"
+            "except AssertionError:\n"
+            "    print('raised')\n"
+        )
+        env = dict(os.environ)
+        src = str(REPO_ROOT / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(wifi_loss_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised\n"
