@@ -1,9 +1,10 @@
-"""Golden stdout digests for the CLI reports and the demo scripts.
+"""Golden digests for the CLI reports, the demo scripts and a wire transcript.
 
 Each case runs in a fresh interpreter and compares the sha256 of its stdout
 with a recorded value, so any change to a rendered byte (column widths,
-number formatting, key order, latency units) fails here. Re-record a digest
-only for an intended change of output.
+number formatting, key order, latency units) fails here. The transcript case
+pins every frame the simulator exchanges, in order, byte for byte. Re-record
+a digest only for an intended change of output.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_stdout_digest(case):
-    argv, expected = GOLDEN[case]
+TRANSCRIPT_DIGEST = "9d5cc4c478f4dd85a64ad78843dae62a69e2a5417593c4f00a5e06087f4b8e83"
+
+
+def _run(argv: list[str]) -> bytes:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
@@ -93,4 +95,16 @@ def test_stdout_digest(case):
         [sys.executable, *argv], cwd=REPO_ROOT, env=env, capture_output=True, timeout=120
     )
     assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(done.stdout).hexdigest() == expected
+    return done.stdout
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_stdout_digest(case):
+    argv, expected = GOLDEN[case]
+    assert hashlib.sha256(_run(argv)).hexdigest() == expected
+
+
+def test_simulate_transcript_digest(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    _run(CLI + ["simulate", "--scenario", str(DEMOS / "wifi_loss.json"), "--transcript", str(path)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRANSCRIPT_DIGEST
