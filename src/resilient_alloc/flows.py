@@ -151,11 +151,18 @@ def flow_from_dict(obj: dict) -> FlowSpec:
         return FlowSpec(id=str(obj["id"]), app=str(obj.get("app", "")), name=str(obj["name"]), qos=qos)
     except KeyError as exc:
         raise ValueError(f"flow is missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"flow {obj.get('id')!r}: {exc}") from None
 
 
 def flow_set_from_dict(obj: dict) -> FlowSet:
-    flows = tuple(flow_from_dict(entry) for entry in obj["flows"])
-    l_max = int(obj["l_max"])
+    if not isinstance(obj, dict):
+        raise ValueError(f"flow set must be an object with keys 'flows' and 'l_max', got {type(obj).__name__}")
+    try:
+        entries, l_max = obj["flows"], int(obj["l_max"])
+    except KeyError as exc:
+        raise ValueError(f"flow set is missing key {exc}") from None
+    flows = tuple(flow_from_dict(entry) for entry in entries)
     validate_flow_set(flows, l_max)
     return FlowSet(flows=flows, l_max=l_max)
 

@@ -196,6 +196,8 @@ def network_from_dict(obj: dict) -> NetworkProfile:
         )
     except KeyError as exc:
         raise ValueError(f"network is missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"network {obj.get('id')!r}: {exc}") from None
 
 
 def networks_from_json(entries: list[dict]) -> list[NetworkProfile]:

@@ -7,7 +7,10 @@ resulting table over the framed wire protocol, and forwards application
 messages to their assigned network subject to that network's delivery
 constraints. Host and node are separate state machines that exchange real
 protocol frames through an in-memory channel (encoded on one side, decoded
-on the other), so codec regressions surface as simulation failures.
+on the other), so codec regressions surface as simulation failures. The
+frame is the only host-to-node channel: the node learns a message's flow,
+level and size only from the decoded frame, and keeps only the messages
+still in flight, so memory does not grow with simulated time.
 
 Virtual time replaces a thread-and-sleep implementation style: events are
 processed in non-decreasing time order with deterministic tie-breaking
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -262,15 +264,11 @@ class SimReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2).encode("utf-8")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _MsgRecord:
-    seq: int
-    flow_id: str
-    flow_name: str
+    flow: FlowSpec
     level: int
     size: int
-    network_id: str | None = None
-    cancelled: bool = False
 
 
 @dataclass
@@ -283,11 +281,8 @@ class _NetworkRuntime:
     pending: dict[int, _MsgRecord] = field(default_factory=dict)
 
 
-@dataclass
-class _GeneratorConfig:
-    level: int
-    period: Fraction
-    size: int
+_TO_NODE = "host->node"
+_TO_HOST = "node->host"
 
 
 class _Simulation:
@@ -311,17 +306,19 @@ class _Simulation:
 
         # host state
         self.paused = False
-        self.generators: dict[str, _GeneratorConfig] = {}
-        self.emit_epoch: dict[str, int] = {flow.id: 0 for flow in scenario.flows}
+        self.levels: dict[str, int] = {}  # flow id -> level the application emits at
+        self.emit_epoch = 0
         self.wire_acks: dict[str, int] = {}
         self.wire_errs: dict[tuple[str, wire.ErrorReason], int] = {}
 
         # node state
+        self.flows_by_name = {flow.name: flow for flow in scenario.flows}
         self.active: dict[str, tuple[str, int]] = {}  # flow name -> (network id, level)
         self.pending_active: dict[str, tuple[str, int]] | None = None
         self.window_open = False
         self.window_start = Fraction(0)
         self.realloc_epoch = 0
+        self._msg_key = 0
 
         # accounting
         self.stats: dict[str, dict[int, FlowLevelCounts]] = {
@@ -335,12 +332,11 @@ class _Simulation:
         self.now = Fraction(0)
         self._heap: list[tuple] = []
         self._seq = 0
-        self._msg_seq = 0
-        self.msg_records: dict[int, _MsgRecord] = {}
-        self.attribution: deque[int] = deque()
 
-        self.host_decoder = wire.FrameDecoder()
-        self.node_decoder = wire.FrameDecoder()
+        self._links = {
+            _TO_NODE: (wire.FrameDecoder(), self._node_on_frame),
+            _TO_HOST: (wire.FrameDecoder(), self._host_on_frame),
+        }
 
     # -- plumbing -------------------------------------------------------------
 
@@ -351,7 +347,8 @@ class _Simulation:
     def _counts(self, flow_id: str, level: int) -> FlowLevelCounts:
         return self.stats[flow_id].setdefault(level, FlowLevelCounts())
 
-    def _log(self, direction: str, body: bytes) -> None:
+    def _send(self, direction: str, body: bytes) -> None:
+        """Frame ``body``, feed it to the receiver's decoder and dispatch it."""
         if self.transcript is not None:
             self.transcript.append(
                 {
@@ -360,20 +357,14 @@ class _Simulation:
                     "body": body.decode("utf-8", "backslashreplace"),
                 }
             )
-
-    def _host_to_node(self, body: bytes) -> None:
-        self._log("host->node", body)
-        for event in self.node_decoder.feed(wire.encode_frame(body)):
+        decoder, on_frame = self._links[direction]
+        for event in decoder.feed(wire.encode_frame(body)):
             if isinstance(event, wire.MalformedFrame):
-                raise AssertionError(f"node received malformed frame: {event}")
-            self._node_on_frame(event.body)
+                raise AssertionError(f"{direction} frame is malformed: {event}")
+            on_frame(event.body)
 
-    def _node_to_host(self, body: bytes) -> None:
-        self._log("node->host", body)
-        for event in self.host_decoder.feed(wire.encode_frame(body)):
-            if isinstance(event, wire.MalformedFrame):
-                raise AssertionError(f"host received malformed frame: {event}")
-            self._host_on_frame(event.body)
+    def _send_control(self, direction: str, message: wire.ControlMessage) -> None:
+        self._send(direction, wire.encode_control(message).encode("utf-8"))
 
     # -- node ------------------------------------------------------------------
 
@@ -415,8 +406,7 @@ class _Simulation:
 
     def _announce_allocation(self, allocation: dict[str, tuple[str, int]]) -> None:
         self.pending_active = allocation
-        text = wire.encode_mfea(self._mfea_for(allocation))
-        self._node_to_host(text.encode("utf-8"))
+        self._send(_TO_HOST, wire.encode_mfea(self._mfea_for(allocation)).encode("utf-8"))
 
     def _node_on_frame(self, body: bytes) -> None:
         if body.startswith(b"<"):
@@ -434,29 +424,23 @@ class _Simulation:
         self._node_on_app(wire.decode_app(body))
 
     def _node_on_app(self, message: wire.AppMessage) -> None:
-        seq = self.attribution.popleft()
-        record = self.msg_records[seq]
-        if record.flow_name != message.flow_name:
-            raise AssertionError(f"message from {message.flow_name!r} attributed to {record.flow_name!r}")
-        counts = self._counts(record.flow_id, record.level)
+        flow = self.flows_by_name[message.flow_name]
+        counts = self._counts(flow.id, message.level)
 
-        placed = self.active.get(message.flow_name)
+        placed = self.active.get(flow.name)
         if placed is None or not self.networks[placed[0]].up:
             counts.err_not_allocated += 1
-            self._node_to_host(
-                wire.encode_control(
-                    wire.Err(message.flow_name, wire.ErrorReason.NOT_ALLOCATED)
-                ).encode("utf-8")
-            )
+            self._send_control(_TO_HOST, wire.Err(flow.name, wire.ErrorReason.NOT_ALLOCATED))
             return
 
         network_id, _level = placed
         runtime = self.networks[network_id]
         profile = runtime.profile
+        size = len(message.payload)
 
         refusal = None
         cap = profile.max_payload_bytes
-        if cap is not None and record.size > cap:
+        if cap is not None and size > cap:
             refusal = "payload"
         if refusal is None and profile.max_messages_per_day is not None:
             day = int(self.now // _SECONDS_PER_DAY)
@@ -477,37 +461,28 @@ class _Simulation:
 
         if refusal is not None:
             counts.err_not_delivered += 1
-            self._node_to_host(
-                wire.encode_control(
-                    wire.Err(message.flow_name, wire.ErrorReason.NOT_DELIVERED)
-                ).encode("utf-8")
-            )
+            self._send_control(_TO_HOST, wire.Err(flow.name, wire.ErrorReason.NOT_DELIVERED))
             return
 
         runtime.last_send = self.now
         if profile.max_messages_per_day is not None:
             runtime.sent_today += 1
-        record.network_id = network_id
-        runtime.pending[seq] = record
+        self._msg_key += 1
+        runtime.pending[self._msg_key] = _MsgRecord(flow, message.level, size)
         latency = profile.latency.sample(self.rng)
-        flow_idx = self.flow_index[record.flow_id]
-        self._push(self.now + latency, _P_DELIVER, flow_idx, self._do_deliver, seq)
+        flow_idx = self.flow_index[flow.id]
+        self._push(self.now + latency, _P_DELIVER, flow_idx, self._do_deliver, network_id, self._msg_key)
 
-    def _do_deliver(self, seq: int) -> None:
-        record = self.msg_records[seq]
-        if record.cancelled:
+    def _do_deliver(self, network_id: str, key: int) -> None:
+        # A key is gone when its network went down while the message was in flight.
+        record = self.networks[network_id].pending.pop(key, None)
+        if record is None:
             return
-        if record.network_id is None:
-            raise AssertionError(f"message {seq} delivered without a network")
-        runtime = self.networks[record.network_id]
-        runtime.pending.pop(seq, None)
-        self._counts(record.flow_id, record.level).delivered += 1
-        counts = self.net_counts[record.network_id]
+        self._counts(record.flow.id, record.level).delivered += 1
+        counts = self.net_counts[network_id]
         counts.messages += 1
         counts.bytes += record.size
-        self._node_to_host(
-            wire.encode_control(wire.Ack(record.flow_name)).encode("utf-8")
-        )
+        self._send_control(_TO_HOST, wire.Ack(record.flow.name))
 
     # -- host -------------------------------------------------------------------
 
@@ -519,8 +494,6 @@ class _Simulation:
         message = wire.parse_control(text)
         if isinstance(message, wire.ReallocInit):
             self.paused = True
-            for flow in self.scenario.flows:
-                self.emit_epoch[flow.id] += 1
             return
         if isinstance(message, wire.Ack):
             self.wire_acks[message.flow_name] = self.wire_acks.get(message.flow_name, 0) + 1
@@ -533,71 +506,47 @@ class _Simulation:
 
     def _host_apply_mfea(self, entries: list[wire.MfeaEntry]) -> None:
         by_name = {entry.flow_name: entry for entry in entries}
-        self.generators = {}
         for flow in self.scenario.flows:
             entry = by_name.get(flow.name)
             if entry is None:
                 # No service: the application still runs at its most generous
                 # declared level, and the node will refuse its messages.
-                level = flow.lowest_defined_level()
-            else:
-                level = entry.level
-                qos = flow.qos[level]
-                if entry.payload_size != qos.message_size_bytes:
-                    raise AssertionError(f"MFEA payload size disagrees for flow {flow.id}")
-                if entry.period_seconds != _wire_period(qos.min_interval_seconds):
-                    raise AssertionError(f"MFEA period disagrees for flow {flow.id}")
-            qos = flow.qos[level]
-            self.generators[flow.id] = _GeneratorConfig(
-                level=level,
-                period=qos.min_interval_seconds,
-                size=qos.message_size_bytes,
-            )
+                self.levels[flow.id] = flow.lowest_defined_level()
+                continue
+            qos = flow.qos[entry.level]
+            if entry.payload_size != qos.message_size_bytes:
+                raise AssertionError(f"MFEA payload size disagrees for flow {flow.id}")
+            if entry.period_seconds != _wire_period(qos.min_interval_seconds):
+                raise AssertionError(f"MFEA period disagrees for flow {flow.id}")
+            self.levels[flow.id] = entry.level
         was_paused = self.paused
         self.paused = False
         self._schedule_all_emissions()
         if was_paused:
-            self._host_to_node(wire.encode_control(wire.ReallocAccepted()).encode("utf-8"))
+            self._send_control(_TO_NODE, wire.ReallocAccepted())
+
+    def _period(self, flow: FlowSpec) -> Fraction:
+        return flow.qos[self.levels[flow.id]].min_interval_seconds
 
     def _schedule_all_emissions(self) -> None:
-        for flow in self.scenario.flows:
-            generator = self.generators[flow.id]
-            self.emit_epoch[flow.id] += 1
-            next_time = self.now + generator.period
+        # A new epoch makes every emission scheduled under the old table stale.
+        self.emit_epoch += 1
+        for flow_idx, flow in enumerate(self.scenario.flows):
+            next_time = self.now + self._period(flow)
             if next_time <= self.scenario.duration_seconds:
-                self._push(
-                    next_time,
-                    _P_EMIT,
-                    self.flow_index[flow.id],
-                    self._do_emit,
-                    flow.id,
-                    self.emit_epoch[flow.id],
-                )
+                self._push(next_time, _P_EMIT, flow_idx, self._do_emit, flow_idx, self.emit_epoch)
 
-    def _do_emit(self, flow_id: str, epoch: int) -> None:
-        if epoch != self.emit_epoch[flow_id] or self.paused:
+    def _do_emit(self, flow_idx: int, epoch: int) -> None:
+        if epoch != self.emit_epoch or self.paused:
             return
-        generator = self.generators[flow_id]
-        flow = self.scenario.flows[self.flow_index[flow_id]]
-        self._counts(flow_id, generator.level).sent += 1
-        self._msg_seq += 1
-        record = _MsgRecord(
-            seq=self._msg_seq,
-            flow_id=flow_id,
-            flow_name=flow.name,
-            level=generator.level,
-            size=generator.size,
-        )
-        self.msg_records[record.seq] = record
-        self.attribution.append(record.seq)
-        self._host_to_node(
-            wire.encode_app(
-                wire.AppMessage(flow.name, generator.level, b"x" * generator.size)
-            )
-        )
-        next_time = self.now + generator.period
+        flow = self.scenario.flows[flow_idx]
+        level = self.levels[flow.id]
+        self._counts(flow.id, level).sent += 1
+        size = flow.qos[level].message_size_bytes
+        self._send(_TO_NODE, wire.encode_app(wire.AppMessage(flow.name, level, b"x" * size)))
+        next_time = self.now + self._period(flow)
         if next_time <= self.scenario.duration_seconds:
-            self._push(next_time, _P_EMIT, self.flow_index[flow_id], self._do_emit, flow_id, epoch)
+            self._push(next_time, _P_EMIT, flow_idx, self._do_emit, flow_idx, epoch)
 
     # -- availability and re-allocation ------------------------------------------
 
@@ -606,14 +555,9 @@ class _Simulation:
         runtime.up = up
         if not up:
             for record in runtime.pending.values():
-                record.cancelled = True
-                self._counts(record.flow_id, record.level).err_not_delivered += 1
+                self._counts(record.flow.id, record.level).err_not_delivered += 1
                 # the node reports the loss exactly as a failed send would be
-                self._node_to_host(
-                    wire.encode_control(
-                        wire.Err(record.flow_name, wire.ErrorReason.NOT_DELIVERED)
-                    ).encode("utf-8")
-                )
+                self._send_control(_TO_HOST, wire.Err(record.flow.name, wire.ErrorReason.NOT_DELIVERED))
             runtime.pending.clear()
         self._push(self.now, _P_REALLOC_START, 0, self._do_realloc_start)
 
@@ -622,7 +566,7 @@ class _Simulation:
         if not self.window_open:
             self.window_open = True
             self.window_start = self.now
-            self._node_to_host(wire.encode_control(wire.ReallocInit()).encode("utf-8"))
+            self._send_control(_TO_HOST, wire.ReallocInit())
         duration = self.scenario.handshake.sample(self.rng)
         self._push(self.now + duration, _P_REALLOC_COMPLETE, 0, self._do_realloc_complete, self.realloc_epoch)
 
@@ -634,11 +578,10 @@ class _Simulation:
     # -- driver --------------------------------------------------------------------
 
     def run(self) -> SimReport:
-        initial = self._compute_allocation()
-        self.pending_active = None
-        self.active = initial
-        text = wire.encode_mfea(self._mfea_for(initial))
-        self._node_to_host(text.encode("utf-8"))
+        # The first table is active at once: no window is open, so the host
+        # applies it without sending an accept.
+        self.active = self._compute_allocation()
+        self._announce_allocation(self.active)
 
         for event in self.scenario.events:
             self._push(
@@ -675,11 +618,14 @@ class _Simulation:
         return report
 
     def _check_consistency(self, report: SimReport) -> None:
-        # Conservation and agreement between the wire view and the counters.
+        # Conservation per (flow, level): the host counts a message as sent at
+        # the level it emitted, the node counts its outcome at the level it
+        # decoded. Then agreement between the wire view and the counters.
         for flow in self.scenario.flows:
+            for level, counts in report.per_flow_level[flow.id].items():
+                if counts.sent != counts.delivered + counts.err_not_allocated + counts.err_not_delivered:
+                    raise AssertionError(f"conservation violated for flow {flow.id} at level {level}")
             total = report.flow_totals(flow.id)
-            if total.sent != total.delivered + total.err_not_allocated + total.err_not_delivered:
-                raise AssertionError(f"conservation violated for flow {flow.id}")
             if self.wire_acks.get(flow.name, 0) != total.delivered:
                 raise AssertionError(f"wire ACKs disagree with deliveries for flow {flow.id}")
             if (
@@ -748,6 +694,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
         )
     except KeyError as exc:
         raise InvalidScenario(f"scenario is missing key {exc}") from None
+    except TypeError as exc:
+        raise InvalidScenario(f"scenario: {exc}") from None
     scenario.validate()
     return scenario
 

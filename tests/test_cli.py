@@ -202,6 +202,35 @@ class TestArgumentHandling:
                 "",
                 id="payload_cap_as_string",
             ),
+            pytest.param(
+                '{"flows": []}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flow set is missing key 'l_max'\n",
+                id="flow_set_without_l_max",
+            ),
+            pytest.param(
+                "[]",
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flow set must be an object with keys 'flows' and 'l_max', got list\n",
+                id="flow_set_as_list",
+            ),
+            pytest.param(
+                '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": [1]}}}]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flow '1': expected a number, got [1]\n",
+                id="flow_interval_as_list",
+            ),
+            pytest.param(
+                None,
+                '[{"id": "n", "capacity_bps": 100, "max_payload_bytes": [1]}]',
+                1,
+                "error: network 'n': int() argument must be a string, a bytes-like object "
+                "or a real number, not 'list'\n",
+                id="payload_cap_as_list",
+            ),
         ],
     )
     def test_malformed_json_fields_exit_without_traceback(

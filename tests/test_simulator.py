@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from resilient_alloc import (
     load_scenario,
     run,
 )
+from resilient_alloc import wire
 from resilient_alloc.rng import SplitMix64
 from resilient_alloc.simulator import DEFAULT_HANDSHAKE, scenario_from_dict
 
@@ -376,8 +378,44 @@ class TestReportInvariants:
         assert doc["rng"] == "splitmix64"
         assert doc["schema_version"] == 1
 
+    def test_codec_fault_surfaces_as_simulation_failure(self, wifi_loss_path, monkeypatch):
+        # The node learns the level only from the decoded frame, so a decoder
+        # that shifts it breaks per-level conservation.
+        decode_app = wire.decode_app
+
+        def shifted(data: bytes) -> wire.AppMessage:
+            message = decode_app(data)
+            return wire.AppMessage(message.flow_name, message.level + 1, message.payload)
+
+        monkeypatch.setattr(wire, "decode_app", shifted)
+        with pytest.raises(AssertionError, match="conservation violated"):
+            run(load_scenario(wifi_loss_path))
+
+    def test_memory_stays_flat_over_simulated_time(self):
+        def peak_bytes(days: int) -> int:
+            scenario = _scenario(
+                [_simple_flow("1", 1, 300)],
+                [builtin_profile("wifi_fipy")],
+                duration_seconds=Fraction(days * 86400),
+            )
+            tracemalloc.start()
+            try:
+                run(scenario)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(1)  # warm up one-time caches
+        assert peak_bytes(7) <= 1.5 * peak_bytes(1)
+
 
 class TestScenarioValidation:
+    def test_non_scalar_field_is_invalid_scenario(self, wifi_loss_path):
+        doc = json.loads(wifi_loss_path.read_text())
+        doc["duration_seconds"] = [600]
+        with pytest.raises(InvalidScenario, match=r"scenario: expected a number, got \[600\]"):
+            scenario_from_dict(doc)
+
     def test_duplicate_flow_names_rejected(self):
         flows = [_simple_flow("1", 1, 1, name="same"), _simple_flow("2", 1, 1, name="same")]
         net = NetworkProfile(id="n", name="N", capacity_bps=10)
