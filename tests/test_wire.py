@@ -117,12 +117,47 @@ class TestFrames:
         payload = encoded.split(b":", 3)[3][:-1]
         assert length == len(payload)
 
+    def test_malformed_stream_events_are_pinned(self):
+        stream = (
+            b"noise:M:ML:x:AB\n:ML:2:ABX:ML:2:\\x\n:ML:12345678901:Z\n"
+            b":ML:5:HELLO\n:ML:4:a\\nb\n:ML:"
+        )
+        expected = [
+            MalformedFrame("bad-header", b"noise:M"),
+            MalformedFrame("bad-length"),
+            MalformedFrame("bad-header", b"ML:x:AB\n"),
+            MalformedFrame("bad-terminator"),
+            MalformedFrame("bad-header", b"ML:2:ABX"),
+            MalformedFrame("bad-escape", b"\\x"),
+            MalformedFrame("bad-length"),
+            MalformedFrame("bad-header", b"ML:12345678901:Z\n"),
+            Frame(b"HELLO"),
+            Frame(b"a\nb"),
+        ]
+        assert decode_all(stream) == (expected, b":ML:")
+        decoder = FrameDecoder()
+        events = []
+        for i in range(len(stream)):
+            events.extend(decoder.feed(stream[i : i + 1]))
+        assert events == expected
+        assert decoder.pending == b":ML:"
+
     @given(
-        bodies=st.lists(st.binary(max_size=60), max_size=6),
+        pieces=st.lists(
+            st.one_of(
+                st.binary(max_size=60).map(encode_frame),
+                st.binary(max_size=8),
+                st.sampled_from(
+                    [b":", b":M", b":ML", b":ML:", b":ML:x:AB\n", b":ML:2:ABX",
+                     b":ML:2:\\x\n", b":ML:12345678901:Z\n", b"\\"]
+                ),
+            ),
+            max_size=8,
+        ),
         data=st.data(),
     )
-    def test_chunking_invariance(self, bodies, data):
-        stream = b"".join(encode_frame(body) for body in bodies)
+    def test_chunking_invariance(self, pieces, data):
+        stream = b"".join(pieces)
         whole, whole_rest = decode_all(stream)
         cuts = sorted(
             data.draw(
