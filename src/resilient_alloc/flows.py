@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .rational import as_fraction
+from .rational import as_fraction, expect
 
 MICRO = 10**6
 
@@ -140,9 +140,10 @@ def validate_flow_set(flows: list[FlowSpec] | tuple[FlowSpec, ...], l_max: int) 
 
 
 def flow_from_dict(obj: dict) -> FlowSpec:
+    expect(obj, dict, "flow")
     try:
         qos: dict[int, QosRequirement] = {}
-        for key, entry in obj.get("qos", {}).items():
+        for key, entry in expect(obj.get("qos", {}), dict, f"flow {obj.get('id')!r} qos").items():
             level = int(key)
             qos[level] = QosRequirement(
                 message_size_bytes=int(entry["c"]),
@@ -159,9 +160,11 @@ def flow_set_from_dict(obj: dict) -> FlowSet:
     if not isinstance(obj, dict):
         raise ValueError(f"flow set must be an object with keys 'flows' and 'l_max', got {type(obj).__name__}")
     try:
-        entries, l_max = obj["flows"], int(obj["l_max"])
+        entries, l_max = expect(obj["flows"], list, "flows"), int(obj["l_max"])
     except KeyError as exc:
         raise ValueError(f"flow set is missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"flow set: {exc}") from None
     flows = tuple(flow_from_dict(entry) for entry in entries)
     validate_flow_set(flows, l_max)
     return FlowSet(flows=flows, l_max=l_max)

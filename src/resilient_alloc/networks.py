@@ -21,8 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .flows import MICRO
-from .rational import as_fraction
-from .rng import DelayModel, FixedDelay, UniformDelay
+from .rational import as_fraction, expect
+from .rng import DelayModel, FixedDelay, UniformDelay, delay_from_dict
 
 
 @dataclass(frozen=True)
@@ -159,25 +159,16 @@ def builtin_profile(kind: str) -> NetworkProfile:
     """Return a named built-in profile; unknown kinds raise ValueError."""
     try:
         factory = _BUILTINS[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind such as a list
         raise ValueError(
             f"unknown built-in profile {kind!r}; known: {', '.join(BUILTIN_KINDS)}"
         ) from None
     return factory()
 
 
-def _latency_from_dict(obj: dict) -> DelayModel:
-    if "fixed_ms" in obj:
-        return FixedDelay(as_fraction(obj["fixed_ms"]) / 1000)
-    if "uniform_ms" in obj:
-        low, high = obj["uniform_ms"]
-        return UniformDelay(as_fraction(low) / 1000, as_fraction(high) / 1000)
-    raise ValueError(f"latency must specify fixed_ms or uniform_ms, got {obj!r}")
-
-
 def network_from_dict(obj: dict) -> NetworkProfile:
     """Build a profile from JSON; ``{"builtin": kind}`` names a built-in."""
-    if "builtin" in obj:
+    if "builtin" in expect(obj, dict, "network"):
         return builtin_profile(obj["builtin"])
     payload = obj.get("max_payload_bytes")
     per_day = obj.get("max_messages_per_day")
@@ -190,7 +181,7 @@ def network_from_dict(obj: dict) -> NetworkProfile:
             max_payload_bytes=None if payload is None else int(payload),
             max_messages_per_day=None if per_day is None else int(per_day),
             min_inter_message_gap_seconds=None if gap is None else as_fraction(gap),
-            latency=_latency_from_dict(obj["latency"]) if "latency" in obj else FixedDelay(Fraction(0)),
+            latency=delay_from_dict(obj["latency"], "latency", "ms") if "latency" in obj else FixedDelay(Fraction(0)),
             connect_time_seconds=as_fraction(obj.get("connect_time_seconds", 0)),
             time_on_air_ms=as_fraction(obj["time_on_air_ms"]) if "time_on_air_ms" in obj else None,
         )
@@ -201,7 +192,7 @@ def network_from_dict(obj: dict) -> NetworkProfile:
 
 
 def networks_from_json(entries: list[dict]) -> list[NetworkProfile]:
-    networks = [network_from_dict(entry) for entry in entries]
+    networks = [network_from_dict(entry) for entry in expect(entries, list, "networks")]
     seen: set[str] = set()
     for profile in networks:
         if profile.id in seen:
@@ -215,5 +206,8 @@ def load_networks(path: str | Path) -> list[NetworkProfile]:
     with open(path, encoding="utf-8") as handle:
         doc = json.load(handle)
     if isinstance(doc, dict):
-        doc = doc["networks"]
+        try:
+            doc = doc["networks"]
+        except KeyError as exc:
+            raise ValueError(f"network list is missing key {exc}") from None
     return networks_from_json(doc)

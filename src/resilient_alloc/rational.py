@@ -1,4 +1,4 @@
-"""Exact rational parsing shared by the JSON loaders.
+"""Exact rational parsing and JSON type checks shared by the JSON loaders.
 
 All time- and rate-like quantities in this package are exact `Fraction`
 values so that repeated runs produce bit-identical results. JSON carries
@@ -22,5 +22,18 @@ def as_fraction(value: object) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected a number, got {value!r}")
+
+
+_JSON_KINDS = {dict: "an object", list: "a list"}
+
+
+def expect(value: object, kind: type, what: str):
+    """Return ``value`` if it is a JSON object (dict) or list; else raise ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rational import as_fraction
+
 RNG_NAME = "splitmix64"
 
 _MASK64 = (1 << 64) - 1
@@ -60,3 +62,20 @@ class UniformDelay:
 
 
 DelayModel = FixedDelay | UniformDelay
+
+_UNIT_SECONDS = {"ms": Fraction(1, 1000), "seconds": Fraction(1)}
+
+
+def delay_from_dict(obj: dict, name: str, unit: str) -> DelayModel:
+    """Parse ``{"fixed_<unit>": x}`` or ``{"uniform_<unit>": [low, high]}``.
+
+    ``unit`` is ``"ms"`` or ``"seconds"``; the model is in seconds either way.
+    """
+    scale = _UNIT_SECONDS[unit]
+    fixed, uniform = f"fixed_{unit}", f"uniform_{unit}"
+    if fixed in obj:
+        return FixedDelay(as_fraction(obj[fixed]) * scale)
+    if uniform in obj:
+        low, high = obj[uniform]
+        return UniformDelay(as_fraction(low) * scale, as_fraction(high) * scale)
+    raise ValueError(f"{name} must specify {fixed} or {uniform}, got {obj!r}")

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,7 +52,7 @@ from .catalog import ALGORITHM_NAMES, run_algorithm
 from .flows import FlowSpec, flow_from_dict, validate_flow_set
 from .networks import NetworkProfile, network_from_dict
 from .rational import as_fraction
-from .rng import RNG_NAME, DelayModel, FixedDelay, SplitMix64, UniformDelay
+from .rng import RNG_NAME, DelayModel, SplitMix64, UniformDelay, delay_from_dict
 
 SIM_SCHEMA_VERSION = 1
 
@@ -139,14 +139,6 @@ class FlowLevelCounts:
     err_not_allocated: int = 0
     err_not_delivered: int = 0
 
-    def merged_with(self, other: "FlowLevelCounts") -> "FlowLevelCounts":
-        return FlowLevelCounts(
-            sent=self.sent + other.sent,
-            delivered=self.delivered + other.delivered,
-            err_not_allocated=self.err_not_allocated + other.err_not_allocated,
-            err_not_delivered=self.err_not_delivered + other.err_not_delivered,
-        )
-
 
 @dataclass
 class NetworkCounts:
@@ -181,10 +173,8 @@ class SimReport:
     final_allocation: dict[str, tuple[str, int] | None]
 
     def flow_totals(self, flow_id: str) -> FlowLevelCounts:
-        total = FlowLevelCounts()
-        for counts in self.per_flow_level[flow_id].values():
-            total = total.merged_with(counts)
-        return total
+        levels = map(astuple, self.per_flow_level[flow_id].values())
+        return FlowLevelCounts(*(sum(column) for column in zip(*levels)))
 
     def delivered_fraction(self, flow_id: str) -> Fraction | None:
         total = self.flow_totals(flow_id)
@@ -206,22 +196,10 @@ class SimReport:
     def to_json_dict(self) -> dict:
         per_flow = {}
         for flow_id, levels in self.per_flow_level.items():
-            total = self.flow_totals(flow_id)
             fraction = self.delivered_fraction(flow_id)
             per_flow[flow_id] = {
-                "levels": {
-                    str(level): {
-                        "sent": counts.sent,
-                        "delivered": counts.delivered,
-                        "err_not_allocated": counts.err_not_allocated,
-                        "err_not_delivered": counts.err_not_delivered,
-                    }
-                    for level, counts in sorted(levels.items())
-                },
-                "sent": total.sent,
-                "delivered": total.delivered,
-                "err_not_allocated": total.err_not_allocated,
-                "err_not_delivered": total.err_not_delivered,
+                "levels": {str(level): asdict(counts) for level, counts in levels.items()},
+                **asdict(self.flow_totals(flow_id)),
                 "delivered_fraction": None if fraction is None else float(fraction),
             }
         by_level = {}
@@ -237,14 +215,7 @@ class SimReport:
             "l_max": self.l_max,
             "duration_seconds": float(self.duration_seconds),
             "per_flow": per_flow,
-            "per_network": {
-                network_id: {
-                    "messages": counts.messages,
-                    "bytes": counts.bytes,
-                    "budget_violations_avoided": counts.budget_violations_avoided,
-                }
-                for network_id, counts in self.per_network.items()
-            },
+            "per_network": {network_id: asdict(counts) for network_id, counts in self.per_network.items()},
             "handshakes": [
                 {
                     "start": float(shake.start),
@@ -653,30 +624,15 @@ def run(scenario: Scenario, transcript: list | None = None) -> SimReport:
 # --- scenario JSON -----------------------------------------------------------
 
 
-def _handshake_from_dict(obj: dict) -> DelayModel:
-    if "fixed_seconds" in obj:
-        return FixedDelay(as_fraction(obj["fixed_seconds"]))
-    if "uniform_seconds" in obj:
-        low, high = obj["uniform_seconds"]
-        return UniformDelay(as_fraction(low), as_fraction(high))
-    raise InvalidScenario(f"handshake must specify fixed_seconds or uniform_seconds, got {obj!r}")
-
-
 def scenario_from_dict(obj: dict) -> Scenario:
     try:
         flows = tuple(flow_from_dict(entry) for entry in obj["flows"])
         networks = tuple(network_from_dict(entry) for entry in obj["networks"])
-        events = tuple(
-            NetworkEvent(
-                time=as_fraction(entry["t"]),
-                network_id=str(entry["network"]),
-                up=entry["kind"] == "up",
-            )
-            for entry in obj.get("events", ())
-        )
+        events = []
         for entry in obj.get("events", ()):
             if entry["kind"] not in ("up", "down"):
                 raise InvalidScenario(f"event kind must be 'up' or 'down', got {entry['kind']!r}")
+            events.append(NetworkEvent(as_fraction(entry["t"]), str(entry["network"]), entry["kind"] == "up"))
         initially = obj.get("initially_available")
         scenario = Scenario(
             flows=flows,
@@ -686,9 +642,9 @@ def scenario_from_dict(obj: dict) -> Scenario:
             algorithm=str(obj.get("algorithm", "cabf-inv")),
             duration_seconds=as_fraction(obj["duration_seconds"]),
             seed=int(obj["seed"]),
-            events=events,
+            events=tuple(events),
             handshake=(
-                _handshake_from_dict(obj["handshake"]) if "handshake" in obj else DEFAULT_HANDSHAKE
+                delay_from_dict(obj["handshake"], "handshake", "seconds") if "handshake" in obj else DEFAULT_HANDSHAKE
             ),
             initially_available=None if initially is None else tuple(initially),
         )
@@ -696,6 +652,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
         raise InvalidScenario(f"scenario is missing key {exc}") from None
     except TypeError as exc:
         raise InvalidScenario(f"scenario: {exc}") from None
+    except ValueError as exc:
+        raise InvalidScenario(str(exc)) from None
     scenario.validate()
     return scenario
 

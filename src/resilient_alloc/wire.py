@@ -33,7 +33,7 @@ from enum import Enum
 from .flows import check_flow_name
 
 HEADER = b":ML:"
-_MAX_LENGTH_DIGITS = 10
+_LENGTH_DIGITS = re.compile(rb"\d{0,10}")  # a longer length field is malformed
 
 
 class ParseError(ValueError):
@@ -100,16 +100,20 @@ class FrameDecoder:
     stream, never on how it was split into chunks: garbage is reported only
     once the next header proves the run has ended, and trailing partial
     input stays buffered.
+
+    Invariant: no header starts in ``_buf[:_scan]``. Those bytes are
+    garbage, reported together in one ``bad-header`` event when the next
+    header is found; the header scan resumes at ``_scan``.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
-        self._garbage = bytearray()
+        self._scan = 0
 
     @property
     def pending(self) -> bytes:
         """Bytes received but not yet consumed by a frame or an event."""
-        return bytes(self._garbage + self._buf)
+        return bytes(self._buf)
 
     def feed(self, data: bytes) -> list[Frame | MalformedFrame]:
         self._buf.extend(data)
@@ -120,31 +124,23 @@ class FrameDecoder:
 
     def _seek_header(self, out: list[Frame | MalformedFrame]) -> bool:
         """Align the buffer on a header; return False when more data is needed."""
-        idx = self._buf.find(HEADER)
+        idx = self._buf.find(HEADER, self._scan)
         if idx == -1:
-            # Keep the longest buffer suffix that could still grow into a
-            # header; everything before it is definitely garbage.
-            keep = 0
-            for size in (3, 2, 1):
-                if self._buf[-size:] == HEADER[:size]:
-                    keep = size
-                    break
-            cut = len(self._buf) - keep
-            self._garbage.extend(self._buf[:cut])
-            del self._buf[:cut]
+            # A header may still complete in the last len(HEADER) - 1 bytes.
+            self._scan = max(len(self._buf) - len(HEADER) + 1, 0)
             return False
         if idx:
-            self._garbage.extend(self._buf[:idx])
+            out.append(MalformedFrame("bad-header", bytes(self._buf[:idx])))
             del self._buf[:idx]
-        if self._garbage:
-            out.append(MalformedFrame("bad-header", bytes(self._garbage)))
-            self._garbage.clear()
+        self._scan = 0
         return True
 
-    def _resync(self) -> None:
+    def _resync(self, out: list[Frame | MalformedFrame], reason: str) -> bool:
+        out.append(MalformedFrame(reason))
         # Drop the leading ':' so the scan can find a header nested in the
         # bytes of the abandoned frame.
         del self._buf[:1]
+        return True
 
     def _parse_frame(self, out: list[Frame | MalformedFrame]) -> bool:
         """Parse one frame at the buffer head (which starts with HEADER).
@@ -152,35 +148,20 @@ class FrameDecoder:
         Returns True when progress was made (a frame or an event), False
         when more bytes are needed.
         """
-        pos = len(HEADER)
-        digits = 0
-        while True:
-            if pos >= len(self._buf):
-                return False  # length field still incomplete
-            byte = self._buf[pos]
-            if not 0x30 <= byte <= 0x39:
-                break
-            digits += 1
-            pos += 1
-            if digits > _MAX_LENGTH_DIGITS:
-                out.append(MalformedFrame("bad-length"))
-                self._resync()
-                return True
-        if digits == 0 or byte != 0x3A:  # ':'
-            out.append(MalformedFrame("bad-length"))
-            self._resync()
-            return True
-        length = int(self._buf[len(HEADER) : pos])
-        body_start = pos + 1
-        body_end = body_start + length
-        if len(self._buf) < body_end + 1:
+        buf = self._buf
+        digits_end = _LENGTH_DIGITS.match(buf, len(HEADER)).end()
+        if digits_end == len(buf):
+            return False  # length field still incomplete
+        if digits_end == len(HEADER) or buf[digits_end] != 0x3A:  # ':'
+            return self._resync(out, "bad-length")
+        body_start = digits_end + 1
+        body_end = body_start + int(buf[len(HEADER) : digits_end])
+        if len(buf) <= body_end:
             return False  # body or terminator not here yet
-        if self._buf[body_end] != 0x0A:
-            out.append(MalformedFrame("bad-terminator"))
-            self._resync()
-            return True
-        raw = bytes(self._buf[body_start:body_end])
-        del self._buf[: body_end + 1]
+        if buf[body_end] != 0x0A:
+            return self._resync(out, "bad-terminator")
+        raw = bytes(buf[body_start:body_end])
+        del buf[: body_end + 1]
         try:
             body = unescape_body(raw)
         except ValueError:
@@ -270,21 +251,17 @@ def _quote(value: str) -> str:
     raise ValueError(f"string {value!r} mixes both quote characters")
 
 
-def _number(value: int | float) -> str:
-    return repr(value)
-
-
 def encode_mfea(entries: list[MfeaEntry]) -> str:
     records = []
     for entry in entries:
         records.append(
-            "{'PS': %s, 'N': %s, 'PE': %s, 'MF': %s, 'CL': %s}"
+            "{'PS': %r, 'N': %s, 'PE': %r, 'MF': %s, 'CL': %r}"
             % (
-                _number(entry.payload_size),
+                entry.payload_size,
                 _quote(entry.network),
-                _number(entry.period_seconds),
+                entry.period_seconds,
                 _quote(entry.flow_name),
-                _number(entry.level),
+                entry.level,
             )
         )
     return "MFEA:[" + ", ".join(records) + "]"

@@ -231,6 +231,48 @@ class TestArgumentHandling:
                 "or a real number, not 'list'\n",
                 id="payload_cap_as_list",
             ),
+            pytest.param(
+                '{"l_max": 1, "flows": [1]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flow must be an object, got int\n",
+                id="flow_as_int",
+            ),
+            pytest.param(
+                '{"l_max": 1, "flows": 5}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flows must be a list, got int\n",
+                id="flows_as_int",
+            ),
+            pytest.param(
+                '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": []}]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flow '1' qos must be an object, got list\n",
+                id="qos_as_list",
+            ),
+            pytest.param(
+                '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": "1/0"}}}]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: zero denominator in '1/0'\n",
+                id="interval_with_zero_denominator",
+            ),
+            pytest.param(None, '{"networks": 5}', 1, "error: networks must be a list, got int\n", id="networks_key_as_int"),
+            pytest.param(
+                None, '{"nets": []}', 1, "error: network list is missing key 'networks'\n", id="networks_key_missing"
+            ),
+            pytest.param(None, "[1]", 1, "error: network must be an object, got int\n", id="network_as_int"),
+            pytest.param(None, "5", 1, "error: networks must be a list, got int\n", id="networks_as_int"),
+            pytest.param(
+                None,
+                '[{"builtin": ["x"]}]',
+                1,
+                "error: unknown built-in profile ['x']; known: wifi_table2, lora_sf9_table2, sigfox_table2, "
+                "wifi_fipy, nbiot_fipy, lora_sf7_fipy, sigfox_fipy\n",
+                id="builtin_as_list",
+            ),
         ],
     )
     def test_malformed_json_fields_exit_without_traceback(

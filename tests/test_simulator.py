@@ -416,6 +416,12 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match=r"scenario: expected a number, got \[600\]"):
             scenario_from_dict(doc)
 
+    def test_non_object_flow_is_invalid_scenario(self, wifi_loss_path):
+        doc = json.loads(wifi_loss_path.read_text())
+        doc["flows"] = [1]
+        with pytest.raises(InvalidScenario, match="flow must be an object, got int"):
+            scenario_from_dict(doc)
+
     def test_duplicate_flow_names_rejected(self):
         flows = [_simple_flow("1", 1, 1, name="same"), _simple_flow("2", 1, 1, name="same")]
         net = NetworkProfile(id="n", name="N", capacity_bps=10)
