@@ -289,6 +289,11 @@ class TestArgumentHandling:
 
     def test_unknown_flag_is_exit_one(self, capsys):
         assert main(["compare", "--flows", FLOWS, "--networks", TABLE2, "--bogus"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
+
+    def test_empty_network_spec_is_exit_one(self, capsys):
+        assert main(["compare", "--flows", FLOWS, "--networks", ","]) == 1
+        assert capsys.readouterr().err == "error: no networks in spec ','\n"
 
     def test_unknown_algorithm_is_exit_one(self, capsys):
         assert main(["allocate", "--flows", FLOWS, "--networks", TABLE2, "--algo", "magic"]) == 1
