@@ -33,13 +33,9 @@ from .solver import Infeasible
 SEED_ENV_VAR = "RESILIENT_ALLOC_SEED"
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _parse_networks(spec: str):
@@ -48,7 +44,7 @@ def _parse_networks(spec: str):
         return load_networks(path)
     networks = networks_from_json([{"builtin": kind.strip()} for kind in spec.split(",") if kind.strip()])
     if not networks:
-        raise _CliError(f"no networks in spec {spec!r}")
+        raise ValueError(f"no networks in spec {spec!r}")
     return networks
 
 
@@ -246,9 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except Infeasible as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return 2

@@ -16,12 +16,11 @@ network capacities are quoted in: 8 treats capacities as bits per second,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .rational import as_fraction, expect
+from .rational import as_fraction, as_int, expect, read_json
 
 MICRO = 10**6
 
@@ -146,7 +145,7 @@ def flow_from_dict(obj: dict) -> FlowSpec:
         for key, entry in expect(obj.get("qos", {}), dict, f"flow {obj.get('id')!r} qos").items():
             level = int(key)
             qos[level] = QosRequirement(
-                message_size_bytes=int(entry["c"]),
+                message_size_bytes=as_int(entry["c"]),
                 min_interval_seconds=as_fraction(entry["t"]),
             )
         return FlowSpec(id=str(obj["id"]), app=str(obj.get("app", "")), name=str(obj["name"]), qos=qos)
@@ -160,7 +159,7 @@ def flow_set_from_dict(obj: dict) -> FlowSet:
     if not isinstance(obj, dict):
         raise ValueError(f"flow set must be an object with keys 'flows' and 'l_max', got {type(obj).__name__}")
     try:
-        entries, l_max = expect(obj["flows"], list, "flows"), int(obj["l_max"])
+        entries, l_max = expect(obj["flows"], list, "flows"), as_int(obj["l_max"])
     except KeyError as exc:
         raise ValueError(f"flow set is missing key {exc}") from None
     except TypeError as exc:
@@ -172,5 +171,4 @@ def flow_set_from_dict(obj: dict) -> FlowSet:
 
 def load_flow_set(path: str | Path) -> FlowSet:
     """Read a ``{"l_max": .., "flows": [..]}`` document from disk."""
-    with open(path, encoding="utf-8") as handle:
-        return flow_set_from_dict(json.load(handle))
+    return flow_set_from_dict(read_json(path))

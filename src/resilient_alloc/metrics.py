@@ -106,12 +106,13 @@ def format_columns(rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows]
 
 
-def _cells(rep: AllocationReport, flows: list[FlowSpec], glyphs: dict[str, str]) -> list[str]:
+def _row(name: str, rep: AllocationReport, flows: list[FlowSpec], glyphs: dict[str, str]) -> list[str]:
+    """Algorithm name, one level-and-glyph cell per flow, then the three aggregates."""
     cells = []
     for flow in flows:
         placed = rep.per_flow[flow.id]
         cells.append("" if placed is None else f"{placed[1]}{glyphs[placed[0]]}")
-    return cells
+    return [name, *cells, format_quantity(rep.percent_served), format_quantity(rep.avg_criticality), str(rep.objective)]
 
 
 def render_comparison_table(
@@ -123,17 +124,7 @@ def render_comparison_table(
     """Fixed-column text table: one row per algorithm, one cell per flow."""
     glyphs = glyph_map(networks)
     header = ["algorithm"] + [flow.id for flow in flows] + ["% served", "avg crit", "objective"]
-    body = []
-    for name, rep in rows:
-        body.append(
-            [name.upper()]
-            + _cells(rep, flows, glyphs)
-            + [
-                format_quantity(rep.percent_served),
-                format_quantity(rep.avg_criticality),
-                str(rep.objective),
-            ]
-        )
+    body = [_row(name.upper(), rep, flows, glyphs) for name, rep in rows]
     legend = "  ".join(f"{glyphs[p.id]} {p.name}" for p in networks)
     lines = [f"factor={factor}  networks: {legend}"] + format_columns([header] + body)
     return "\n".join(lines) + "\n"
@@ -152,16 +143,7 @@ def render_comparison_csv(
         + [f"flow_{flow.id}" for flow in flows]
         + ["percent_served", "avg_criticality", "objective"]
     )
-    for name, rep in rows:
-        writer.writerow(
-            [name]
-            + _cells(rep, flows, glyphs)
-            + [
-                format_quantity(rep.percent_served),
-                format_quantity(rep.avg_criticality),
-                rep.objective,
-            ]
-        )
+    writer.writerows(_row(name, rep, flows, glyphs) for name, rep in rows)
     return buffer.getvalue()
 
 

@@ -15,13 +15,12 @@ observed min/max windows, because nothing finer than the endpoints is known.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .flows import MICRO
-from .rational import as_fraction, expect
+from .rational import as_fraction, as_int, expect, read_json
 from .rng import DelayModel, FixedDelay, UniformDelay, delay_from_dict
 
 
@@ -177,9 +176,9 @@ def network_from_dict(obj: dict) -> NetworkProfile:
         return NetworkProfile(
             id=str(obj["id"]),
             name=str(obj.get("name", obj["id"])),
-            capacity_bps=int(obj["capacity_bps"]),
-            max_payload_bytes=None if payload is None else int(payload),
-            max_messages_per_day=None if per_day is None else int(per_day),
+            capacity_bps=as_int(obj["capacity_bps"]),
+            max_payload_bytes=None if payload is None else as_int(payload),
+            max_messages_per_day=None if per_day is None else as_int(per_day),
             min_inter_message_gap_seconds=None if gap is None else as_fraction(gap),
             latency=delay_from_dict(obj["latency"], "latency", "ms") if "latency" in obj else FixedDelay(Fraction(0)),
             connect_time_seconds=as_fraction(obj.get("connect_time_seconds", 0)),
@@ -203,8 +202,7 @@ def networks_from_json(entries: list[dict]) -> list[NetworkProfile]:
 
 def load_networks(path: str | Path) -> list[NetworkProfile]:
     """Read a network list (or ``{"networks": [..]}``) from disk."""
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = read_json(path)
     if isinstance(doc, dict):
         try:
             doc = doc["networks"]

@@ -51,7 +51,7 @@ from .allocators import AllocatorConfig
 from .catalog import ALGORITHM_NAMES, run_algorithm
 from .flows import FlowSpec, flow_from_dict, validate_flow_set
 from .networks import NetworkProfile, network_from_dict
-from .rational import as_fraction
+from .rational import as_fraction, as_int, expect, read_json
 from .rng import RNG_NAME, DelayModel, SplitMix64, UniformDelay, delay_from_dict
 
 SIM_SCHEMA_VERSION = 1
@@ -284,7 +284,7 @@ class _Simulation:
 
         # node state
         self.flows_by_name = {flow.name: flow for flow in scenario.flows}
-        self.active: dict[str, tuple[str, int]] = {}  # flow name -> (network id, level)
+        self.active: dict[str, tuple[str, int]] = {}  # flow id -> (network id, level)
         self.pending_active: dict[str, tuple[str, int]] | None = None
         self.window_open = False
         self.window_start = Fraction(0)
@@ -339,27 +339,19 @@ class _Simulation:
 
     # -- node ------------------------------------------------------------------
 
-    def _available_networks(self) -> list[NetworkProfile]:
-        return [p for p in self.scenario.networks if self.networks[p.id].up]
-
     def _compute_allocation(self) -> dict[str, tuple[str, int]]:
         table = run_algorithm(
             self.scenario.algorithm,
             list(self.scenario.flows),
-            self._available_networks(),
+            [p for p in self.scenario.networks if self.networks[p.id].up],
             self.cfg,
         )
-        by_name: dict[str, tuple[str, int]] = {}
-        for flow in self.scenario.flows:
-            entry = table.entries.get(flow.id)
-            if entry is not None:
-                by_name[flow.name] = (entry.network_id, entry.level)
-        return by_name
+        return {flow_id: (entry.network_id, entry.level) for flow_id, entry in table.entries.items()}
 
     def _mfea_for(self, allocation: dict[str, tuple[str, int]]) -> list[wire.MfeaEntry]:
         entries = []
         for flow in self.scenario.flows:
-            placed = allocation.get(flow.name)
+            placed = allocation.get(flow.id)
             if placed is None:
                 continue
             network_id, level = placed
@@ -398,7 +390,7 @@ class _Simulation:
         flow = self.flows_by_name[message.flow_name]
         counts = self._counts(flow.id, message.level)
 
-        placed = self.active.get(flow.name)
+        placed = self.active.get(flow.id)
         if placed is None or not self.networks[placed[0]].up:
             counts.err_not_allocated += 1
             self._send_control(_TO_HOST, wire.Err(flow.name, wire.ErrorReason.NOT_ALLOCATED))
@@ -567,10 +559,6 @@ class _Simulation:
         return self._build_report()
 
     def _build_report(self) -> SimReport:
-        final: dict[str, tuple[str, int] | None] = {}
-        for flow in self.scenario.flows:
-            final[flow.id] = self.active.get(flow.name)
-
         report = SimReport(
             algorithm=self.scenario.algorithm,
             seed=self.scenario.seed,
@@ -583,7 +571,7 @@ class _Simulation:
             },
             per_network={p.id: self.net_counts[p.id] for p in self.scenario.networks},
             handshakes=list(self.handshakes),
-            final_allocation=final,
+            final_allocation={flow.id: self.active.get(flow.id) for flow in self.scenario.flows},
         )
         self._check_consistency(report)
         return report
@@ -599,16 +587,12 @@ class _Simulation:
             total = report.flow_totals(flow.id)
             if self.wire_acks.get(flow.name, 0) != total.delivered:
                 raise AssertionError(f"wire ACKs disagree with deliveries for flow {flow.id}")
-            if (
-                self.wire_errs.get((flow.name, wire.ErrorReason.NOT_ALLOCATED), 0)
-                != total.err_not_allocated
+            for reason, counted in (
+                (wire.ErrorReason.NOT_ALLOCATED, total.err_not_allocated),
+                (wire.ErrorReason.NOT_DELIVERED, total.err_not_delivered),
             ):
-                raise AssertionError(f"wire not-allocated ERRs disagree for flow {flow.id}")
-            if (
-                self.wire_errs.get((flow.name, wire.ErrorReason.NOT_DELIVERED), 0)
-                != total.err_not_delivered
-            ):
-                raise AssertionError(f"wire not-delivered ERRs disagree for flow {flow.id}")
+                if self.wire_errs.get((flow.name, reason), 0) != counted:
+                    raise AssertionError(f"wire {reason.value.lower()} ERRs disagree for flow {flow.id}")
 
 
 def run(scenario: Scenario, transcript: list | None = None) -> SimReport:
@@ -637,16 +621,18 @@ def scenario_from_dict(obj: dict) -> Scenario:
         scenario = Scenario(
             flows=flows,
             networks=networks,
-            l_max=int(obj["l_max"]),
-            factor=int(obj.get("factor", 8)),
+            l_max=as_int(obj["l_max"]),
+            factor=as_int(obj.get("factor", 8)),
             algorithm=str(obj.get("algorithm", "cabf-inv")),
             duration_seconds=as_fraction(obj["duration_seconds"]),
-            seed=int(obj["seed"]),
+            seed=as_int(obj["seed"]),
             events=tuple(events),
             handshake=(
                 delay_from_dict(obj["handshake"], "handshake", "seconds") if "handshake" in obj else DEFAULT_HANDSHAKE
             ),
-            initially_available=None if initially is None else tuple(initially),
+            initially_available=(
+                None if initially is None else tuple(map(str, expect(initially, list, "initially_available")))
+            ),
         )
     except KeyError as exc:
         raise InvalidScenario(f"scenario is missing key {exc}") from None
@@ -659,5 +645,4 @@ def scenario_from_dict(obj: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path, encoding="utf-8") as handle:
-        return scenario_from_dict(json.load(handle))
+    return scenario_from_dict(read_json(path))

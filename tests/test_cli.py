@@ -227,9 +227,43 @@ class TestArgumentHandling:
                 None,
                 '[{"id": "n", "capacity_bps": 100, "max_payload_bytes": [1]}]',
                 1,
-                "error: network 'n': int() argument must be a string, a bytes-like object "
-                "or a real number, not 'list'\n",
+                "error: network 'n': expected a number, got [1]\n",
                 id="payload_cap_as_list",
+            ),
+            pytest.param(
+                '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1e400, "t": 1}}}]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flow '1': expected a finite number, got inf\n",
+                id="size_infinite",
+            ),
+            pytest.param(
+                '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1.9, "t": 1}}}]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flow '1': expected a whole number, got 1.9\n",
+                id="size_fractional",
+            ),
+            pytest.param(
+                '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": true, "t": 1}}}]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flow '1': expected a number, got True\n",
+                id="size_as_bool",
+            ),
+            pytest.param(
+                None,
+                '[{"id": "n", "capacity_bps": 1e400}]',
+                1,
+                "error: network 'n': expected a finite number, got inf\n",
+                id="capacity_infinite",
+            ),
+            pytest.param(
+                None,
+                '[{"id": "n", "capacity_bps": 99.99}]',
+                1,
+                "error: network 'n': expected a whole number, got 99.99\n",
+                id="capacity_fractional",
             ),
             pytest.param(
                 '{"l_max": 1, "flows": [1]}',
@@ -286,6 +320,42 @@ class TestArgumentHandling:
         argv = ["allocate", "--flows", flows_path, "--networks", str(tmp_path / "nets.json")]
         assert main(argv) == code
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            pytest.param("seed", "1e400", "error: scenario: expected a finite number, got inf\n", id="seed_infinite"),
+            pytest.param(
+                "initially_available",
+                "[[1]]",
+                "error: initially_available references unknown networks ['[1]']\n",
+                id="initially_available_nested_list",
+            ),
+            pytest.param(
+                "initially_available",
+                '"wifi"',
+                "error: initially_available must be a list, got str\n",
+                id="initially_available_as_string",
+            ),
+        ],
+    )
+    def test_malformed_scenario_exits_without_traceback(self, wifi_loss_path, tmp_path, capsys, key, value, message):
+        doc = json.loads(wifi_loss_path.read_text())
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**doc, key: "@"}).replace('"@"', value))
+        assert main(["simulate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("option", ["--flows", "--networks", "--scenario"])
+    def test_deeply_nested_json_exits_without_traceback(self, tmp_path, capsys, option):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        if option == "--scenario":
+            argv = ["simulate", "--scenario", str(path)]
+        else:
+            argv = ["allocate", "--flows", FLOWS, "--networks", TABLE2, option, str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
 
     def test_unknown_flag_is_exit_one(self, capsys):
         assert main(["compare", "--flows", FLOWS, "--networks", TABLE2, "--bogus"]) == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -46,7 +47,14 @@ def _load_networks_doc(doc) -> None:
 DOCUMENTS = {
     "flow_set": (json.loads((DEMOS / "assisted_living.json").read_text()), flow_set_from_dict),
     "networks": (NETWORKS_DOC, _load_networks_doc),
-    "scenario": (json.loads((DEMOS / "wifi_loss.json").read_text()), scenario_from_dict),
+    "scenario": (
+        {
+            **json.loads((DEMOS / "wifi_loss.json").read_text()),
+            "initially_available": ["wifi", "nbiot"],
+            "handshake": {"uniform_seconds": [1.3, 1.5]},
+        },
+        scenario_from_dict,
+    ),
 }
 
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=5))
@@ -54,6 +62,7 @@ _VALUES = {
     "null": st.none(),
     "bool": st.booleans(),
     "int": st.integers(),
+    "float": st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 1.5]), st.floats()),
     "str": st.text(max_size=5),
     "list": st.lists(_scalars, max_size=3),
     "object": st.dictionaries(st.text(max_size=4), _scalars, max_size=3),
