@@ -47,7 +47,7 @@ from .simulator import (
     load_scenario,
     run,
 )
-from .solver import IlpInstance, Infeasible, exact_solve, objective_upper_bound
+from .solver import IlpInstance, Infeasible, exact_solve
 
 __version__ = "0.1.0"
 
@@ -83,7 +83,6 @@ __all__ = [
     "load_scenario",
     "lora_profile",
     "objective",
-    "objective_upper_bound",
     "report",
     "run",
     "run_algorithm",

@@ -5,7 +5,9 @@ values so that repeated runs produce bit-identical results. JSON carries
 them as plain numbers (or strings such as "1/3"); floats are converted via
 their shortest decimal representation, so `0.1` becomes exactly 1/10.
 Counts and sizes must be whole numbers: `12`, `12.0` and `"12"` are 12,
-`1.9` is an error rather than 1.
+`1.9` is an error rather than 1. A string's decimal exponent is capped at
+400 in magnitude, beyond the float range: `Fraction` would expand
+`"1e10000000"` into a ten-million-digit integer.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
+
+MAX_EXPONENT = 400
 
 
 def as_fraction(value: object) -> Fraction:
@@ -29,6 +33,12 @@ def as_fraction(value: object) -> Fraction:
             raise TypeError(f"expected a finite number, got {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
+        try:
+            exponent = int(value.lower().partition("e")[2] or 0)
+        except ValueError:
+            exponent = 0  # not an exponent: Fraction reports the bad string
+        if abs(exponent) > MAX_EXPONENT:
+            raise TypeError(f"expected an exponent of at most {MAX_EXPONENT} in magnitude, got {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:

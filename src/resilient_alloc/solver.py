@@ -6,22 +6,47 @@ capacity, and the score of an assignment at level L is ``1 + l_max - L`` (the
 extra unit makes serving a flow at the strictest level better than not
 serving it at all). Depth-first search walks flows in input order; per flow
 it tries levels in ascending order, networks in declaration order, and
-"unallocated" last. Branches whose optimistic bound cannot beat the
-incumbent are pruned, and the incumbent is only replaced on a strict
-improvement, so the returned table is the lexicographically first optimum
-under that exploration order.
+"unallocated" last. The incumbent is only replaced on a strict improvement,
+so the returned table is the lexicographically first optimum under that
+exploration order.
 
-A purpose-built search keeps the package dependency-free; desk-scale
-instances (a dozen flows, a few networks) solve in well under a second.
+The search keeps an explicit stack, one frame per flow, so its depth is
+bounded by memory rather than by the interpreter's recursion limit. With
+``prune`` on, two rules cut the tree without changing what it returns:
+
+* **Surrogate LP bound.** All residual capacity is merged into one bin and
+  the remaining flows are relaxed to a multiple-choice knapsack: each flow
+  takes a convex combination of its (demand, score) options, including
+  (0, 0) unless ``require_all``. Greedy filling of the merged residual with
+  the upper-hull increments of every flow, steepest first, solves that LP
+  (Sinha & Zoltners, 1979). Its floor, added to the objective so far, is an
+  integer that no completion can beat; a node whose bound does not exceed
+  the incumbent is cut. Under ``require_all`` a node whose mandatory base
+  demand already exceeds the merged residual is cut as infeasible.
+* **Twin networks.** For one flow, a network whose residual equals that of
+  an earlier network is skipped. Swapping the two networks in every later
+  choice maps each completion under the later twin to one with the same
+  objective under the earlier twin, which the search visits first.
+
+Neither rule changes the exploration order. A cut subtree holds no leaf
+that beats the incumbent, and a skipped twin holds no leaf that comes
+first among the optima, so the first optimum is reached and kept as
+before. ``prune=False`` turns both rules off and serves as the reference.
+
+A purpose-built search keeps the package dependency-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .allocators import Allocation, AllocationTable
 from .flows import FlowSpec, utilization
 from .networks import NetworkProfile
+
+
+_EXHAUSTED = object()
 
 
 class Infeasible(Exception):
@@ -43,28 +68,10 @@ class IlpInstance:
     require_all: bool = False
 
 
-def objective_upper_bound(partial_objective: int, flows_remaining: int, l_max: int) -> int:
-    """Admissible bound: every remaining flow scores at most ``l_max``."""
-    return partial_objective + flows_remaining * l_max
-
-
-@dataclass
-class _Best:
-    objective: int = -1
-    choice: list[tuple[int, int] | None] | None = None
-
-
-def exact_solve(instance: IlpInstance, prune: bool = True) -> AllocationTable:
-    """Optimal allocation table for ``instance``.
-
-    ``prune=False`` disables the bound (exhaustive search); it exists so the
-    bound's admissibility can be checked against unpruned search.
-    """
-    flows = list(instance.flows)
-    networks = list(instance.networks)
-    n = len(flows)
-    options: list[list[tuple[int, int, int]]] = []  # (level, score, demand)
-    for flow in flows:
+def level_options(instance: IlpInstance) -> list[list[tuple[int, int, int]]]:
+    """Per flow, its ``(level, score, demand)`` options in ascending level order."""
+    options = []
+    for flow in instance.flows:
         per_flow = []
         for level in sorted(flow.qos):
             if level > instance.l_max:
@@ -73,41 +80,149 @@ def exact_solve(instance: IlpInstance, prune: bool = True) -> AllocationTable:
             assert demand is not None
             per_flow.append((level, 1 + instance.l_max - level, demand))
         options.append(per_flow)
+    return options
+
+
+def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Upper concave hull of (demand, score) points, by ascending demand.
+
+    The first point is the cheapest option (the best-scoring one among
+    equally cheap options); each later point costs more and scores more,
+    at a strictly falling rate.
+    """
+    hull: list[tuple[int, int]] = []
+    for demand, score in sorted(points, key=lambda p: (p[0], -p[1])):
+        if hull and score <= hull[-1][1]:
+            continue
+        while len(hull) >= 2:
+            (d0, s0), (d1, s1) = hull[-2], hull[-1]
+            if (s1 - s0) * (demand - d1) > (score - s1) * (d1 - d0):
+                break
+            hull.pop()
+        hull.append((demand, score))
+    return hull
+
+
+class SurrogateBound:
+    """LP bound of the flows from ``depth`` on, all residual merged into one bin.
+
+    Called as ``bound(depth, objective, free)`` with ``free`` the summed
+    residual; returns ``objective`` plus the floor of the LP optimum, or -1
+    when the flows from ``depth`` on cannot all be served (``require_all``).
+    """
+
+    def __init__(self, options: list[list[tuple[int, int, int]]], require_all: bool) -> None:
+        n = len(options)
+        # Suffix sums of each flow's cheapest and richest hull point; None
+        # marks a suffix holding a flow with nothing to choose under
+        # require_all.
+        self.base_demand: list[int | None] = [0] * (n + 1)
+        self.base_score = [0] * (n + 1)
+        self.full_demand = [0] * (n + 1)
+        self.full_score = [0] * (n + 1)
+        increments = []
+        for i in range(n - 1, -1, -1):
+            points = [(demand, score) for _, score, demand in options[i]]
+            if not require_all:
+                points.append((0, 0))
+            hull = _upper_hull(points)
+            below = self.base_demand[i + 1]
+            if not hull or below is None:
+                self.base_demand[i] = None
+                continue
+            self.base_demand[i] = below + hull[0][0]
+            self.base_score[i] = self.base_score[i + 1] + hull[0][1]
+            self.full_demand[i] = self.full_demand[i + 1] + hull[-1][0]
+            self.full_score[i] = self.full_score[i + 1] + hull[-1][1]
+            for (d0, s0), (d1, s1) in zip(hull, hull[1:]):
+                increments.append((i, d1 - d0, s1 - s0))
+        # Steepest first; one flow's increments fall strictly in slope, so
+        # they keep their hull order.
+        self.increments = sorted(increments, key=lambda inc: Fraction(inc[2], inc[1]), reverse=True)
+
+    def __call__(self, depth: int, objective: int, free: int) -> int:
+        base = self.base_demand[depth]
+        if base is None or base > free:
+            return -1
+        if self.full_demand[depth] <= free:
+            return objective + self.full_score[depth]
+        room, value = free - base, objective + self.base_score[depth]
+        for owner, demand, score in self.increments:
+            if owner < depth:
+                continue
+            if demand > room:
+                return value + score * room // demand
+            room -= demand
+            value += score
+        return value
+
+
+def exact_solve(instance: IlpInstance, prune: bool = True) -> AllocationTable:
+    """Optimal allocation table for ``instance``.
+
+    ``prune=False`` disables the bound and the twin rule (exhaustive search);
+    it exists so that both can be checked against unpruned search.
+    """
+    flows = list(instance.flows)
+    networks = list(instance.networks)
+    n = len(flows)
+    options = level_options(instance)
+    bound = SurrogateBound(options, instance.require_all) if prune else None
 
     residual = [p.capacity_micro_bps for p in networks]
-    choice: list[tuple[int, int] | None] = [None] * n
-    best = _Best()
 
-    def search(i: int, objective: int) -> None:
-        if i == n:
-            if objective > best.objective:
-                best.objective = objective
-                best.choice = list(choice)
-            return
-        if prune and objective_upper_bound(objective, n - i, instance.l_max) <= best.objective:
-            return
+    def moves(i: int):
+        """Flow ``i``'s branches in exploration order; ``None`` is "unallocated"."""
+        targets = [j for j, left in enumerate(residual) if not prune or residual.index(left) == j]
         for level, score, demand in options[i]:
-            for j in range(len(networks)):
+            for j in targets:
                 if residual[j] >= demand:
-                    residual[j] -= demand
-                    choice[i] = (level, j)
-                    search(i + 1, objective + score)
-                    residual[j] += demand
-        choice[i] = None
+                    yield level, j, score, demand
         if not instance.require_all:
-            search(i + 1, objective)
+            yield None
 
-    search(0, 0)
+    # choice[k] is the branch taken at flow k on the current path; stack[k]
+    # yields flow k's remaining branches. Residuals are restored before a
+    # frame yields its next branch, so each frame sees the residuals it was
+    # entered with.
+    choice: list[tuple[int, int, int, int] | None] = [None] * n
+    stack = []
+    best_objective, best_choice = -1, None
+    depth, objective = 0, 0
+    while True:
+        if depth == n:
+            if objective > best_objective:
+                best_objective, best_choice = objective, list(choice)
+        elif bound is None or bound(depth, objective, sum(residual)) > best_objective:
+            stack.append(moves(depth))
+        while stack:
+            k = len(stack) - 1
+            if choice[k] is not None:
+                _, j, score, demand = choice[k]
+                residual[j] += demand
+                objective -= score
+                choice[k] = None
+            taken = next(stack[k], _EXHAUSTED)
+            if taken is _EXHAUSTED:
+                stack.pop()
+                continue
+            choice[k] = taken
+            if taken is not None:
+                _, j, score, demand = taken
+                residual[j] -= demand
+                objective += score
+            depth = k + 1
+            break
+        else:
+            break
 
-    if best.choice is None:
+    if best_choice is None:
         raise Infeasible("no assignment serves every flow")
 
     table = AllocationTable(networks)
-    for i, picked in enumerate(best.choice):
+    for flow, picked in zip(flows, best_choice):
         if picked is None:
             continue
-        level, j = picked
-        demand = utilization(flows[i], level, instance.factor)
-        assert demand is not None
-        table.place(Allocation(flows[i].id, networks[j].id, level), demand)
+        level, j, _, demand = picked
+        table.place(Allocation(flow.id, networks[j].id, level), demand)
     return table

@@ -293,6 +293,13 @@ class TestArgumentHandling:
                 "error: zero denominator in '1/0'\n",
                 id="interval_with_zero_denominator",
             ),
+            pytest.param(
+                '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": "1e10000000"}}}]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flow '1': expected an exponent of at most 400 in magnitude, got '1e10000000'\n",
+                id="interval_with_huge_exponent",
+            ),
             pytest.param(None, '{"networks": 5}', 1, "error: networks must be a list, got int\n", id="networks_key_as_int"),
             pytest.param(
                 None, '{"nets": []}', 1, "error: network list is missing key 'networks'\n", id="networks_key_missing"

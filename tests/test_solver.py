@@ -14,10 +14,10 @@ from resilient_alloc import (
     QosRequirement,
     exact_solve,
     objective,
-    objective_upper_bound,
     report,
     verify_allocation_table,
 )
+from resilient_alloc.solver import SurrogateBound, level_options
 
 from enumeration_oracle import best_objective_by_enumeration, random_instance
 
@@ -44,15 +44,6 @@ class TestMotivatingExample:
 
 
 class TestUpperBound:
-    def test_empty_prefix(self):
-        assert objective_upper_bound(0, 8, 3) == 24
-
-    def test_full_assignment_is_its_own_bound(self):
-        assert objective_upper_bound(17, 0, 3) == 17
-
-    def test_partial_prefix(self):
-        assert objective_upper_bound(10, 4, 3) == 22
-
     def test_pruning_never_changes_the_result(self):
         rng = random.Random(0xB0D7)
         for _ in range(60):
@@ -61,6 +52,34 @@ class TestUpperBound:
             pruned = objective(exact_solve(instance, prune=True), cfg.l_max)
             unpruned = objective(exact_solve(instance, prune=False), cfg.l_max)
             assert pruned == unpruned
+
+    def test_pruning_keeps_the_first_optimum(self):
+        # identical tables, not just equal objectives; every other instance
+        # gets networks of one capacity so that the twin rule has work to do
+        rng = random.Random(0x7A1E)
+        for k in range(240):
+            flows, networks, cfg = random_instance(rng)
+            if k % 2 and networks:
+                capacity = networks[0].capacity_bps
+                networks = [NetworkProfile(id=p.id, name=p.name, capacity_bps=capacity) for p in networks]
+            for require_all in (False, True):
+                instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor, require_all)
+                try:
+                    pruned = exact_solve(instance, prune=True)
+                except Infeasible:
+                    with pytest.raises(Infeasible):
+                        exact_solve(instance, prune=False)
+                    continue
+                assert pruned == exact_solve(instance, prune=False)
+
+    def test_root_bound_is_at_least_the_optimum(self):
+        rng = random.Random(0xB0B0)
+        for _ in range(200):
+            flows, networks, cfg = random_instance(rng)
+            instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor)
+            bound = SurrogateBound(level_options(instance), require_all=False)
+            free = sum(p.capacity_micro_bps for p in networks)
+            assert bound(0, 0, free) >= best_objective_by_enumeration(flows, networks, cfg.l_max, cfg.factor)
 
 
 class TestEdges:
@@ -90,6 +109,13 @@ class TestEdges:
     def test_require_all_feasible_matches_unconstrained_here(self, assisted_living, table2_networks):
         instance = IlpInstance(assisted_living.flows, tuple(table2_networks), 3, 8, require_all=True)
         assert objective(exact_solve(instance), 3) == 22
+
+    def test_thousands_of_flows_do_not_hit_the_recursion_limit(self):
+        qos = {1: QosRequirement(1, Fraction(1))}
+        flows = tuple(FlowSpec(id=str(i), app="A", name=f"f{i}", qos=qos) for i in range(2000))
+        net = NetworkProfile(id="n", name="N", capacity_bps=10**6)
+        table = exact_solve(IlpInstance(flows, (net,), 1, 8))
+        assert len(table.entries) == 2000
 
     def test_never_errors_without_require_all(self):
         rng = random.Random(0xFEED)
