@@ -142,12 +142,13 @@ def _pick_network(
     return best_id
 
 
-def _flows_by_level(flows: list[FlowSpec], l_max: int) -> dict[int, list[FlowSpec]]:
-    by_level: dict[int, list[FlowSpec]] = {level: [] for level in range(1, l_max + 1)}
+def _flows_by_level(flows: list[FlowSpec]) -> dict[int, list[FlowSpec]]:
+    """Declared levels, highest first, each with its flows in input order."""
+    by_level: dict[int, list[FlowSpec]] = {}
     for flow in flows:
         for level in flow.qos:
-            by_level[level].append(flow)
-    return by_level
+            by_level.setdefault(level, []).append(flow)
+    return dict(sorted(by_level.items(), reverse=True))
 
 
 def _relax_allocated(
@@ -196,10 +197,10 @@ def _criticality_aware(
 ) -> AllocationTable:
     steps = (_allocate_new, _relax_allocated) if admit_first else (_relax_allocated, _allocate_new)
     table = AllocationTable(networks)
-    by_level = _flows_by_level(flows, cfg.l_max)
-    for level in range(cfg.l_max, 0, -1):
+    # Levels no flow declares change nothing; skipping them keeps a huge l_max cheap.
+    for level, declared_here in _flows_by_level(flows).items():
         for step in steps:
-            step(table, by_level[level], level, networks, cfg.factor)
+            step(table, declared_here, level, networks, cfg.factor)
     return table
 
 
@@ -226,11 +227,7 @@ def heuristic(
     """Run one classic baseline; flows that fit nowhere are skipped."""
     chosen: list[tuple[FlowSpec, int, int]] = []
     for flow in flows:
-        level = (
-            flow.lowest_defined_level()
-            if kind.side is LevelSide.LOWEST_DEFINED
-            else flow.highest_defined_level()
-        )
+        level = min(flow.qos) if kind.side is LevelSide.LOWEST_DEFINED else max(flow.qos)
         demand = utilization(flow, level, cfg.factor)
         assert demand is not None
         chosen.append((flow, level, demand))

@@ -27,6 +27,7 @@ from .metrics import (
     report,
 )
 from .networks import BUILTIN_KINDS, builtin_profile, load_networks, networks_from_json
+from .rational import Node
 from .rng import FixedDelay
 from .solver import Infeasible
 
@@ -68,18 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_allocate = sub.add_parser("allocate", help="run one allocation algorithm")
     _add_allocation_args(p_allocate)
     p_allocate.add_argument("--algo", default="cabf", choices=ALGORITHM_NAMES)
-    p_allocate.set_defaults(func=cmd_allocate)
+    p_allocate.set_defaults(func=lambda args: _run_rows(args, [args.algo]))
 
     p_compare = sub.add_parser("compare", help="run every algorithm and tabulate")
     _add_allocation_args(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
+    p_compare.set_defaults(func=lambda args: _run_rows(args, list(ALGORITHM_NAMES)))
 
     p_solve = sub.add_parser("solve", help="run the exact solver")
     _add_allocation_args(p_solve)
     p_solve.add_argument(
         "--require-all", action="store_true", help="fail unless every flow is served"
     )
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=lambda args: _run_rows(args, ["exact"]))
 
     p_simulate = sub.add_parser("simulate", help="run a scenario")
     p_simulate.add_argument("--scenario", required=True, help="scenario JSON file")
@@ -121,18 +122,6 @@ def _run_rows(args, names) -> int:
     return 0
 
 
-def cmd_allocate(args) -> int:
-    return _run_rows(args, [args.algo])
-
-
-def cmd_compare(args) -> int:
-    return _run_rows(args, list(ALGORITHM_NAMES))
-
-
-def cmd_solve(args) -> int:
-    return _run_rows(args, ["exact"])
-
-
 def _render_sim_table(rep: simulator.SimReport) -> str:
     lines = [
         f"algorithm={rep.algorithm}  seed={rep.seed}  rng={rep.rng_name}  "
@@ -165,7 +154,7 @@ def cmd_simulate(args) -> int:
     scenario = simulator.load_scenario(args.scenario)
     seed_override = os.environ.get(SEED_ENV_VAR)
     if seed_override is not None:
-        scenario = replace(scenario, seed=int(seed_override))
+        scenario = replace(scenario, seed=Node(seed_override, SEED_ENV_VAR).int())
     transcript: list | None = [] if args.transcript else None
     rep = simulator.run(scenario, transcript=transcript)
     if args.transcript:
@@ -178,6 +167,10 @@ def cmd_simulate(args) -> int:
     else:
         sys.stdout.write(_render_sim_table(rep))
     return 0
+
+
+def _number(value, scale: int = 1) -> str:
+    return "-" if value is None else f"{float(value * scale):g}"
 
 
 def cmd_profiles(args) -> int:
@@ -196,23 +189,19 @@ def cmd_profiles(args) -> int:
         profile = builtin_profile(kind)
         latency = profile.latency
         if isinstance(latency, FixedDelay):
-            latency_text = f"{float(latency.seconds * 1000):g}"
+            latency_text = _number(latency.seconds, 1000)
         else:
-            latency_text = f"{float(latency.min_seconds * 1000):g}..{float(latency.max_seconds * 1000):g}"
+            latency_text = f"{_number(latency.min_seconds, 1000)}..{_number(latency.max_seconds, 1000)}"
         rows.append(
             [
                 kind,
                 profile.name,
                 str(profile.capacity_bps),
-                "-" if profile.max_payload_bytes is None else str(profile.max_payload_bytes),
-                "-" if profile.max_messages_per_day is None else str(profile.max_messages_per_day),
-                (
-                    "-"
-                    if profile.min_inter_message_gap_seconds is None
-                    else f"{float(profile.min_inter_message_gap_seconds):g}"
-                ),
+                _number(profile.max_payload_bytes),
+                _number(profile.max_messages_per_day),
+                _number(profile.min_inter_message_gap_seconds),
                 latency_text,
-                f"{float(profile.connect_time_seconds):g}",
+                _number(profile.connect_time_seconds),
             ]
         )
     for line in format_columns(rows):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .rational import as_fraction, as_int, expect, read_json
+from .rational import Node, read_json
 
 MICRO = 10**6
 
@@ -84,12 +84,6 @@ class FlowSpec:
     def defined_levels(self) -> list[int]:
         return sorted(self.qos)
 
-    def lowest_defined_level(self) -> int:
-        return min(self.qos)
-
-    def highest_defined_level(self) -> int:
-        return max(self.qos)
-
 
 @dataclass(frozen=True)
 class FlowSet:
@@ -138,33 +132,17 @@ def validate_flow_set(flows: list[FlowSpec] | tuple[FlowSpec, ...], l_max: int) 
                 )
 
 
-def flow_from_dict(obj: dict) -> FlowSpec:
-    expect(obj, dict, "flow")
-    try:
-        qos: dict[int, QosRequirement] = {}
-        for key, entry in expect(obj.get("qos", {}), dict, f"flow {obj.get('id')!r} qos").items():
-            level = int(key)
-            qos[level] = QosRequirement(
-                message_size_bytes=as_int(entry["c"]),
-                min_interval_seconds=as_fraction(entry["t"]),
-            )
-        return FlowSpec(id=str(obj["id"]), app=str(obj.get("app", "")), name=str(obj["name"]), qos=qos)
-    except KeyError as exc:
-        raise ValueError(f"flow is missing key {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"flow {obj.get('id')!r}: {exc}") from None
+def flow_from_dict(node: Node) -> FlowSpec:
+    qos = {
+        level.int(): entry.build(QosRequirement, entry["c"].int(), entry["t"].fraction())
+        for level, entry in node.get("qos", Node.items, ())
+    }
+    return node.build(FlowSpec, node["id"].text(), node.get("app", Node.text, ""), node["name"].text(), qos)
 
 
-def flow_set_from_dict(obj: dict) -> FlowSet:
-    if not isinstance(obj, dict):
-        raise ValueError(f"flow set must be an object with keys 'flows' and 'l_max', got {type(obj).__name__}")
-    try:
-        entries, l_max = expect(obj["flows"], list, "flows"), as_int(obj["l_max"])
-    except KeyError as exc:
-        raise ValueError(f"flow set is missing key {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"flow set: {exc}") from None
-    flows = tuple(flow_from_dict(entry) for entry in entries)
+def flow_set_from_dict(obj: object) -> FlowSet:
+    doc = Node(obj, "flow set", root=True)
+    flows, l_max = tuple(map(flow_from_dict, doc["flows"])), doc["l_max"].int()
     validate_flow_set(flows, l_max)
     return FlowSet(flows=flows, l_max=l_max)
 

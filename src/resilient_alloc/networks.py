@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .flows import MICRO
-from .rational import as_fraction, as_int, expect, read_json
+from .rational import Node, read_json
 from .rng import DelayModel, FixedDelay, UniformDelay, delay_from_dict
 
 
@@ -48,6 +48,10 @@ class NetworkProfile:
             raise ValueError(f"capacity must be > 0, got {self.capacity_bps}")
         if self.max_payload_bytes is not None and self.max_payload_bytes < 1:
             raise ValueError(f"payload cap must be >= 1, got {self.max_payload_bytes}")
+        for name in ("max_messages_per_day", "min_inter_message_gap_seconds", "connect_time_seconds", "time_on_air_ms"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def capacity_micro_bps(self) -> int:
@@ -87,13 +91,13 @@ def lora_profile(sf: int, bandwidth_khz: int, id: str = "lora") -> NetworkProfil
     Only the seven (spreading factor, bandwidth) pairs with published
     figures are supported; anything else raises ValueError.
     """
-    try:
-        bitrate, payload, airtime_ms, per_day = LORA_UPLINK_TABLE[(sf, bandwidth_khz)]
-    except KeyError:
+    entry = LORA_UPLINK_TABLE.get((sf, bandwidth_khz))
+    if entry is None:
         raise ValueError(
             f"unsupported LoRa configuration SF{sf}/{bandwidth_khz} kHz; "
             f"supported: {sorted(LORA_UPLINK_TABLE)}"
-        ) from None
+        )
+    bitrate, payload, airtime_ms, per_day = entry
     return NetworkProfile(
         id=id,
         name="LoRa",
@@ -158,54 +162,46 @@ def builtin_profile(kind: str) -> NetworkProfile:
     """Return a named built-in profile; unknown kinds raise ValueError."""
     try:
         factory = _BUILTINS[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind such as a list
+    except KeyError:
         raise ValueError(
             f"unknown built-in profile {kind!r}; known: {', '.join(BUILTIN_KINDS)}"
         ) from None
     return factory()
 
 
-def network_from_dict(obj: dict) -> NetworkProfile:
-    """Build a profile from JSON; ``{"builtin": kind}`` names a built-in."""
-    if "builtin" in expect(obj, dict, "network"):
-        return builtin_profile(obj["builtin"])
-    payload = obj.get("max_payload_bytes")
-    per_day = obj.get("max_messages_per_day")
-    gap = obj.get("min_inter_message_gap_seconds")
-    try:
-        return NetworkProfile(
-            id=str(obj["id"]),
-            name=str(obj.get("name", obj["id"])),
-            capacity_bps=as_int(obj["capacity_bps"]),
-            max_payload_bytes=None if payload is None else as_int(payload),
-            max_messages_per_day=None if per_day is None else as_int(per_day),
-            min_inter_message_gap_seconds=None if gap is None else as_fraction(gap),
-            latency=delay_from_dict(obj["latency"], "latency", "ms") if "latency" in obj else FixedDelay(Fraction(0)),
-            connect_time_seconds=as_fraction(obj.get("connect_time_seconds", 0)),
-            time_on_air_ms=as_fraction(obj["time_on_air_ms"]) if "time_on_air_ms" in obj else None,
-        )
-    except KeyError as exc:
-        raise ValueError(f"network is missing key {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"network {obj.get('id')!r}: {exc}") from None
+def network_from_dict(node: Node | dict) -> NetworkProfile:
+    """Build a profile from a JSON object; ``{"builtin": kind}`` names a built-in."""
+    node = node if isinstance(node, Node) else Node(node, "network", root=True)
+    kind = node.get("builtin", Node.text, None)
+    if kind is not None:
+        return node.build(builtin_profile, kind)
+    network_id = node["id"].text()
+    return node.build(
+        NetworkProfile,
+        id=network_id,
+        name=node.get("name", Node.text, network_id),
+        capacity_bps=node["capacity_bps"].int(),
+        max_payload_bytes=node.get("max_payload_bytes", Node.int, None),
+        max_messages_per_day=node.get("max_messages_per_day", Node.int, None),
+        min_inter_message_gap_seconds=node.get("min_inter_message_gap_seconds", Node.fraction, None),
+        latency=node.get("latency", lambda latency: delay_from_dict(latency, "ms"), FixedDelay(Fraction(0))),
+        connect_time_seconds=node.get("connect_time_seconds", Node.fraction, Fraction(0)),
+        time_on_air_ms=node.get("time_on_air_ms", Node.fraction, None),
+    )
 
 
-def networks_from_json(entries: list[dict]) -> list[NetworkProfile]:
-    networks = [network_from_dict(entry) for entry in expect(entries, list, "networks")]
-    seen: set[str] = set()
-    for profile in networks:
-        if profile.id in seen:
-            raise ValueError(f"duplicate network id {profile.id!r}")
-        seen.add(profile.id)
-    return networks
+def networks_from_json(doc: object) -> list[NetworkProfile]:
+    """Read a network list, bare or as ``{"networks": [..]}``; ids must be unique."""
+    entries = Node(doc, "networks", root=True)
+    networks: dict[str, NetworkProfile] = {}
+    for node in entries["networks"] if isinstance(doc, dict) else entries:
+        profile = network_from_dict(node)
+        if profile.id in networks:
+            raise node.fail(f"duplicate network id {profile.id!r}")
+        networks[profile.id] = profile
+    return list(networks.values())
 
 
 def load_networks(path: str | Path) -> list[NetworkProfile]:
     """Read a network list (or ``{"networks": [..]}``) from disk."""
-    doc = read_json(path)
-    if isinstance(doc, dict):
-        try:
-            doc = doc["networks"]
-        except KeyError as exc:
-            raise ValueError(f"network list is missing key {exc}") from None
-    return networks_from_json(doc)
+    return networks_from_json(read_json(path))

@@ -1,57 +1,25 @@
-"""Exact rational parsing, file reading and JSON type checks for the JSON loaders.
+"""The JSON input boundary: file reading and the path-aware reader behind every loader.
 
-All time- and rate-like quantities in this package are exact `Fraction`
-values so that repeated runs produce bit-identical results. JSON carries
-them as plain numbers (or strings such as "1/3"); floats are converted via
-their shortest decimal representation, so `0.1` becomes exactly 1/10.
-Counts and sizes must be whole numbers: `12`, `12.0` and `"12"` are 12,
-`1.9` is an error rather than 1. A string's decimal exponent is capped at
-400 in magnitude, beyond the float range: `Fraction` would expand
-`"1e10000000"` into a ten-million-digit integer.
+`Node` pairs a JSON value with its path (``flows[0].qos.1.t``); a read error
+names that path, or the document's name (``flow set``) at the root, and shows
+at most 40 characters of the bad value. Numbers are exact `Fraction`s, so
+runs are bit-identical: a float converts via its shortest decimal (`0.1` is
+1/10) and strings such as "1/3" are accepted. Counts must be whole: `12`,
+`12.0` and `"12"` are 12, `1.9` is an error. A string's decimal exponent is
+capped at 400 in magnitude: `Fraction` would expand `"1e10000000"` into a
+ten-million-digit integer. Names and ids are strings; an integer stands for
+its decimal text.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from pathlib import Path
 
 MAX_EXPONENT = 400
-
-
-def as_fraction(value: object) -> Fraction:
-    """Convert a JSON scalar to an exact Fraction."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise TypeError(f"expected a finite number, got {value!r}")
-        return Fraction(str(value))
-    if isinstance(value, str):
-        try:
-            exponent = int(value.lower().partition("e")[2] or 0)
-        except ValueError:
-            exponent = 0  # not an exponent: Fraction reports the bad string
-        if abs(exponent) > MAX_EXPONENT:
-            raise TypeError(f"expected an exponent of at most {MAX_EXPONENT} in magnitude, got {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"expected a number, got {value!r}")
-
-
-def as_int(value: object) -> int:
-    """Convert a JSON scalar holding a whole number to an int."""
-    number = as_fraction(value)
-    if number.denominator != 1:
-        raise TypeError(f"expected a whole number, got {value!r}")
-    return number.numerator
 
 
 def read_json(path: str | Path) -> object:
@@ -63,11 +31,79 @@ def read_json(path: str | Path) -> object:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-_JSON_KINDS = {dict: "an object", list: "a list"}
+class Node:
+    """One value of a JSON document and its path; reads fail with ValueError naming the path."""
 
+    def __init__(self, value: object, path: str, root: bool = False) -> None:
+        self.value, self.path = value, path
+        self._prefix = "" if root else path + "."
 
-def expect(value: object, kind: type, what: str):
-    """Return ``value`` if it is a JSON object (dict) or list; else raise ValueError."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
-    return value
+    def fail(self, message: str) -> ValueError:
+        return ValueError(f"{self.path}: {message}")
+
+    def _key(self, key: str) -> str:
+        # A key that could break the one-line message is shown quoted.
+        return self._prefix + (key if key.isprintable() else repr(key))
+
+    def _container(self, kind: type, article: str):
+        if not isinstance(self.value, kind):
+            raise self.fail(f"must be {article}, got {type(self.value).__name__}")
+        return self.value
+
+    def __getitem__(self, key: str) -> Node:
+        child = Node(self._container(dict, "an object").get(key), self._key(key))
+        if key not in self.value:
+            raise child.fail("missing")
+        return child
+
+    def get(self, key: str, read: Callable[[Node], object], default: object) -> object:
+        """``read(self[key])``, or ``default`` when the key is absent or null."""
+        value = self._container(dict, "an object").get(key)
+        return default if value is None else read(Node(value, self._key(key)))
+
+    def __iter__(self) -> Iterator[Node]:
+        for index, value in enumerate(self._container(list, "a list")):
+            yield Node(value, f"{self.path}[{index}]")
+
+    def items(self) -> Iterator[tuple[Node, Node]]:
+        """An object's (key, value) pairs, both carrying the entry's path."""
+        for key, value in self._container(dict, "an object").items():
+            yield Node(key, self._key(key)), Node(value, self._key(key))
+
+    def fraction(self) -> Fraction:
+        value = self.value
+        if isinstance(value, float) and not math.isfinite(value):
+            raise self.fail(f"expected a finite number, got {value!r:.40}")
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise self.fail(f"expected a number, got {value!r:.40}")
+        if isinstance(value, str):
+            try:
+                exponent = int(value.lower().partition("e")[2] or 0)
+            except ValueError:
+                exponent = 0  # not an exponent: Fraction rejects the string
+            if abs(exponent) > MAX_EXPONENT:
+                raise self.fail(f"expected an exponent of at most {MAX_EXPONENT} in magnitude, got {value!r:.40}")
+        try:
+            return Fraction(str(value) if isinstance(value, float) else value)
+        except ZeroDivisionError:
+            raise self.fail(f"expected a finite number, got {value!r:.40}") from None
+        except ValueError:  # not a number, or more digits than int() converts
+            raise self.fail(f"expected a number, got {value!r:.40}") from None
+
+    def int(self) -> int:
+        number = self.fraction()
+        if number.denominator != 1:
+            raise self.fail(f"expected a whole number, got {self.value!r:.40}")
+        return number.numerator
+
+    def text(self) -> str:
+        if isinstance(self.value, bool) or not isinstance(self.value, (str, int)):
+            raise self.fail(f"expected a string, got {self.value!r:.40}")
+        return str(self.value)
+
+    def build(self, ctor: Callable, *args, **kwargs):
+        """``ctor(*args, **kwargs)``; a ValueError it raises is prefixed with this path."""
+        try:
+            return ctor(*args, **kwargs)
+        except ValueError as exc:
+            raise self.fail(str(exc)) from None

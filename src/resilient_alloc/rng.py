@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import as_fraction
+from .rational import Node
 
 RNG_NAME = "splitmix64"
 
@@ -46,6 +46,10 @@ class FixedDelay:
 
     seconds: Fraction
 
+    def __post_init__(self) -> None:
+        if self.seconds < 0:
+            raise ValueError(f"delay must be >= 0 seconds, got {float(self.seconds):g}")
+
     def sample(self, rng: SplitMix64) -> Fraction:
         return Fraction(self.seconds)
 
@@ -57,6 +61,11 @@ class UniformDelay:
     min_seconds: Fraction
     max_seconds: Fraction
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.min_seconds <= self.max_seconds:
+            low, high = float(self.min_seconds), float(self.max_seconds)
+            raise ValueError(f"delay needs 0 <= min <= max seconds, got [{low:g}, {high:g}]")
+
     def sample(self, rng: SplitMix64) -> Fraction:
         return rng.uniform(Fraction(self.min_seconds), Fraction(self.max_seconds))
 
@@ -66,16 +75,19 @@ DelayModel = FixedDelay | UniformDelay
 _UNIT_SECONDS = {"ms": Fraction(1, 1000), "seconds": Fraction(1)}
 
 
-def delay_from_dict(obj: dict, name: str, unit: str) -> DelayModel:
-    """Parse ``{"fixed_<unit>": x}`` or ``{"uniform_<unit>": [low, high]}``.
+def delay_from_dict(node: Node, unit: str) -> DelayModel:
+    """Read ``{"fixed_<unit>": x}`` or ``{"uniform_<unit>": [low, high]}``.
 
     ``unit`` is ``"ms"`` or ``"seconds"``; the model is in seconds either way.
     """
     scale = _UNIT_SECONDS[unit]
     fixed, uniform = f"fixed_{unit}", f"uniform_{unit}"
-    if fixed in obj:
-        return FixedDelay(as_fraction(obj[fixed]) * scale)
-    if uniform in obj:
-        low, high = obj[uniform]
-        return UniformDelay(as_fraction(low) * scale, as_fraction(high) * scale)
-    raise ValueError(f"{name} must specify {fixed} or {uniform}, got {obj!r}")
+    seconds = node.get(fixed, Node.fraction, None)
+    if seconds is not None:
+        return node.build(FixedDelay, seconds * scale)
+    bounds = node.get(uniform, lambda pair: [bound.fraction() * scale for bound in pair], None)
+    if bounds is None:
+        raise node.fail(f"must specify {fixed} or {uniform}, got {node.value!r}")
+    if len(bounds) != 2:
+        raise node[uniform].fail(f"expected [low, high], got {node[uniform].value!r}")
+    return node.build(UniformDelay, *bounds)

@@ -51,7 +51,7 @@ from .allocators import AllocatorConfig
 from .catalog import ALGORITHM_NAMES, run_algorithm
 from .flows import FlowSpec, flow_from_dict, validate_flow_set
 from .networks import NetworkProfile, network_from_dict
-from .rational import as_fraction, as_int, expect, read_json
+from .rational import Node, read_json
 from .rng import RNG_NAME, DelayModel, SplitMix64, UniformDelay, delay_from_dict
 
 SIM_SCHEMA_VERSION = 1
@@ -474,7 +474,7 @@ class _Simulation:
             if entry is None:
                 # No service: the application still runs at its most generous
                 # declared level, and the node will refuse its messages.
-                self.levels[flow.id] = flow.lowest_defined_level()
+                self.levels[flow.id] = min(flow.qos)
                 continue
             qos = flow.qos[entry.level]
             if entry.payload_size != qos.message_size_bytes:
@@ -608,36 +608,28 @@ def run(scenario: Scenario, transcript: list | None = None) -> SimReport:
 # --- scenario JSON -----------------------------------------------------------
 
 
-def scenario_from_dict(obj: dict) -> Scenario:
+def _event(node: Node) -> NetworkEvent:
+    kind = node["kind"]
+    if kind.value not in ("up", "down"):
+        raise kind.fail(f"must be 'up' or 'down', got {kind.value!r}")
+    return NetworkEvent(node["t"].fraction(), node["network"].text(), kind.value == "up")
+
+
+def scenario_from_dict(obj: object) -> Scenario:
+    doc = Node(obj, "scenario", root=True)
     try:
-        flows = tuple(flow_from_dict(entry) for entry in obj["flows"])
-        networks = tuple(network_from_dict(entry) for entry in obj["networks"])
-        events = []
-        for entry in obj.get("events", ()):
-            if entry["kind"] not in ("up", "down"):
-                raise InvalidScenario(f"event kind must be 'up' or 'down', got {entry['kind']!r}")
-            events.append(NetworkEvent(as_fraction(entry["t"]), str(entry["network"]), entry["kind"] == "up"))
-        initially = obj.get("initially_available")
         scenario = Scenario(
-            flows=flows,
-            networks=networks,
-            l_max=as_int(obj["l_max"]),
-            factor=as_int(obj.get("factor", 8)),
-            algorithm=str(obj.get("algorithm", "cabf-inv")),
-            duration_seconds=as_fraction(obj["duration_seconds"]),
-            seed=as_int(obj["seed"]),
-            events=tuple(events),
-            handshake=(
-                delay_from_dict(obj["handshake"], "handshake", "seconds") if "handshake" in obj else DEFAULT_HANDSHAKE
-            ),
-            initially_available=(
-                None if initially is None else tuple(map(str, expect(initially, list, "initially_available")))
-            ),
+            flows=tuple(map(flow_from_dict, doc["flows"])),
+            networks=tuple(map(network_from_dict, doc["networks"])),
+            l_max=doc["l_max"].int(),
+            factor=doc.get("factor", Node.int, 8),
+            algorithm=doc.get("algorithm", Node.text, "cabf-inv"),
+            duration_seconds=doc["duration_seconds"].fraction(),
+            seed=doc["seed"].int(),
+            events=doc.get("events", lambda events: tuple(map(_event, events)), ()),
+            handshake=doc.get("handshake", lambda handshake: delay_from_dict(handshake, "seconds"), DEFAULT_HANDSHAKE),
+            initially_available=doc.get("initially_available", lambda ids: tuple(map(Node.text, ids)), None),
         )
-    except KeyError as exc:
-        raise InvalidScenario(f"scenario is missing key {exc}") from None
-    except TypeError as exc:
-        raise InvalidScenario(f"scenario: {exc}") from None
     except ValueError as exc:
         raise InvalidScenario(str(exc)) from None
     scenario.validate()

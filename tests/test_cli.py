@@ -12,6 +12,24 @@ from conftest import DEMOS
 
 FLOWS = str(DEMOS / "assisted_living.json")
 TABLE2 = "wifi_table2,lora_sf9_table2,sigfox_table2"
+WIFI = '[{"builtin": "wifi_fipy"}]'
+LONG_EXPONENT = "1e" + "9" * 5000
+LONG_DECIMAL = "1." + "5" * 5000
+
+
+def _one_flow(qos=None, **fields) -> str:
+    """A flow set holding one flow, with ``fields`` and ``qos`` replacing its defaults."""
+    flow = {"id": "1", "name": "a", "qos": qos or {"1": {"c": 1, "t": 1}}, **fields}
+    return json.dumps({"l_max": 1, "flows": [flow]})
+
+
+def _one_network(**fields) -> str:
+    return json.dumps([{"id": "n", "capacity_bps": 100, **fields}])
+
+
+def _wifi_latency(latency) -> str:
+    """The networks of the Wi-Fi loss demo, with ``latency`` on its Wi-Fi."""
+    return json.dumps([{"id": "wifi", "capacity_bps": 750000, "latency": latency}, {"builtin": "nbiot_fipy"}])
 
 
 class TestCompare:
@@ -140,6 +158,24 @@ class TestSimulate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "value,code,err",
+        [
+            pytest.param("1e3", 0, "", id="exponent"),
+            pytest.param("abc", 1, "error: RESILIENT_ALLOC_SEED: expected a number, got 'abc'\n", id="word"),
+            pytest.param(
+                "1.5", 1, "error: RESILIENT_ALLOC_SEED: expected a whole number, got '1.5'\n", id="fractional"
+            ),
+        ],
+    )
+    def test_seed_env_override_reads_a_whole_number(self, wifi_loss_path, capsys, monkeypatch, value, code, err):
+        monkeypatch.setenv("RESILIENT_ALLOC_SEED", value)
+        assert main(["simulate", "--scenario", str(wifi_loss_path), "--format", "json"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if code == 0:
+            assert json.loads(captured.out)["seed"] == 1000
+
     def test_missing_scenario_is_validation_error(self, capsys):
         assert main(["simulate", "--scenario", "/nonexistent.json"]) == 1
 
@@ -185,14 +221,14 @@ class TestArgumentHandling:
                 '{"l_max": 1, "flows": [{"id": "1", "qos": {"1": {"c": 1, "t": 1}}}]}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flow is missing key 'name'\n",
+                "error: flows[0].name: missing\n",
                 id="flow_without_name",
             ),
             pytest.param(
                 None,
                 '[{"id": "n", "capacity_bps": 100, "max_payload_bytes": "0"}]',
                 1,
-                "error: payload cap must be >= 1, got 0\n",
+                "error: networks[0]: payload cap must be >= 1, got 0\n",
                 id="payload_cap_zero_as_string",
             ),
             pytest.param(
@@ -206,113 +242,220 @@ class TestArgumentHandling:
                 '{"flows": []}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flow set is missing key 'l_max'\n",
+                "error: l_max: missing\n",
                 id="flow_set_without_l_max",
             ),
             pytest.param(
                 "[]",
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flow set must be an object with keys 'flows' and 'l_max', got list\n",
+                "error: flow set: must be an object, got list\n",
                 id="flow_set_as_list",
             ),
             pytest.param(
                 '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": [1]}}}]}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flow '1': expected a number, got [1]\n",
+                "error: flows[0].qos.1.t: expected a number, got [1]\n",
                 id="flow_interval_as_list",
             ),
             pytest.param(
                 None,
                 '[{"id": "n", "capacity_bps": 100, "max_payload_bytes": [1]}]',
                 1,
-                "error: network 'n': expected a number, got [1]\n",
+                "error: networks[0].max_payload_bytes: expected a number, got [1]\n",
                 id="payload_cap_as_list",
             ),
             pytest.param(
                 '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1e400, "t": 1}}}]}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flow '1': expected a finite number, got inf\n",
+                "error: flows[0].qos.1.c: expected a finite number, got inf\n",
                 id="size_infinite",
             ),
             pytest.param(
                 '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1.9, "t": 1}}}]}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flow '1': expected a whole number, got 1.9\n",
+                "error: flows[0].qos.1.c: expected a whole number, got 1.9\n",
                 id="size_fractional",
             ),
             pytest.param(
                 '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": true, "t": 1}}}]}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flow '1': expected a number, got True\n",
+                "error: flows[0].qos.1.c: expected a number, got True\n",
                 id="size_as_bool",
             ),
             pytest.param(
                 None,
                 '[{"id": "n", "capacity_bps": 1e400}]',
                 1,
-                "error: network 'n': expected a finite number, got inf\n",
+                "error: networks[0].capacity_bps: expected a finite number, got inf\n",
                 id="capacity_infinite",
             ),
             pytest.param(
                 None,
                 '[{"id": "n", "capacity_bps": 99.99}]',
                 1,
-                "error: network 'n': expected a whole number, got 99.99\n",
+                "error: networks[0].capacity_bps: expected a whole number, got 99.99\n",
                 id="capacity_fractional",
             ),
             pytest.param(
                 '{"l_max": 1, "flows": [1]}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flow must be an object, got int\n",
+                "error: flows[0]: must be an object, got int\n",
                 id="flow_as_int",
             ),
             pytest.param(
                 '{"l_max": 1, "flows": 5}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flows must be a list, got int\n",
+                "error: flows: must be a list, got int\n",
                 id="flows_as_int",
             ),
             pytest.param(
                 '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": []}]}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flow '1' qos must be an object, got list\n",
+                "error: flows[0].qos: must be an object, got list\n",
                 id="qos_as_list",
             ),
             pytest.param(
                 '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": "1/0"}}}]}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: zero denominator in '1/0'\n",
+                "error: flows[0].qos.1.t: expected a finite number, got '1/0'\n",
                 id="interval_with_zero_denominator",
             ),
             pytest.param(
                 '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": "1e10000000"}}}]}',
                 '[{"builtin": "wifi_fipy"}]',
                 1,
-                "error: flow '1': expected an exponent of at most 400 in magnitude, got '1e10000000'\n",
+                "error: flows[0].qos.1.t: expected an exponent of at most 400 in magnitude, got '1e10000000'\n",
                 id="interval_with_huge_exponent",
             ),
-            pytest.param(None, '{"networks": 5}', 1, "error: networks must be a list, got int\n", id="networks_key_as_int"),
+            pytest.param(None, '{"networks": 5}', 1, "error: networks: must be a list, got int\n", id="networks_key_as_int"),
             pytest.param(
-                None, '{"nets": []}', 1, "error: network list is missing key 'networks'\n", id="networks_key_missing"
+                None, '{"nets": []}', 1, "error: networks: missing\n", id="networks_key_missing"
             ),
-            pytest.param(None, "[1]", 1, "error: network must be an object, got int\n", id="network_as_int"),
-            pytest.param(None, "5", 1, "error: networks must be a list, got int\n", id="networks_as_int"),
+            pytest.param(None, "[1]", 1, "error: networks[0]: must be an object, got int\n", id="network_as_int"),
+            pytest.param(None, "5", 1, "error: networks: must be a list, got int\n", id="networks_as_int"),
             pytest.param(
                 None,
                 '[{"builtin": ["x"]}]',
                 1,
-                "error: unknown built-in profile ['x']; known: wifi_table2, lora_sf9_table2, sigfox_table2, "
-                "wifi_fipy, nbiot_fipy, lora_sf7_fipy, sigfox_fipy\n",
+                "error: networks[0].builtin: expected a string, got ['x']\n",
                 id="builtin_as_list",
+            ),
+            *(
+                pytest.param(
+                    _one_flow({"1": {"c": 1, "t": t}}),
+                    WIFI,
+                    1,
+                    f"error: flows[0].qos.1.t: expected a number, got {t!r:.40}\n",
+                    id=f"interval_{name}",
+                )
+                for name, t in [
+                    ("with_5000_digit_exponent", LONG_EXPONENT),
+                    ("with_5000_digits", LONG_DECIMAL),
+                    ("as_word", "abc"),
+                ]
+            ),
+            pytest.param(
+                _one_flow({"abc": {"c": 1, "t": 1}}),
+                WIFI,
+                1,
+                "error: flows[0].qos.abc: expected a number, got 'abc'\n",
+                id="level_key_as_word",
+            ),
+            pytest.param(
+                _one_flow({"1.5": {"c": 1, "t": 1}}),
+                WIFI,
+                1,
+                "error: flows[0].qos.1.5: expected a whole number, got '1.5'\n",
+                id="level_key_fractional",
+            ),
+            pytest.param(
+                _one_flow({"\n": {"c": 1, "t": 1}}),
+                WIFI,
+                1,
+                "error: flows[0].qos.'\\n': expected a number, got '\\n'\n",
+                id="level_key_with_newline_stays_on_one_line",
+            ),
+            *(
+                pytest.param(_one_flow(**{key: value}), WIFI, 1, f"error: flows[0].{key}: {message}\n", id=case)
+                for case, key, value, message in [
+                    ("id_as_object", "id", {"x": 1}, "expected a string, got {'x': 1}"),
+                    ("name_as_list", "name", [1], "expected a string, got [1]"),
+                    ("app_as_bool", "app", True, "expected a string, got True"),
+                ]
+            ),
+            pytest.param(_one_flow(id=7), WIFI, 0, "", id="id_as_integer"),
+            pytest.param(
+                '{"l_max": 1e18, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": 1}}}]}',
+                WIFI,
+                0,
+                "",
+                id="l_max_huge_costs_nothing",
+            ),
+            pytest.param(
+                None,
+                _one_network(id=None),
+                1,
+                "error: networks[0].id: expected a string, got None\n",
+                id="network_id_null",
+            ),
+            pytest.param(
+                None,
+                _one_network(name=[1]),
+                1,
+                "error: networks[0].name: expected a string, got [1]\n",
+                id="network_name_as_list",
+            ),
+            pytest.param(
+                None,
+                _one_network(latency={"fixed_ms": -5000}),
+                1,
+                "error: networks[0].latency: delay must be >= 0 seconds, got -5\n",
+                id="latency_negative",
+            ),
+            pytest.param(
+                None,
+                _one_network(latency={"uniform_ms": [20, 10]}),
+                1,
+                "error: networks[0].latency: delay needs 0 <= min <= max seconds, got [0.02, 0.01]\n",
+                id="latency_bounds_inverted",
+            ),
+            pytest.param(
+                None,
+                _one_network(latency={"uniform_ms": [20]}),
+                1,
+                "error: networks[0].latency.uniform_ms: expected [low, high], got [20]\n",
+                id="latency_one_bound",
+            ),
+            *(
+                pytest.param(
+                    None,
+                    _one_network(**{key: -1}),
+                    1,
+                    f"error: networks[0]: {key} must be >= 0, got -1\n",
+                    id=f"{key}_negative",
+                )
+                for key in [
+                    "max_messages_per_day",
+                    "min_inter_message_gap_seconds",
+                    "connect_time_seconds",
+                    "time_on_air_ms",
+                ]
+            ),
+            pytest.param(
+                None,
+                '[{"builtin": "wifi_fipy"}, {"builtin": "wifi_table2"}]',
+                1,
+                "error: networks[1]: duplicate network id 'wifi'\n",
+                id="duplicate_network_id",
             ),
         ],
     )
@@ -331,18 +474,45 @@ class TestArgumentHandling:
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            pytest.param("seed", "1e400", "error: scenario: expected a finite number, got inf\n", id="seed_infinite"),
+            pytest.param("seed", "1e400", "error: seed: expected a finite number, got inf\n", id="seed_infinite"),
             pytest.param(
                 "initially_available",
                 "[[1]]",
-                "error: initially_available references unknown networks ['[1]']\n",
+                "error: initially_available[0]: expected a string, got [1]\n",
                 id="initially_available_nested_list",
             ),
             pytest.param(
                 "initially_available",
                 '"wifi"',
-                "error: initially_available must be a list, got str\n",
+                "error: initially_available: must be a list, got str\n",
                 id="initially_available_as_string",
+            ),
+            pytest.param(
+                "algorithm", '["x"]', "error: algorithm: expected a string, got ['x']\n", id="algorithm_as_list"
+            ),
+            pytest.param(
+                "events",
+                '[{"kind": "down", "network": ["wifi"], "t": 3}]',
+                "error: events[0].network: expected a string, got ['wifi']\n",
+                id="event_network_as_list",
+            ),
+            pytest.param(
+                "handshake",
+                '{"fixed_seconds": -1}',
+                "error: handshake: delay must be >= 0 seconds, got -1\n",
+                id="handshake_negative",
+            ),
+            pytest.param(
+                "networks",
+                _wifi_latency({"fixed_ms": -5000}),
+                "error: networks[0].latency: delay must be >= 0 seconds, got -5\n",
+                id="scenario_latency_negative",
+            ),
+            pytest.param(
+                "networks",
+                _wifi_latency({"uniform_ms": [20, 10]}),
+                "error: networks[0].latency: delay needs 0 <= min <= max seconds, got [0.02, 0.01]\n",
+                id="scenario_latency_bounds_inverted",
             ),
         ],
     )

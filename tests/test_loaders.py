@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from resilient_alloc.cli import main
 from resilient_alloc.flows import flow_set_from_dict
 from resilient_alloc.networks import load_networks
+from resilient_alloc.rational import Node
 from resilient_alloc.simulator import scenario_from_dict
 
 from conftest import DEMOS
@@ -83,6 +88,18 @@ def _node(doc, path):
     return doc
 
 
+def _mutated(data, doc, keep_kind: bool):
+    """A copy of ``doc`` with one node replaced; ``keep_kind`` allows a value of the node's own JSON type."""
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    kinds = [k for k in _VALUES if keep_kind or k != _KIND[type(_node(doc, path))]]
+    value = data.draw(st.sampled_from(kinds).flatmap(_VALUES.get), label="value")
+    if not path:
+        return value
+    mutated = copy.deepcopy(doc)
+    _node(mutated, path[:-1])[path[-1]] = value
+    return mutated
+
+
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
@@ -90,15 +107,69 @@ def test_value_of_another_json_type_is_a_value_error(name, data):
     # The loaders only parse; a mutated scenario is never run, since a
     # mutated duration could make the run unbounded.
     doc, load = DOCUMENTS[name]
-    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
-    kind = _KIND[type(_node(doc, path))]
-    value = data.draw(st.sampled_from([k for k in _VALUES if k != kind]).flatmap(_VALUES.get), label="value")
-    if path:
-        mutated = copy.deepcopy(doc)
-        _node(mutated, path[:-1])[path[-1]] = value
-    else:
-        mutated = value
     try:
-        load(mutated)
+        load(_mutated(data, doc, keep_kind=False))
     except ValueError:
         pass
+
+
+# --- the command line on mutated documents --------------------------------------
+
+SIM_SECONDS = 10
+SIM_BASE = {
+    **DOCUMENTS["scenario"][0],
+    "duration_seconds": SIM_SECONDS,
+    "events": [{"kind": "down", "network": "wifi", "t": 5}],
+}
+# The simulator builds each payload as ``c`` bytes, every ``t`` seconds, so
+# these two bound a run's memory and time (see CHANGES.md).
+SIM_QOS_LIMITS = {"t": lambda t: t >= Fraction(1, 100), "c": lambda c: c <= 10**5}
+COMMANDS = ("allocate", "compare", "solve")
+CLI_CASES = [("flow_set", c) for c in COMMANDS] + [("networks", c) for c in COMMANDS] + [("scenario", "simulate")]
+
+
+def _number(value) -> Fraction | None:
+    try:
+        return Node(value, "value").fraction()
+    except ValueError:
+        return None
+
+
+def _bound_simulation(doc) -> None:
+    """Cap a numeric duration at SIM_SECONDS and discard a qos entry beyond SIM_QOS_LIMITS."""
+    if isinstance(doc, dict) and (_number(doc.get("duration_seconds")) or 0) > SIM_SECONDS:
+        doc["duration_seconds"] = SIM_SECONDS
+    for path in _paths(doc):
+        if len(path) >= 3 and path[-3] == "qos" and path[-1] in SIM_QOS_LIMITS:
+            number = _number(_node(doc, path))
+            assume(number is None or SIM_QOS_LIMITS[path[-1]](number))
+
+
+def _argv(name: str, command: str, document: Path) -> list[str]:
+    if name == "scenario":
+        return [command, "--scenario", str(document)]
+    if name == "flow_set":
+        return [command, "--flows", str(document), "--networks", "wifi_fipy,lora_sf7_fipy,sigfox_fipy"]
+    return [command, "--flows", str(DEMOS / "assisted_living.json"), "--networks", str(document)]
+
+
+@pytest.mark.parametrize("name,command", CLI_CASES)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cli_on_a_mutated_document_exits_with_one_message(name, command, data):
+    # Unlike the loader test above, the new value may keep the old JSON type,
+    # so that odd but well-typed documents run to the end.
+    mutated = _mutated(data, SIM_BASE if name == "scenario" else DOCUMENTS[name][0], keep_kind=True)
+    if name == "scenario":
+        _bound_simulation(mutated)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        document = Path(tmp) / "doc.json"
+        document.write_text(json.dumps(mutated))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(_argv(name, command, document))
+    message = err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert message.count("\n") == 1 and message.endswith("\n"), message
+        assert message.startswith("infeasible: " if code == 2 else "error: "), message

@@ -413,13 +413,13 @@ class TestScenarioValidation:
     def test_non_scalar_field_is_invalid_scenario(self, wifi_loss_path):
         doc = json.loads(wifi_loss_path.read_text())
         doc["duration_seconds"] = [600]
-        with pytest.raises(InvalidScenario, match=r"scenario: expected a number, got \[600\]"):
+        with pytest.raises(InvalidScenario, match=r"duration_seconds: expected a number, got \[600\]"):
             scenario_from_dict(doc)
 
     def test_non_object_flow_is_invalid_scenario(self, wifi_loss_path):
         doc = json.loads(wifi_loss_path.read_text())
         doc["flows"] = [1]
-        with pytest.raises(InvalidScenario, match="flow must be an object, got int"):
+        with pytest.raises(InvalidScenario, match=r"flows\[0\]: must be an object, got int"):
             scenario_from_dict(doc)
 
     def test_duplicate_flow_names_rejected(self):
@@ -488,6 +488,36 @@ class TestScenarioValidation:
         scenario = scenario_from_dict(doc)
         got = scenario.networks[0].latency if field == "latency" else scenario.handshake
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            pytest.param(lambda: {"handshake": FixedDelay(Fraction(-1))}, "delay must be >= 0", id="handshake"),
+            pytest.param(
+                lambda: {"latency": UniformDelay(Fraction(2), Fraction(1))}, "0 <= min <= max", id="latency_inverted"
+            ),
+            pytest.param(
+                lambda: {"latency": UniformDelay(Fraction(-1), Fraction(1))}, "0 <= min <= max", id="latency_below_zero"
+            ),
+            *(
+                pytest.param(lambda field=field: {field: -1}, f"{field} must be >= 0", id=f"{field}_negative")
+                for field in (
+                    "max_messages_per_day",
+                    "min_inter_message_gap_seconds",
+                    "connect_time_seconds",
+                    "time_on_air_ms",
+                )
+            ),
+        ],
+    )
+    def test_negative_times_are_rejected_at_construction(self, make, message):
+        # Every value is made inside pytest.raises: the constructors must refuse
+        # it, or the run would move virtual time backwards.
+        with pytest.raises(ValueError, match=message):
+            fields = make()
+            handshake = fields.pop("handshake", DEFAULT_HANDSHAKE)
+            net = NetworkProfile(id="n", name="N", capacity_bps=10, **fields)
+            run(_scenario([_simple_flow("1", 1, 1)], [net], handshake=handshake))
 
     def test_invariants_are_checked_under_optimize_flag(self, wifi_loss_path):
         # A tampered wire counter must still trip the consistency check when
