@@ -81,9 +81,6 @@ class FlowSpec:
     def __post_init__(self) -> None:
         check_flow_name(self.name)
 
-    def defined_levels(self) -> list[int]:
-        return sorted(self.qos)
-
 
 @dataclass(frozen=True)
 class FlowSet:

@@ -50,6 +50,10 @@ class FixedDelay:
         if self.seconds < 0:
             raise ValueError(f"delay must be >= 0 seconds, got {float(self.seconds):g}")
 
+    @property
+    def max_seconds(self) -> Fraction:
+        return self.seconds
+
     def sample(self, rng: SplitMix64) -> Fraction:
         return Fraction(self.seconds)
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -72,10 +73,8 @@ class InvalidScenario(ValueError):
 
 DEFAULT_HANDSHAKE = UniformDelay(Fraction("1.3"), Fraction("1.5"))
 
-
-def _wire_period(period: Fraction) -> int | float:
-    """MFEA period field: whole seconds as an int, anything else as a float."""
-    return int(period) if period.denominator == 1 else float(period)
+# Reports and transcripts write times and periods as floats.
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,15 @@ class Scenario:
             raise InvalidScenario(str(exc)) from None
         if self.duration_seconds <= 0:
             raise InvalidScenario(f"duration must be > 0, got {self.duration_seconds}")
+        # Every simulated time is at most the duration plus one handshake or one latency.
+        delays = [self.handshake, *(profile.latency for profile in self.networks)]
+        if self.duration_seconds + max(delay.max_seconds for delay in delays) > _FLOAT_MAX:
+            raise InvalidScenario("duration plus the longest handshake or latency is beyond the float range")
+        for flow in self.flows:
+            for level, qos in flow.qos.items():
+                period = qos.min_interval_seconds
+                if period.denominator != 1 and period > _FLOAT_MAX:
+                    raise InvalidScenario(f"flow {flow.id!r}: level {level} period is fractional and beyond the float range")
         if self.algorithm not in ALGORITHM_NAMES:
             raise InvalidScenario(f"unknown algorithm {self.algorithm!r}")
         if self.factor < 1:
@@ -166,6 +174,7 @@ class SimReport:
     rng_name: str
     factor: int
     l_max: int
+    declared_levels: tuple[int, ...]
     duration_seconds: Fraction
     per_flow_level: dict[str, dict[int, FlowLevelCounts]]
     per_network: dict[str, NetworkCounts]
@@ -203,7 +212,7 @@ class SimReport:
                 "delivered_fraction": None if fraction is None else float(fraction),
             }
         by_level = {}
-        for level in range(1, self.l_max + 1):
+        for level in self.declared_levels:
             fraction = self.delivered_fraction_by_level(level)
             by_level[str(level)] = None if fraction is None else float(fraction)
         return {
@@ -360,7 +369,7 @@ class _Simulation:
                 wire.MfeaEntry(
                     payload_size=qos.message_size_bytes,
                     network=self.networks[network_id].profile.name,
-                    period_seconds=_wire_period(qos.min_interval_seconds),
+                    period_seconds=wire._wire_period(qos.min_interval_seconds),
                     flow_name=flow.name,
                     level=level,
                 )
@@ -479,7 +488,7 @@ class _Simulation:
             qos = flow.qos[entry.level]
             if entry.payload_size != qos.message_size_bytes:
                 raise AssertionError(f"MFEA payload size disagrees for flow {flow.id}")
-            if entry.period_seconds != _wire_period(qos.min_interval_seconds):
+            if entry.period_seconds != wire._wire_period(qos.min_interval_seconds):
                 raise AssertionError(f"MFEA period disagrees for flow {flow.id}")
             self.levels[flow.id] = entry.level
         was_paused = self.paused
@@ -565,6 +574,7 @@ class _Simulation:
             rng_name=RNG_NAME,
             factor=self.scenario.factor,
             l_max=self.scenario.l_max,
+            declared_levels=tuple(sorted({level for flow in self.scenario.flows for level in flow.qos})),
             duration_seconds=self.scenario.duration_seconds,
             per_flow_level={
                 flow.id: dict(sorted(self.stats[flow.id].items())) for flow in self.scenario.flows

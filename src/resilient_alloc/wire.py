@@ -16,7 +16,10 @@ Payload kinds carried inside frames:
   bytes, commas allowed within it);
 * allocation announcements: ``MFEA:[{'PS': .., 'N': .., 'PE': .., 'MF': ..,
   'CL': ..}, ..]`` with single-quoted strings in exactly that key order (the
-  decoder also accepts double quotes and any key order);
+  decoder also accepts double quotes, any key order and spaces around the
+  delimiters). PS and CL are ints. PE is whole seconds as an int, or else
+  the nearest float. A number is an int, or a float as ``repr`` writes it,
+  exponent included: ``10``, ``-1``, ``0.5``, ``1e-05``, ``2.5e+16``;
 * control messages: ``<INFO:RE-ALLOC:INIT>``, ``<INFO:RE-ALLOC:ACCEPTED>``,
   ``<ACK:flow>``, ``<ERR:flow:NOT-ALLOCATED>``, ``<ERR:flow:NOT-DELIVERED>``.
 
@@ -26,9 +29,11 @@ protocol delimiters.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .flows import check_flow_name
 
@@ -236,8 +241,8 @@ class MfeaEntry:
     def __post_init__(self) -> None:
         if self.payload_size < 0:
             raise ValueError(f"payload size must be >= 0, got {self.payload_size}")
-        if self.period_seconds <= 0:
-            raise ValueError(f"period must be > 0, got {self.period_seconds}")
+        if not 0 < self.period_seconds < math.inf:
+            raise ValueError(f"period must be > 0 and finite, got {self.period_seconds}")
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
         check_flow_name(self.flow_name)
@@ -267,110 +272,84 @@ def encode_mfea(entries: list[MfeaEntry]) -> str:
     return "MFEA:[" + ", ".join(records) + "]"
 
 
-_NUMBER_RE = re.compile(r"-?\d+(\.\d+)?")
+def _wire_period(period: Fraction) -> int | float:
+    """MFEA period field: whole seconds as an int, anything else as a float."""
+    return int(period) if period.denominator == 1 else float(period)
 
 
-class _Scanner:
-    def __init__(self, text: str, pos: int = 0) -> None:
-        self.text = text
-        self.pos = pos
+# Spaces, then a field value: a quoted string, or a number as ``%r`` writes an
+# int or a float. Group 1 is the value (None if absent); group 2 holds a
+# number's fraction and exponent ("" for an int, None for a string).
+_VALUE = re.compile(r""" *('[^']*'|"[^"]*"|-?\d+((?:\.\d+)?(?:[eE][-+]?\d+)?))?""")
+_CHAR = re.compile(" *(.?)", re.DOTALL)
+_TEXT_KEYS = ("N", "MF")
+_KEYS = ("PS", "N", "PE", "MF", "CL")  # in MfeaEntry field order
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.pos)
 
-    def skip_spaces(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
+def _expect(text: str, pos: int, chars: str) -> tuple[str, int]:
+    """Skip spaces, then read one of ``chars``; return it and the offset after it."""
+    match = _CHAR.match(text, pos)
+    char = match[1]
+    if not char or char not in chars:
+        raise ParseError(f"expected one of {chars!r}", match.start(1))
+    return char, match.end()
 
-    def expect(self, literal: str) -> None:
-        if not self.text.startswith(literal, self.pos):
-            raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _start(match: re.Match) -> int:
+    """Offset of a `_VALUE` match after its spaces."""
+    return match.end() - len(match[1] or "")
 
-    def string(self) -> str:
-        quote = self.peek()
-        if quote not in ("'", '"'):
-            raise self.error("expected a quoted string")
-        end = self.text.find(quote, self.pos + 1)
-        if end == -1:
-            raise self.error("unterminated string")
-        value = self.text[self.pos + 1 : end]
-        self.pos = end + 1
-        return value
 
-    def number(self) -> int | float:
-        match = _NUMBER_RE.match(self.text, self.pos)
-        if not match:
-            raise self.error("expected a number")
-        self.pos = match.end()
-        literal = match.group()
-        return float(literal) if "." in literal else int(literal)
+def _literal(match: re.Match) -> str | int | float:
+    if match[2] is None:
+        return match[1][1:-1]
+    return float(match[1]) if match[2] else int(match[1])
 
 
 def decode_mfea(text: str) -> list[MfeaEntry]:
-    scanner = _Scanner(text)
-    scanner.expect("MFEA:")
-    scanner.expect("[")
+    if not text.startswith("MFEA:["):
+        raise ParseError("expected 'MFEA:['", 5 if text.startswith("MFEA:") else 0)
     entries: list[MfeaEntry] = []
-    scanner.skip_spaces()
-    if scanner.peek() == "]":
-        scanner.pos += 1
-    else:
-        while True:
-            entries.append(_decode_record(scanner))
-            scanner.skip_spaces()
-            if scanner.peek() == ",":
-                scanner.pos += 1
-                scanner.skip_spaces()
-                continue
-            scanner.expect("]")
-            break
-    if scanner.pos != len(text):
-        raise scanner.error("trailing data after the entry list")
+    char, pos = _expect(text, 6, "{]")
+    while char == "{":
+        entry, pos = _decode_record(text, pos)
+        entries.append(entry)
+        char, pos = _expect(text, pos, ",]")
+        if char == ",":
+            char, pos = _expect(text, pos, "{")
+    if pos != len(text):
+        raise ParseError("trailing data after the entry list", pos)
     return entries
 
 
-def _decode_record(scanner: _Scanner) -> MfeaEntry:
-    scanner.expect("{")
-    fields: dict[str, object] = {}
-    while True:
-        scanner.skip_spaces()
-        key = scanner.string()
-        scanner.skip_spaces()
-        scanner.expect(":")
-        scanner.skip_spaces()
-        if key in ("PS", "PE", "CL"):
-            fields[key] = scanner.number()
-        elif key in ("N", "MF"):
-            fields[key] = scanner.string()
-        else:
-            raise scanner.error(f"unknown key {key!r}")
-        scanner.skip_spaces()
-        if scanner.peek() == ",":
-            scanner.pos += 1
-            continue
-        scanner.expect("}")
-        break
-    missing = {"PS", "N", "PE", "MF", "CL"}.difference(fields)
+def _decode_record(text: str, pos: int) -> tuple[MfeaEntry, int]:
+    """Decode the fields after a record's ``{``; return the entry and the offset after its ``}``."""
+    fields: dict[str, re.Match] = {}
+    char = ","
+    while char == ",":
+        key = _VALUE.match(text, pos)
+        if key[1] is None or key[2] is not None:
+            raise ParseError("expected a quoted key", _start(key))
+        _, pos = _expect(text, key.end(), ":")
+        value = _VALUE.match(text, pos)
+        name = key[1][1:-1]
+        if name not in _KEYS:
+            raise ParseError(f"unknown key {name!r}", _start(value))
+        if value[1] is None or (value[2] is None) != (name in _TEXT_KEYS):
+            message = "expected a quoted string" if name in _TEXT_KEYS else "expected a number"
+            raise ParseError(message, _start(value))
+        fields[name] = value
+        char, pos = _expect(text, value.end(), ",}")
+    missing = set(_KEYS).difference(fields)
     if missing:
-        raise scanner.error(f"record is missing keys {sorted(missing)}")
-    payload_size = fields["PS"]
-    level = fields["CL"]
-    if not isinstance(payload_size, int) or not isinstance(level, int):
-        raise scanner.error("PS and CL must be integers")
+        raise ParseError(f"record is missing keys {sorted(missing)}", pos)
     try:
-        return MfeaEntry(
-            payload_size=payload_size,
-            network=str(fields["N"]),
-            period_seconds=fields["PE"],  # type: ignore[arg-type]
-            flow_name=str(fields["MF"]),
-            level=level,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc), scanner.pos) from None
+        payload_size, network, period, flow_name, level = (_literal(fields[key]) for key in _KEYS)
+        if not isinstance(payload_size, int) or not isinstance(level, int):
+            raise ValueError("PS and CL must be integers")
+        return MfeaEntry(payload_size, network, period, flow_name, level), pos
+    except ValueError as exc:  # also an int literal longer than int() converts
+        raise ParseError(str(exc), pos) from None
 
 
 # --- control messages --------------------------------------------------------
@@ -433,22 +412,13 @@ def parse_control(text: str) -> ControlMessage:
         return ReallocAccepted()
     if not text.startswith("<") or not text.endswith(">"):
         raise ParseError("control message must be wrapped in <>", 0)
-    inner = text[1:-1]
+    kind, _, rest = text[1:-1].partition(":")
     try:
-        if inner.startswith("ACK:"):
-            return Ack(flow_name=inner[4:])
-        if inner.startswith("ERR:"):
-            rest = inner[4:]
-            sep = rest.rfind(":")
-            if sep == -1:
-                raise ParseError("error message needs a reason", len(text) - 1)
-            name, reason_text = rest[:sep], rest[sep + 1 :]
-            for reason in ErrorReason:
-                if reason.value == reason_text:
-                    return Err(flow_name=name, reason=reason)
-            raise ParseError(f"unknown error reason {reason_text!r}", 5 + sep + 1)
+        if kind == "ACK":
+            return Ack(rest)
+        if kind == "ERR":
+            name, _, reason = rest.rpartition(":")
+            return Err(name, ErrorReason(reason))
     except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(str(exc), 1) from None
     raise ParseError(f"unknown control message {text!r}", 1)

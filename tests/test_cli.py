@@ -152,6 +152,26 @@ class TestSimulate:
         assert entries[0]["body"].startswith("MFEA:")
         assert {"t", "dir", "body"} <= set(entries[0])
 
+    def test_periods_written_with_an_exponent_round_trip(self, tmp_path, capsys):
+        scenario = {
+            "l_max": 1,
+            "factor": 1,
+            "duration_seconds": "0.0001",
+            "seed": 1,
+            "networks": [{"builtin": "wifi_fipy"}],
+            "flows": [
+                {"id": "1", "name": "fast", "qos": {"1": {"c": 1, "t": "0.00001"}}},
+                {"id": "2", "name": "slow", "qos": {"1": {"c": 1, "t": "25000000000000000.5"}}},
+            ],
+        }
+        path, transcript = tmp_path / "scenario.json", tmp_path / "frames.jsonl"
+        path.write_text(json.dumps(scenario))
+        argv = ["simulate", "--scenario", str(path), "--transcript", str(transcript), "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["per_flow"]["1"]["delivered"] == 10
+        mfea = json.loads(transcript.read_text().splitlines()[0])["body"]
+        assert "'PE': 1e-05" in mfea and "'PE': 2.5e+16" in mfea
+
     def test_seed_env_override(self, wifi_loss_path, capsys, monkeypatch):
         monkeypatch.setenv("RESILIENT_ALLOC_SEED", "7")
         assert main(["simulate", "--scenario", str(wifi_loss_path), "--format", "json"]) == 0
@@ -507,6 +527,18 @@ class TestArgumentHandling:
                 _wifi_latency({"fixed_ms": -5000}),
                 "error: networks[0].latency: delay must be >= 0 seconds, got -5\n",
                 id="scenario_latency_negative",
+            ),
+            pytest.param(
+                "handshake",
+                '{"fixed_seconds": "1e400"}',
+                "error: duration plus the longest handshake or latency is beyond the float range\n",
+                id="handshake_beyond_float_range",
+            ),
+            pytest.param(
+                "flows",
+                json.dumps([{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": "1" + "0" * 320 + ".5"}}}]),
+                "error: flow '1': level 1 period is fractional and beyond the float range\n",
+                id="fractional_period_beyond_float_range",
             ),
             pytest.param(
                 "networks",

@@ -378,6 +378,14 @@ class TestReportInvariants:
         assert doc["rng"] == "splitmix64"
         assert doc["schema_version"] == 1
 
+    def test_per_level_fractions_cover_the_declared_levels(self):
+        flows = [
+            _simple_flow("1", 10, 10),
+            FlowSpec(id="2", app="App", name="flow 2", qos={3: QosRequirement(10, Fraction(10))}),
+        ]
+        report = run(_scenario(flows, [builtin_profile("wifi_fipy")], l_max=10**6))
+        assert list(report.to_json_dict()["delivered_fraction_by_level"]) == ["1", "3"]
+
     def test_codec_fault_surfaces_as_simulation_failure(self, wifi_loss_path, monkeypatch):
         # The node learns the level only from the decoded frame, so a decoder
         # that shifts it breaks per-level conservation.

@@ -251,9 +251,24 @@ class TestMfea:
             decode_mfea("MFEA:[{'PS': }]")
         assert excinfo.value.offset == 13
 
+    @pytest.mark.parametrize(
+        "text,offset",
+        [("MFEA:[{ 1: 2}]", 8), ("MFEA:[{'Q':  1}]", 13), ("MFEA:[{'PS': 'x'}]", 13), ("MFEA:x", 5)],
+        ids=["numeric_key", "unknown_key", "string_for_number", "missing_bracket"],
+    )
+    def test_offset_points_at_the_bad_token(self, text, offset):
+        with pytest.raises(ParseError) as excinfo:
+            decode_mfea(text)
+        assert excinfo.value.offset == offset
+
     def test_missing_key_rejected(self):
         with pytest.raises(ParseError):
             decode_mfea("MFEA:[{'PS': 1, 'N': 'A', 'PE': 1, 'MF': 'x'}]")
+
+    @pytest.mark.parametrize("period", ["1e400", "1" + "0" * 400 + ".5"], ids=["exponent", "long_decimal"])
+    def test_period_beyond_float_range_rejected(self, period):
+        with pytest.raises(ParseError):
+            decode_mfea(f"MFEA:[{{'PS': 1, 'N': 'A', 'PE': {period}, 'MF': 'x', 'CL': 1}}]")
 
     def test_trailing_data_rejected(self):
         with pytest.raises(ParseError):
@@ -267,9 +282,7 @@ class TestMfea:
                 network=flow_names,
                 period_seconds=st.one_of(
                     st.integers(1, 10**6),
-                    st.floats(
-                        min_value=0.001, max_value=1e6, allow_nan=False, allow_infinity=False
-                    ),
+                    st.floats(min_value=0, exclude_min=True, allow_nan=False, allow_infinity=False),
                 ),
                 flow_name=flow_names,
                 level=st.integers(1, 9),
