@@ -151,56 +151,34 @@ def _flows_by_level(flows: list[FlowSpec]) -> dict[int, list[FlowSpec]]:
     return dict(sorted(by_level.items(), reverse=True))
 
 
-def _relax_allocated(
-    table: AllocationTable,
-    declared_here: list[FlowSpec],
-    level: int,
-    networks: list[NetworkProfile],
-    factor: int,
-) -> None:
-    # Move flows sitting at a stricter level down to this one when capacity
-    # allows; on failure the original entry is restored unchanged.
-    for flow in declared_here:
-        current = table.entries.get(flow.id)
-        if current is None or current.level <= level:
-            continue
-        original, demand = table.remove(flow.id)
-        relaxed = utilization(flow, level, factor)
-        target = _pick_network(FitRule.BEST_FIT, relaxed, networks, table.residual)
-        if target is None:
-            table.place(original, demand)
-        else:
-            table.place(Allocation(flow.id, target, level), relaxed)
-
-
-def _allocate_new(
-    table: AllocationTable,
-    declared_here: list[FlowSpec],
-    level: int,
-    networks: list[NetworkProfile],
-    factor: int,
-) -> None:
-    for flow in declared_here:
-        if flow.id in table.entries:
-            continue
-        demand = utilization(flow, level, factor)
-        target = _pick_network(FitRule.BEST_FIT, demand, networks, table.residual)
-        if target is not None:
-            table.place(Allocation(flow.id, target, level), demand)
-
-
 def _criticality_aware(
     flows: list[FlowSpec],
     networks: list[NetworkProfile],
     cfg: AllocatorConfig,
     admit_first: bool,
 ) -> AllocationTable:
-    steps = (_allocate_new, _relax_allocated) if admit_first else (_relax_allocated, _allocate_new)
     table = AllocationTable(networks)
     # Levels no flow declares change nothing; skipping them keeps a huge l_max cheap.
     for level, declared_here in _flows_by_level(flows).items():
-        for step in steps:
-            step(table, declared_here, level, networks, cfg.factor)
+        # The admit pass takes flows with no entry; the relax pass takes flows
+        # held at a stricter level and puts the entry back if nothing fits.
+        for admitting in (admit_first, not admit_first):
+            for flow in declared_here:
+                if admitting:
+                    if flow.id in table.entries:
+                        continue
+                    held = None
+                else:
+                    current = table.entries.get(flow.id)
+                    if current is None or current.level <= level:
+                        continue
+                    held = table.remove(flow.id)
+                demand = utilization(flow, level, cfg.factor)
+                target = _pick_network(FitRule.BEST_FIT, demand, networks, table.residual)
+                if target is not None:
+                    table.place(Allocation(flow.id, target, level), demand)
+                elif held is not None:
+                    table.place(*held)
     return table
 
 

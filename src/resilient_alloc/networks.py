@@ -71,21 +71,8 @@ LORA_UPLINK_TABLE: dict[tuple[int, int], tuple[int, int, Fraction, int]] = {
     (7, 250): (11000, 222, Fraction("184.4"), 195),
 }
 
-_LORA_LATENCY = UniformDelay(Fraction("0.024"), Fraction("2.8"))
-_LORA_CONNECT = Fraction("5.6")  # over-the-air activation, measured average
 
-_SIGFOX_LATENCY = UniformDelay(Fraction(1), Fraction("4.5"))
-_SIGFOX_GAP = Fraction("10.5")  # mean spacing needed between uplinks
-_SIGFOX_CONNECT = Fraction("0.1")  # socket creation, a few milliseconds
-
-_WIFI_LATENCY = FixedDelay(Fraction("0.008"))
-_WIFI_CONNECT = Fraction("7.7")  # scan plus association, measured average
-
-_NBIOT_LATENCY = FixedDelay(Fraction("0.576"))
-_NBIOT_CONNECT = Fraction("15.5")  # init + attach + connect, no modem reset
-
-
-def lora_profile(sf: int, bandwidth_khz: int, id: str = "lora") -> NetworkProfile:
+def lora_profile(sf: int, bandwidth_khz: int) -> NetworkProfile:
     """Profile for one LoRa uplink configuration.
 
     Only the seven (spreading factor, bandwidth) pairs with published
@@ -99,60 +86,50 @@ def lora_profile(sf: int, bandwidth_khz: int, id: str = "lora") -> NetworkProfil
         )
     bitrate, payload, airtime_ms, per_day = entry
     return NetworkProfile(
-        id=id,
+        id="lora",
         name="LoRa",
         capacity_bps=bitrate,
         max_payload_bytes=payload,
         max_messages_per_day=per_day,
         min_inter_message_gap_seconds=Fraction("0.000165"),
-        latency=_LORA_LATENCY,
-        connect_time_seconds=_LORA_CONNECT,
+        latency=UniformDelay(Fraction("0.024"), Fraction("2.8")),
+        connect_time_seconds=Fraction("5.6"),  # over-the-air activation, measured average
         time_on_air_ms=airtime_ms,
     )
 
 
-def _sigfox(capacity_bps: int) -> NetworkProfile:
-    return NetworkProfile(
-        id="sigfox",
-        name="Sigfox",
-        capacity_bps=capacity_bps,
-        max_payload_bytes=12,
-        max_messages_per_day=140,
-        min_inter_message_gap_seconds=_SIGFOX_GAP,
-        latency=_SIGFOX_LATENCY,
-        connect_time_seconds=_SIGFOX_CONNECT,
-    )
-
-
-def _wifi(capacity_bps: int) -> NetworkProfile:
+# Every field of a built-in profile but its capacity, which the calibration sets.
+_WIFI = dict(
+    id="wifi",
+    name="Wi-Fi",
     # TCP/UDP fragmentation means there is no hard payload cap on Wi-Fi.
-    return NetworkProfile(
-        id="wifi",
-        name="Wi-Fi",
-        capacity_bps=capacity_bps,
-        latency=_WIFI_LATENCY,
-        connect_time_seconds=_WIFI_CONNECT,
-    )
-
-
-def _nbiot(capacity_bps: int) -> NetworkProfile:
-    return NetworkProfile(
-        id="nbiot",
-        name="NB-IoT",
-        capacity_bps=capacity_bps,
-        latency=_NBIOT_LATENCY,
-        connect_time_seconds=_NBIOT_CONNECT,
-    )
-
+    latency=FixedDelay(Fraction("0.008")),
+    connect_time_seconds=Fraction("7.7"),  # scan plus association, measured average
+)
+_SIGFOX = dict(
+    id="sigfox",
+    name="Sigfox",
+    max_payload_bytes=12,
+    max_messages_per_day=140,
+    min_inter_message_gap_seconds=Fraction("10.5"),  # mean spacing needed between uplinks
+    latency=UniformDelay(Fraction(1), Fraction("4.5")),
+    connect_time_seconds=Fraction("0.1"),  # socket creation, a few milliseconds
+)
+_NBIOT = dict(
+    id="nbiot",
+    name="NB-IoT",
+    latency=FixedDelay(Fraction("0.576")),
+    connect_time_seconds=Fraction("15.5"),  # init + attach + connect, no modem reset
+)
 
 _BUILTINS = {
-    "wifi_table2": lambda: _wifi(64000),
-    "lora_sf9_table2": lambda: lora_profile(9, 125),
-    "sigfox_table2": lambda: _sigfox(48),
-    "wifi_fipy": lambda: _wifi(750_000),
-    "nbiot_fipy": lambda: _nbiot(55_000),
-    "lora_sf7_fipy": lambda: lora_profile(7, 125),
-    "sigfox_fipy": lambda: _sigfox(100),
+    "wifi_table2": NetworkProfile(capacity_bps=64000, **_WIFI),
+    "lora_sf9_table2": lora_profile(9, 125),
+    "sigfox_table2": NetworkProfile(capacity_bps=48, **_SIGFOX),
+    "wifi_fipy": NetworkProfile(capacity_bps=750_000, **_WIFI),
+    "nbiot_fipy": NetworkProfile(capacity_bps=55_000, **_NBIOT),
+    "lora_sf7_fipy": lora_profile(7, 125),
+    "sigfox_fipy": NetworkProfile(capacity_bps=100, **_SIGFOX),
 }
 
 BUILTIN_KINDS = tuple(_BUILTINS)
@@ -161,12 +138,9 @@ BUILTIN_KINDS = tuple(_BUILTINS)
 def builtin_profile(kind: str) -> NetworkProfile:
     """Return a named built-in profile; unknown kinds raise ValueError."""
     try:
-        factory = _BUILTINS[kind]
+        return _BUILTINS[kind]
     except KeyError:
-        raise ValueError(
-            f"unknown built-in profile {kind!r}; known: {', '.join(BUILTIN_KINDS)}"
-        ) from None
-    return factory()
+        raise ValueError(f"unknown built-in profile {kind!r}; known: {', '.join(BUILTIN_KINDS)}") from None
 
 
 def network_from_dict(node: Node | dict) -> NetworkProfile:

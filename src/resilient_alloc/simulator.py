@@ -75,6 +75,8 @@ DEFAULT_HANDSHAKE = UniformDelay(Fraction("1.3"), Fraction("1.5"))
 
 # Reports and transcripts write times and periods as floats.
 _FLOAT_MAX = Fraction(sys.float_info.max)
+# Runs are refused above this many emissions, so every accepted run finishes.
+_MAX_EMISSIONS = 10**8
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,10 @@ class Scenario:
                 period = qos.min_interval_seconds
                 if period.denominator != 1 and period > _FLOAT_MAX:
                     raise InvalidScenario(f"flow {flow.id!r}: level {level} period is fractional and beyond the float range")
+        # A flow emits at most once per its shortest declared period.
+        periods = (min(qos.min_interval_seconds for qos in flow.qos.values()) for flow in self.flows)
+        if sum(self.duration_seconds // period for period in periods) > _MAX_EMISSIONS:
+            raise InvalidScenario(f"duration_seconds: the run would emit more than {_MAX_EMISSIONS} messages")
         if self.algorithm not in ALGORITHM_NAMES:
             raise InvalidScenario(f"unknown algorithm {self.algorithm!r}")
         if self.factor < 1:

@@ -10,9 +10,12 @@ it tries levels in ascending order, networks in declaration order, and
 so the returned table is the lexicographically first optimum under that
 exploration order.
 
-The search keeps an explicit stack, one frame per flow, so its depth is
-bounded by memory rather than by the interpreter's recursion limit. With
-``prune`` on, two rules cut the tree without changing what it returns:
+The search keeps an explicit stack, so its depth is bounded by memory rather
+than by the interpreter's recursion limit. Each frame is a generator over one
+flow's branches: it applies a branch to the residuals, the objective and the
+current path, yields, and undoes that branch before it tries the next, so a
+frame always resumes on the state it was entered with. With ``prune`` on,
+two rules cut the tree without changing what it returns:
 
 * **Surrogate LP bound.** All residual capacity is merged into one bin and
   the remaining flows are relaxed to a multiple-choice knapsack: each flow
@@ -44,9 +47,6 @@ from fractions import Fraction
 from .allocators import Allocation, AllocationTable
 from .flows import FlowSpec, utilization
 from .networks import NetworkProfile
-
-
-_EXHAUSTED = object()
 
 
 class Infeasible(Exception):
@@ -163,66 +163,55 @@ def exact_solve(instance: IlpInstance, prune: bool = True) -> AllocationTable:
     ``prune=False`` disables the bound and the twin rule (exhaustive search);
     it exists so that both can be checked against unpruned search.
     """
-    flows = list(instance.flows)
     networks = list(instance.networks)
-    n = len(flows)
+    n = len(instance.flows)
     options = level_options(instance)
     bound = SurrogateBound(options, instance.require_all) if prune else None
 
     residual = [p.capacity_micro_bps for p in networks]
+    objective = 0
+    # choice[k] is flow k's (level, network index, demand) on the current path, or None.
+    choice: list[tuple[int, int, int] | None] = [None] * n
 
-    def moves(i: int):
-        """Flow ``i``'s branches in exploration order; ``None`` is "unallocated"."""
+    def frame(i: int):
+        """Flow ``i``'s branches in exploration order: apply one, yield, undo it."""
+        nonlocal objective
         targets = [j for j, left in enumerate(residual) if not prune or residual.index(left) == j]
         for level, score, demand in options[i]:
             for j in targets:
                 if residual[j] >= demand:
-                    yield level, j, score, demand
+                    residual[j] -= demand
+                    objective += score
+                    choice[i] = (level, j, demand)
+                    yield
+                    residual[j] += demand
+                    objective -= score
         if not instance.require_all:
-            yield None
+            choice[i] = None
+            yield
 
-    # choice[k] is the branch taken at flow k on the current path; stack[k]
-    # yields flow k's remaining branches. Residuals are restored before a
-    # frame yields its next branch, so each frame sees the residuals it was
-    # entered with.
-    choice: list[tuple[int, int, int, int] | None] = [None] * n
-    stack = []
+    # stack[0] is a root with one empty branch; stack[k + 1] is flow k's frame.
+    stack = [iter((None,))]
     best_objective, best_choice = -1, None
-    depth, objective = 0, 0
-    while True:
-        if depth == n:
-            if objective > best_objective:
-                best_objective, best_choice = objective, list(choice)
-        elif bound is None or bound(depth, objective, sum(residual)) > best_objective:
-            stack.append(moves(depth))
-        while stack:
-            k = len(stack) - 1
-            if choice[k] is not None:
-                _, j, score, demand = choice[k]
-                residual[j] += demand
-                objective -= score
-                choice[k] = None
-            taken = next(stack[k], _EXHAUSTED)
-            if taken is _EXHAUSTED:
-                stack.pop()
-                continue
-            choice[k] = taken
-            if taken is not None:
-                _, j, score, demand = taken
-                residual[j] -= demand
-                objective += score
-            depth = k + 1
-            break
+    while stack:
+        for _ in stack[-1]:
+            depth = len(stack) - 1
+            if depth == n:
+                if objective > best_objective:
+                    best_objective, best_choice = objective, list(choice)
+            elif bound is None or bound(depth, objective, sum(residual)) > best_objective:
+                stack.append(frame(depth))
+                break
         else:
-            break
+            stack.pop()
 
     if best_choice is None:
         raise Infeasible("no assignment serves every flow")
 
     table = AllocationTable(networks)
-    for flow, picked in zip(flows, best_choice):
+    for flow, picked in zip(instance.flows, best_choice):
         if picked is None:
             continue
-        level, j, _, demand = picked
+        level, j, demand = picked
         table.place(Allocation(flow.id, networks[j].id, level), demand)
     return table

@@ -541,6 +541,12 @@ class TestArgumentHandling:
                 id="fractional_period_beyond_float_range",
             ),
             pytest.param(
+                "duration_seconds",
+                '"1e300"',
+                "error: duration_seconds: the run would emit more than 100000000 messages\n",
+                id="huge_duration",
+            ),
+            pytest.param(
                 "networks",
                 _wifi_latency({"uniform_ms": [20, 10]}),
                 "error: networks[0].latency: delay needs 0 <= min <= max seconds, got [0.02, 0.01]\n",
