@@ -14,6 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from string import ascii_lowercase
 
 from .allocators import AllocationTable
 from .flows import FlowSpec
@@ -86,9 +87,9 @@ def format_quantity(value: Fraction | None) -> str:
 
 
 def glyph_map(networks: list[NetworkProfile]) -> dict[str, str]:
-    """Network id -> table glyph; unknown technologies get letters."""
+    """Network id -> table glyph; unknown technologies get the letters a..z in order."""
     glyphs: dict[str, str] = {}
-    fallback = iter("abcdefghijklmnopqrstuvwxyz")
+    unknown: list[str] = []
     for profile in networks:
         lowered = profile.name.lower()
         for needle, glyph in _GLYPHS:
@@ -96,7 +97,10 @@ def glyph_map(networks: list[NetworkProfile]) -> dict[str, str]:
                 glyphs[profile.id] = glyph
                 break
         else:
-            glyphs[profile.id] = next(fallback)
+            unknown.append(profile.id)
+    if len(unknown) > len(ascii_lowercase):
+        raise ValueError(f"{len(unknown)} networks have no known technology, but a table has 26 letters; use --format json")
+    glyphs.update(zip(unknown, ascii_lowercase))
     return glyphs
 
 

@@ -43,6 +43,8 @@ from __future__ import annotations
 import heapq
 import json
 import sys
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -161,6 +163,14 @@ class NetworkCounts:
     budget_violations_avoided: int = 0
 
 
+def _sum_counts(rows: Iterable[FlowLevelCounts]) -> FlowLevelCounts:
+    return FlowLevelCounts(*(sum(column) for column in zip(*map(astuple, rows))))
+
+
+def _delivered_fraction(counts: FlowLevelCounts) -> Fraction | None:
+    return None if counts.sent == 0 else Fraction(counts.delivered, counts.sent)
+
+
 @dataclass(frozen=True)
 class Handshake:
     start: Fraction
@@ -188,25 +198,14 @@ class SimReport:
     final_allocation: dict[str, tuple[str, int] | None]
 
     def flow_totals(self, flow_id: str) -> FlowLevelCounts:
-        levels = map(astuple, self.per_flow_level[flow_id].values())
-        return FlowLevelCounts(*(sum(column) for column in zip(*levels)))
+        return _sum_counts(self.per_flow_level[flow_id].values())
 
     def delivered_fraction(self, flow_id: str) -> Fraction | None:
-        total = self.flow_totals(flow_id)
-        if total.sent == 0:
-            return None
-        return Fraction(total.delivered, total.sent)
+        return _delivered_fraction(self.flow_totals(flow_id))
 
     def delivered_fraction_by_level(self, level: int) -> Fraction | None:
-        sent = delivered = 0
-        for levels in self.per_flow_level.values():
-            counts = levels.get(level)
-            if counts is not None:
-                sent += counts.sent
-                delivered += counts.delivered
-        if sent == 0:
-            return None
-        return Fraction(delivered, sent)
+        rows = (levels[level] for levels in self.per_flow_level.values() if level in levels)
+        return _delivered_fraction(_sum_counts(rows))
 
     def to_json_dict(self) -> dict:
         per_flow = {}
@@ -261,6 +260,7 @@ class _MsgRecord:
 class _NetworkRuntime:
     profile: NetworkProfile
     up: bool
+    counts: NetworkCounts = field(default_factory=NetworkCounts)
     last_send: Fraction | None = None
     day_index: int | None = None
     sent_today: int = 0
@@ -294,24 +294,20 @@ class _Simulation:
         self.paused = False
         self.levels: dict[str, int] = {}  # flow id -> level the application emits at
         self.emit_epoch = 0
-        self.wire_acks: dict[str, int] = {}
-        self.wire_errs: dict[tuple[str, wire.ErrorReason], int] = {}
+        self.wire_acks: Counter[str] = Counter()
+        self.wire_errs: Counter[tuple[str, wire.ErrorReason]] = Counter()
 
         # node state
         self.flows_by_name = {flow.name: flow for flow in scenario.flows}
         self.active: dict[str, tuple[str, int]] = {}  # flow id -> (network id, level)
         self.pending_active: dict[str, tuple[str, int]] | None = None
-        self.window_open = False
-        self.window_start = Fraction(0)
+        self.window_start: Fraction | None = None  # set while a re-allocation window is open
         self.realloc_epoch = 0
         self._msg_key = 0
 
         # accounting
         self.stats: dict[str, dict[int, FlowLevelCounts]] = {
             flow.id: {} for flow in scenario.flows
-        }
-        self.net_counts: dict[str, NetworkCounts] = {
-            p.id: NetworkCounts() for p in scenario.networks
         }
         self.handshakes: list[Handshake] = []
 
@@ -354,15 +350,6 @@ class _Simulation:
 
     # -- node ------------------------------------------------------------------
 
-    def _compute_allocation(self) -> dict[str, tuple[str, int]]:
-        table = run_algorithm(
-            self.scenario.algorithm,
-            list(self.scenario.flows),
-            [p for p in self.scenario.networks if self.networks[p.id].up],
-            self.cfg,
-        )
-        return {flow_id: (entry.network_id, entry.level) for flow_id, entry in table.entries.items()}
-
     def _mfea_for(self, allocation: dict[str, tuple[str, int]]) -> list[wire.MfeaEntry]:
         entries = []
         for flow in self.scenario.flows:
@@ -382,84 +369,84 @@ class _Simulation:
             )
         return entries
 
-    def _announce_allocation(self, allocation: dict[str, tuple[str, int]]) -> None:
+    def _announce_allocation(self) -> dict[str, tuple[str, int]]:
+        """Allocate over the networks that are up, announce the table and return it."""
+        table = run_algorithm(
+            self.scenario.algorithm,
+            list(self.scenario.flows),
+            [p for p in self.scenario.networks if self.networks[p.id].up],
+            self.cfg,
+        )
+        allocation = {flow_id: (entry.network_id, entry.level) for flow_id, entry in table.entries.items()}
         self.pending_active = allocation
         self._send(_TO_HOST, wire.encode_mfea(self._mfea_for(allocation)).encode("utf-8"))
+        return allocation
 
     def _node_on_frame(self, body: bytes) -> None:
         if body.startswith(b"<"):
             message = wire.parse_control(body.decode("utf-8"))
             if isinstance(message, wire.ReallocAccepted):
-                if not self.window_open or self.pending_active is None:
+                if self.window_start is None or self.pending_active is None:
                     raise AssertionError("node got a re-allocation accept outside an open window")
                 self.active = self.pending_active
                 self.pending_active = None
-                self.window_open = False
                 self.handshakes.append(Handshake(start=self.window_start, accepted=self.now))
+                self.window_start = None
             else:
                 raise AssertionError(f"node cannot handle control message {message!r}")
             return
         self._node_on_app(wire.decode_app(body))
 
+    def _refuse(self, flow: FlowSpec, level: int, reason: wire.ErrorReason) -> None:
+        """Count a message the node does not deliver and report it to the host."""
+        counts = self._counts(flow.id, level)
+        if reason is wire.ErrorReason.NOT_ALLOCATED:
+            counts.err_not_allocated += 1
+        else:
+            counts.err_not_delivered += 1
+        self._send_control(_TO_HOST, wire.Err(flow.name, reason))
+
+    def _admits(self, runtime: _NetworkRuntime, size: int) -> bool:
+        """Apply the send-time rules in the module docstring's order; count a budget refusal."""
+        profile = runtime.profile
+        if profile.max_payload_bytes is not None and size > profile.max_payload_bytes:
+            return False
+        day = int(self.now // _SECONDS_PER_DAY)
+        if runtime.day_index != day:
+            runtime.day_index = day
+            runtime.sent_today = 0
+        if profile.max_messages_per_day is not None and runtime.sent_today >= profile.max_messages_per_day:
+            runtime.counts.budget_violations_avoided += 1
+            return False
+        gap = profile.min_inter_message_gap_seconds
+        return gap is None or runtime.last_send is None or self.now - runtime.last_send >= gap
+
     def _node_on_app(self, message: wire.AppMessage) -> None:
         flow = self.flows_by_name[message.flow_name]
-        counts = self._counts(flow.id, message.level)
-
         placed = self.active.get(flow.id)
         if placed is None or not self.networks[placed[0]].up:
-            counts.err_not_allocated += 1
-            self._send_control(_TO_HOST, wire.Err(flow.name, wire.ErrorReason.NOT_ALLOCATED))
+            self._refuse(flow, message.level, wire.ErrorReason.NOT_ALLOCATED)
             return
-
-        network_id, _level = placed
-        runtime = self.networks[network_id]
-        profile = runtime.profile
+        runtime = self.networks[placed[0]]
         size = len(message.payload)
-
-        refusal = None
-        cap = profile.max_payload_bytes
-        if cap is not None and size > cap:
-            refusal = "payload"
-        if refusal is None and profile.max_messages_per_day is not None:
-            day = int(self.now // _SECONDS_PER_DAY)
-            if runtime.day_index != day:
-                runtime.day_index = day
-                runtime.sent_today = 0
-            if runtime.sent_today >= profile.max_messages_per_day:
-                refusal = "budget"
-                self.net_counts[network_id].budget_violations_avoided += 1
-        if refusal is None:
-            gap = profile.min_inter_message_gap_seconds
-            if (
-                gap is not None
-                and runtime.last_send is not None
-                and self.now - runtime.last_send < gap
-            ):
-                refusal = "gap"
-
-        if refusal is not None:
-            counts.err_not_delivered += 1
-            self._send_control(_TO_HOST, wire.Err(flow.name, wire.ErrorReason.NOT_DELIVERED))
+        if not self._admits(runtime, size):
+            self._refuse(flow, message.level, wire.ErrorReason.NOT_DELIVERED)
             return
-
         runtime.last_send = self.now
-        if profile.max_messages_per_day is not None:
-            runtime.sent_today += 1
+        runtime.sent_today += 1
         self._msg_key += 1
         runtime.pending[self._msg_key] = _MsgRecord(flow, message.level, size)
-        latency = profile.latency.sample(self.rng)
-        flow_idx = self.flow_index[flow.id]
-        self._push(self.now + latency, _P_DELIVER, flow_idx, self._do_deliver, network_id, self._msg_key)
+        latency = runtime.profile.latency.sample(self.rng)
+        self._push(self.now + latency, _P_DELIVER, self.flow_index[flow.id], self._do_deliver, runtime, self._msg_key)
 
-    def _do_deliver(self, network_id: str, key: int) -> None:
+    def _do_deliver(self, runtime: _NetworkRuntime, key: int) -> None:
         # A key is gone when its network went down while the message was in flight.
-        record = self.networks[network_id].pending.pop(key, None)
+        record = runtime.pending.pop(key, None)
         if record is None:
             return
         self._counts(record.flow.id, record.level).delivered += 1
-        counts = self.net_counts[network_id]
-        counts.messages += 1
-        counts.bytes += record.size
+        runtime.counts.messages += 1
+        runtime.counts.bytes += record.size
         self._send_control(_TO_HOST, wire.Ack(record.flow.name))
 
     # -- host -------------------------------------------------------------------
@@ -474,11 +461,10 @@ class _Simulation:
             self.paused = True
             return
         if isinstance(message, wire.Ack):
-            self.wire_acks[message.flow_name] = self.wire_acks.get(message.flow_name, 0) + 1
+            self.wire_acks[message.flow_name] += 1
             return
         if isinstance(message, wire.Err):
-            key = (message.flow_name, message.reason)
-            self.wire_errs[key] = self.wire_errs.get(key, 0) + 1
+            self.wire_errs[message.flow_name, message.reason] += 1
             return
         raise AssertionError(f"host cannot handle control message {message!r}")
 
@@ -503,16 +489,18 @@ class _Simulation:
         if was_paused:
             self._send_control(_TO_NODE, wire.ReallocAccepted())
 
-    def _period(self, flow: FlowSpec) -> Fraction:
-        return flow.qos[self.levels[flow.id]].min_interval_seconds
-
     def _schedule_all_emissions(self) -> None:
         # A new epoch makes every emission scheduled under the old table stale.
         self.emit_epoch += 1
-        for flow_idx, flow in enumerate(self.scenario.flows):
-            next_time = self.now + self._period(flow)
-            if next_time <= self.scenario.duration_seconds:
-                self._push(next_time, _P_EMIT, flow_idx, self._do_emit, flow_idx, self.emit_epoch)
+        for flow_idx in range(len(self.scenario.flows)):
+            self._schedule_emit(flow_idx)
+
+    def _schedule_emit(self, flow_idx: int) -> None:
+        """Schedule the flow's next emission one period on, unless that passes the end of the run."""
+        flow = self.scenario.flows[flow_idx]
+        next_time = self.now + flow.qos[self.levels[flow.id]].min_interval_seconds
+        if next_time <= self.scenario.duration_seconds:
+            self._push(next_time, _P_EMIT, flow_idx, self._do_emit, flow_idx, self.emit_epoch)
 
     def _do_emit(self, flow_idx: int, epoch: int) -> None:
         if epoch != self.emit_epoch or self.paused:
@@ -522,9 +510,7 @@ class _Simulation:
         self._counts(flow.id, level).sent += 1
         size = flow.qos[level].message_size_bytes
         self._send(_TO_NODE, wire.encode_app(wire.AppMessage(flow.name, level, b"x" * size)))
-        next_time = self.now + self._period(flow)
-        if next_time <= self.scenario.duration_seconds:
-            self._push(next_time, _P_EMIT, flow_idx, self._do_emit, flow_idx, epoch)
+        self._schedule_emit(flow_idx)
 
     # -- availability and re-allocation ------------------------------------------
 
@@ -533,33 +519,29 @@ class _Simulation:
         runtime.up = up
         if not up:
             for record in runtime.pending.values():
-                self._counts(record.flow.id, record.level).err_not_delivered += 1
                 # the node reports the loss exactly as a failed send would be
-                self._send_control(_TO_HOST, wire.Err(record.flow.name, wire.ErrorReason.NOT_DELIVERED))
+                self._refuse(record.flow, record.level, wire.ErrorReason.NOT_DELIVERED)
             runtime.pending.clear()
         self._push(self.now, _P_REALLOC_START, 0, self._do_realloc_start)
 
     def _do_realloc_start(self) -> None:
         self.realloc_epoch += 1
-        if not self.window_open:
-            self.window_open = True
+        if self.window_start is None:
             self.window_start = self.now
             self._send_control(_TO_HOST, wire.ReallocInit())
         duration = self.scenario.handshake.sample(self.rng)
         self._push(self.now + duration, _P_REALLOC_COMPLETE, 0, self._do_realloc_complete, self.realloc_epoch)
 
     def _do_realloc_complete(self, epoch: int) -> None:
-        if epoch != self.realloc_epoch or not self.window_open:
-            return
-        self._announce_allocation(self._compute_allocation())
+        if epoch == self.realloc_epoch:
+            self._announce_allocation()
 
     # -- driver --------------------------------------------------------------------
 
     def run(self) -> SimReport:
         # The first table is active at once: no window is open, so the host
         # applies it without sending an accept.
-        self.active = self._compute_allocation()
-        self._announce_allocation(self.active)
+        self.active = self._announce_allocation()
 
         for event in self.scenario.events:
             self._push(
@@ -585,7 +567,7 @@ class _Simulation:
             per_flow_level={
                 flow.id: dict(sorted(self.stats[flow.id].items())) for flow in self.scenario.flows
             },
-            per_network={p.id: self.net_counts[p.id] for p in self.scenario.networks},
+            per_network={network_id: runtime.counts for network_id, runtime in self.networks.items()},
             handshakes=list(self.handshakes),
             final_allocation={flow.id: self.active.get(flow.id) for flow in self.scenario.flows},
         )

@@ -121,59 +121,44 @@ class FrameDecoder:
         return bytes(self._buf)
 
     def feed(self, data: bytes) -> list[Frame | MalformedFrame]:
-        self._buf.extend(data)
-        out: list[Frame | MalformedFrame] = []
-        while self._seek_header(out) and self._parse_frame(out):
-            pass
-        return out
-
-    def _seek_header(self, out: list[Frame | MalformedFrame]) -> bool:
-        """Align the buffer on a header; return False when more data is needed."""
-        idx = self._buf.find(HEADER, self._scan)
-        if idx == -1:
-            # A header may still complete in the last len(HEADER) - 1 bytes.
-            self._scan = max(len(self._buf) - len(HEADER) + 1, 0)
-            return False
-        if idx:
-            out.append(MalformedFrame("bad-header", bytes(self._buf[:idx])))
-            del self._buf[:idx]
-        self._scan = 0
-        return True
-
-    def _resync(self, out: list[Frame | MalformedFrame], reason: str) -> bool:
-        out.append(MalformedFrame(reason))
-        # Drop the leading ':' so the scan can find a header nested in the
-        # bytes of the abandoned frame.
-        del self._buf[:1]
-        return True
-
-    def _parse_frame(self, out: list[Frame | MalformedFrame]) -> bool:
-        """Parse one frame at the buffer head (which starts with HEADER).
-
-        Returns True when progress was made (a frame or an event), False
-        when more bytes are needed.
-        """
         buf = self._buf
-        digits_end = _LENGTH_DIGITS.match(buf, len(HEADER)).end()
-        if digits_end == len(buf):
-            return False  # length field still incomplete
-        if digits_end == len(HEADER) or buf[digits_end] != 0x3A:  # ':'
-            return self._resync(out, "bad-length")
-        body_start = digits_end + 1
-        body_end = body_start + int(buf[len(HEADER) : digits_end])
-        if len(buf) <= body_end:
-            return False  # body or terminator not here yet
-        if buf[body_end] != 0x0A:
-            return self._resync(out, "bad-terminator")
-        raw = bytes(buf[body_start:body_end])
-        del buf[: body_end + 1]
-        try:
-            body = unescape_body(raw)
-        except ValueError:
-            out.append(MalformedFrame("bad-escape", raw))
-            return True
-        out.append(Frame(body))
-        return True
+        buf.extend(data)
+        out: list[Frame | MalformedFrame] = []
+        while True:
+            # Seek the header; report the garbage before it.
+            idx = buf.find(HEADER, self._scan)
+            if idx == -1:
+                # A header may still complete in the last len(HEADER) - 1 bytes.
+                self._scan = max(len(buf) - len(HEADER) + 1, 0)
+                return out
+            if idx:
+                out.append(MalformedFrame("bad-header", bytes(buf[:idx])))
+                del buf[:idx]
+            self._scan = 0
+            # Read the length.
+            digits_end = _LENGTH_DIGITS.match(buf, len(HEADER)).end()
+            if digits_end == len(buf):
+                return out  # length field still incomplete
+            reason = "bad-length"
+            if digits_end > len(HEADER) and buf[digits_end] == 0x3A:  # ':'
+                # Read the body and its terminator, then emit the frame.
+                body_start = digits_end + 1
+                body_end = body_start + int(buf[len(HEADER) : digits_end])
+                if len(buf) <= body_end:
+                    return out  # body or terminator not here yet
+                reason = "bad-terminator"
+                if buf[body_end] == 0x0A:
+                    raw = bytes(buf[body_start:body_end])
+                    del buf[: body_end + 1]
+                    try:
+                        out.append(Frame(unescape_body(raw)))
+                    except ValueError:
+                        out.append(MalformedFrame("bad-escape", raw))
+                    continue
+            # Resync: drop the leading ':' so the scan can find a header nested
+            # in the bytes of the abandoned frame.
+            out.append(MalformedFrame(reason))
+            del buf[:1]
 
 
 def decode_all(data: bytes) -> tuple[list[Frame | MalformedFrame], bytes]:

@@ -27,6 +27,13 @@ def _one_network(**fields) -> str:
     return json.dumps([{"id": "n", "capacity_bps": 100, **fields}])
 
 
+def _unknown_networks(tmp_path, count: int) -> str:
+    """Path of a network list holding ``count`` id-only networks of no known technology."""
+    path = tmp_path / "networks.json"
+    path.write_text(json.dumps([{"id": f"n{i}", "capacity_bps": 100} for i in range(count)]))
+    return str(path)
+
+
 def _wifi_latency(latency) -> str:
     """The networks of the Wi-Fi loss demo, with ``latency`` on its Wi-Fi."""
     return json.dumps([{"id": "wifi", "capacity_bps": 750000, "latency": latency}, {"builtin": "nbiot_fipy"}])
@@ -86,6 +93,26 @@ class TestCompare:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("algorithm,flow_1")
         assert len(lines) == 16
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_more_unknown_networks_than_letters_is_an_error(self, tmp_path, capsys, fmt):
+        # Networks of no known technology are marked a..z; a 27th has no mark.
+        assert main(["compare", "--flows", FLOWS, "--networks", _unknown_networks(tmp_path, 27), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 27 networks have no known technology")
+        assert "--format json" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_more_unknown_networks_than_letters_render_as_json(self, tmp_path, capsys):
+        assert main(["compare", "--flows", FLOWS, "--networks", _unknown_networks(tmp_path, 27), "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 15
+
+    def test_twenty_six_unknown_networks_take_every_letter(self, tmp_path, capsys):
+        assert main(["compare", "--flows", FLOWS, "--networks", _unknown_networks(tmp_path, 26)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("factor=8  networks: a n0  b n1  c n2")
+        assert header.endswith("y n24  z n25")
 
 
 class TestSolve:

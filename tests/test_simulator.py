@@ -24,7 +24,7 @@ from resilient_alloc import (
 )
 from resilient_alloc import wire
 from resilient_alloc.rng import SplitMix64
-from resilient_alloc.simulator import DEFAULT_HANDSHAKE, scenario_from_dict
+from resilient_alloc.simulator import DEFAULT_HANDSHAKE, NetworkCounts, scenario_from_dict
 
 from conftest import REPO_ROOT
 
@@ -302,6 +302,27 @@ class TestDeliveryConstraints:
         assert totals.delivered == 5
         assert totals.err_not_delivered == 3
         assert report.per_network["rationed"].budget_violations_avoided == 3
+
+    def test_send_rules_apply_in_order_payload_budget_gap(self):
+        # A refusal is counted by the first rule that fails, so the budget
+        # tally shows the order: payload cap, then daily allowance, then gap.
+        big = _simple_flow("big", c=20, t=10)
+        small = _simple_flow("small", c=5, t=10)
+        strict = NetworkProfile(
+            id="strict",
+            name="Strict",
+            capacity_bps=1000,
+            max_payload_bytes=10,
+            max_messages_per_day=2,
+            min_inter_message_gap_seconds=Fraction(15),
+        )
+        report = run(_scenario([big, small], [strict], duration_seconds=Fraction(60)))
+        big_totals, small_totals = report.flow_totals("big"), report.flow_totals("small")
+        # big: every send is over the payload cap and never reaches the budget.
+        assert (big_totals.sent, big_totals.delivered, big_totals.err_not_delivered) == (6, 0, 6)
+        # small: 10 and 30 delivered; 20 inside the gap; 40, 50, 60 over the budget.
+        assert (small_totals.sent, small_totals.delivered, small_totals.err_not_delivered) == (6, 2, 4)
+        assert report.per_network["strict"] == NetworkCounts(messages=2, bytes=10, budget_violations_avoided=3)
 
     def test_fractional_period_keeps_exact_emission_grid(self):
         flow = FlowSpec(
