@@ -39,10 +39,15 @@ def check_flow_name(name: str) -> None:
 
 
 class ValidationError(ValueError):
-    """A flow set violates one of its structural rules."""
+    """A flow set violates one of its structural rules.
 
-    def __init__(self, flow_id: str | None, rule: str, detail: str) -> None:
-        super().__init__(f"[{rule}] flow {flow_id!r}: {detail}")
+    The message starts with the offending value's path in the flow set's
+    JSON form (``flows[0].qos.3``), as the loaders' read errors do.
+    """
+
+    def __init__(self, flow_id: str | None, rule: str, detail: str, path: str) -> None:
+        flow = "" if flow_id is None else f"flow {flow_id!r}: "
+        super().__init__(f"{path}: [{rule}] {flow}{detail}")
         self.flow_id = flow_id
         self.rule = rule
 
@@ -114,19 +119,18 @@ def utilization(flow: FlowSpec, level: int, factor: int = 8) -> int | None:
 def validate_flow_set(flows: list[FlowSpec] | tuple[FlowSpec, ...], l_max: int) -> None:
     """Check set-level rules; raise ValidationError naming flow and rule."""
     if l_max < 1:
-        raise ValidationError(None, "bad-l-max", f"l_max must be >= 1, got {l_max}")
+        raise ValidationError(None, "bad-l-max", f"must be >= 1, got {l_max}", "l_max")
     seen: set[str] = set()
-    for flow in flows:
+    for index, flow in enumerate(flows):
+        path = f"flows[{index}]"
         if flow.id in seen:
-            raise ValidationError(flow.id, "duplicate-id", "flow id appears more than once")
+            raise ValidationError(flow.id, "duplicate-id", "flow id appears more than once", f"{path}.id")
         seen.add(flow.id)
         if not flow.qos:
-            raise ValidationError(flow.id, "no-levels", "flow declares no QoS level")
+            raise ValidationError(flow.id, "no-levels", "flow declares no QoS level", f"{path}.qos")
         for level in flow.qos:
             if not 1 <= level <= l_max:
-                raise ValidationError(
-                    flow.id, "bad-level", f"level {level} outside 1..{l_max}"
-                )
+                raise ValidationError(flow.id, "bad-level", f"level {level} outside 1..{l_max}", f"{path}.qos.{level}")
 
 
 def flow_from_dict(node: Node) -> FlowSpec:

@@ -116,11 +116,18 @@ class Scenario:
         delays = [self.handshake, *(profile.latency for profile in self.networks)]
         if self.duration_seconds + max(delay.max_seconds for delay in delays) > _FLOAT_MAX:
             raise InvalidScenario("duration plus the longest handshake or latency is beyond the float range")
-        for flow in self.flows:
+        for index, flow in enumerate(self.flows):
             for level, qos in flow.qos.items():
                 period = qos.min_interval_seconds
                 if period.denominator != 1 and period > _FLOAT_MAX:
                     raise InvalidScenario(f"flow {flow.id!r}: level {level} period is fractional and beyond the float range")
+                # The payload needs no escaping, so the frame grows by exactly c.
+                size = len(wire.escape_body(wire.encode_app(wire.AppMessage(flow.name, level, b"")))) + qos.message_size_bytes
+                if size > wire.MAX_BODY:
+                    raise InvalidScenario(
+                        f"flows[{index}].qos.{level}.c: flow {flow.id!r}: a level {level} message needs a"
+                        f" {size}-byte frame body, over the {wire.MAX_BODY}-byte limit"
+                    )
         # A flow emits at most once per its shortest declared period.
         periods = (min(qos.min_interval_seconds for qos in flow.qos.values()) for flow in self.flows)
         if sum(self.duration_seconds // period for period in periods) > _MAX_EMISSIONS:
@@ -137,11 +144,11 @@ class Scenario:
         ids = {profile.id for profile in self.networks}
         if len(ids) != len(self.networks):
             raise InvalidScenario("network ids must be unique")
-        for event in self.events:
+        for index, event in enumerate(self.events):
             if event.network_id not in ids:
-                raise InvalidScenario(f"event references unknown network {event.network_id!r}")
+                raise InvalidScenario(f"events[{index}].network: unknown network {event.network_id!r}")
             if not 0 <= event.time <= self.duration_seconds:
-                raise InvalidScenario(f"event time {event.time} outside [0, duration]")
+                raise InvalidScenario(f"events[{index}].t: time {event.time} outside [0, duration]")
         if self.initially_available is not None:
             unknown = set(self.initially_available) - ids
             if unknown:

@@ -34,7 +34,23 @@ two rules cut the tree without changing what it returns:
 Neither rule changes the exploration order. A cut subtree holds no leaf
 that beats the incumbent, and a skipped twin holds no leaf that comes
 first among the optima, so the first optimum is reached and kept as
-before. ``prune=False`` turns both rules off and serves as the reference.
+before.
+
+With ``prune`` on, the search does not start from an empty incumbent but
+descends from the root bound, as in iterative deepening (Korf, 1985). Each
+step takes a target and searches with incumbent ``target - 1``, stopping at
+the first leaf that reaches the target. A step that finds none proves that
+no leaf reaches the target; its *ceiling*, the largest bound value or leaf
+objective it cut, is then the next target that could hold a leaf, so no
+step repeats a search that cannot succeed. The descent starts at the root
+bound, which no leaf exceeds, and targets fall strictly, so the first
+target that yields a leaf is the optimum. That step cuts only subtrees
+whose bound is below the optimum, which hold no optimal leaf, and it stops
+at the first leaf that reaches the optimum in exploration order: the same
+table as the strict-improvement search from an empty incumbent. When a
+target falls below 0, no leaf exists; this happens only under
+``require_all``, where it raises ``Infeasible`` as before. ``prune=False``
+turns off both rules and the descent, and serves as the reference.
 
 A purpose-built search keeps the package dependency-free.
 """
@@ -42,7 +58,6 @@ A purpose-built search keeps the package dependency-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .allocators import Allocation, AllocationTable
 from .flows import FlowSpec, utilization
@@ -136,9 +151,12 @@ class SurrogateBound:
             self.full_score[i] = self.full_score[i + 1] + hull[-1][1]
             for (d0, s0), (d1, s1) in zip(hull, hull[1:]):
                 increments.append((i, d1 - d0, s1 - s0))
-        # Steepest first; one flow's increments fall strictly in slope, so
-        # they keep their hull order.
-        self.increments = sorted(increments, key=lambda inc: Fraction(inc[2], inc[1]), reverse=True)
+        # Steepest first, keyed by the floor of slope * scale: two distinct
+        # slopes differ by more than 1 / scale, so their keys keep their
+        # order, and equal slopes tie and keep their input order. One flow's
+        # increments fall strictly in slope, so they keep their hull order.
+        scale = 1 << (2 * max((demand for _, demand, _ in increments), default=0).bit_length())
+        self.increments = sorted(increments, key=lambda inc: inc[2] * scale // inc[1], reverse=True)
 
     def __call__(self, depth: int, objective: int, free: int) -> int:
         base = self.base_demand[depth]
@@ -190,20 +208,41 @@ def exact_solve(instance: IlpInstance, prune: bool = True) -> AllocationTable:
             choice[i] = None
             yield
 
-    # stack[0] is a root with one empty branch; stack[k + 1] is flow k's frame.
-    stack = [iter((None,))]
-    best_objective, best_choice = -1, None
-    while stack:
-        for _ in stack[-1]:
-            depth = len(stack) - 1
-            if depth == n:
-                if objective > best_objective:
-                    best_objective, best_choice = objective, list(choice)
-            elif bound is None or bound(depth, objective, sum(residual)) > best_objective:
-                stack.append(frame(depth))
-                break
-        else:
-            stack.pop()
+    def search(incumbent: int, first: bool) -> tuple[list | None, int]:
+        """Best leaf above ``incumbent`` (the first one if ``first``), and the ceiling.
+
+        The ceiling is the largest bound value or leaf objective that was
+        cut, or -1. A search that returns early leaves the shared state
+        mid-path; nothing reads it after that.
+        """
+        # stack[0] is a root with one empty branch; stack[k + 1] is flow k's frame.
+        stack = [iter((None,))]
+        best_objective, best_choice, ceiling = incumbent, None, -1
+        while stack:
+            for _ in stack[-1]:
+                depth = len(stack) - 1
+                if depth == n:
+                    if objective > best_objective:
+                        best_objective, best_choice = objective, list(choice)
+                        if first:
+                            return best_choice, ceiling
+                    elif objective > ceiling:
+                        ceiling = objective
+                elif bound is None or (cut := bound(depth, objective, sum(residual))) > best_objective:
+                    stack.append(frame(depth))
+                    break
+                elif cut > ceiling:
+                    ceiling = cut
+            else:
+                stack.pop()
+        return best_choice, ceiling
+
+    if bound is None:
+        best_choice, _ = search(-1, first=False)
+    else:
+        best_choice, target = None, bound(0, 0, sum(residual))
+        while best_choice is None and target >= 0:
+            best_choice, target = search(target - 1, first=True)
 
     if best_choice is None:
         raise Infeasible("no assignment serves every flow")

@@ -3,7 +3,7 @@
 Frame grammar (one frame per message, newline-terminated)::
 
     frame   = ":ML:" length ":" body "\\n"
-    length  = decimal byte count of the escaped body
+    length  = decimal byte count of the escaped body, at most MAX_BODY
 
 Bodies are escaped so that the terminating newline is unambiguous: raw
 backslash becomes ``\\\\`` and raw newline becomes ``\\n``; the length field
@@ -38,7 +38,11 @@ from fractions import Fraction
 from .flows import check_flow_name
 
 HEADER = b":ML:"
-_LENGTH_DIGITS = re.compile(rb"\d{0,10}")  # a longer length field is malformed
+# The largest escaped body a frame may carry. The decoder reads at most this
+# many length digits and reports a larger length as malformed, so one
+# corrupted length field cannot hold back the frames after it.
+MAX_BODY = 2**20
+_LENGTH_DIGITS = re.compile(rb"\d{0,%d}" % len(str(MAX_BODY)))
 
 
 class ParseError(ValueError):
@@ -93,6 +97,8 @@ def unescape_body(data: bytes) -> bytes:
 
 def encode_frame(body: bytes) -> bytes:
     escaped = escape_body(body)
+    if len(escaped) > MAX_BODY:
+        raise ValueError(f"escaped frame body of {len(escaped)} bytes exceeds MAX_BODY ({MAX_BODY})")
     return HEADER + str(len(escaped)).encode("ascii") + b":" + escaped + b"\n"
 
 
@@ -140,10 +146,11 @@ class FrameDecoder:
             if digits_end == len(buf):
                 return out  # length field still incomplete
             reason = "bad-length"
-            if digits_end > len(HEADER) and buf[digits_end] == 0x3A:  # ':'
+            length = int(buf[len(HEADER) : digits_end] or -1)
+            if 0 <= length <= MAX_BODY and buf[digits_end] == 0x3A:  # ':'
                 # Read the body and its terminator, then emit the frame.
                 body_start = digits_end + 1
-                body_end = body_start + int(buf[len(HEADER) : digits_end])
+                body_end = body_start + length
                 if len(buf) <= body_end:
                     return out  # body or terminator not here yet
                 reason = "bad-terminator"

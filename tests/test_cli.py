@@ -504,6 +504,13 @@ class TestArgumentHandling:
                 "error: networks[1]: duplicate network id 'wifi'\n",
                 id="duplicate_network_id",
             ),
+            pytest.param(
+                '{"l_max": 2, "flows": [{"id": "1", "name": "a", "qos": {"3": {"c": 1, "t": 1}}}]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flows[0].qos.3: [bad-level] flow '1': level 3 outside 1..2\n",
+                id="level_above_l_max",
+            ),
         ],
     )
     def test_malformed_json_fields_exit_without_traceback(
@@ -542,6 +549,19 @@ class TestArgumentHandling:
                 '[{"kind": "down", "network": ["wifi"], "t": 3}]',
                 "error: events[0].network: expected a string, got ['wifi']\n",
                 id="event_network_as_list",
+            ),
+            pytest.param(
+                "events",
+                '[{"kind": "down", "network": "nope", "t": 3}]',
+                "error: events[0].network: unknown network 'nope'\n",
+                id="event_on_unknown_network",
+            ),
+            pytest.param(
+                "flows",
+                json.dumps([{"id": "1", "name": "a", "qos": {"1": {"c": 2**20, "t": 1}}}]),
+                "error: flows[0].qos.1.c: flow '1': a level 1 message needs a 1048580-byte frame body,"
+                " over the 1048576-byte limit\n",
+                id="message_larger_than_a_frame",
             ),
             pytest.param(
                 "handshake",

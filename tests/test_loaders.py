@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from resilient_alloc import wire
 from resilient_alloc.cli import main
 from resilient_alloc.flows import flow_set_from_dict
 from resilient_alloc.networks import load_networks
@@ -122,8 +123,9 @@ SIM_BASE = {
     "events": [{"kind": "down", "network": "wifi", "t": 5}],
 }
 # The simulator builds each payload as ``c`` bytes, every ``t`` seconds, so
-# these two bound a run's memory and time (see CHANGES.md).
-SIM_QOS_LIMITS = {"t": lambda t: t >= Fraction(1, 100), "c": lambda c: c <= 10**5}
+# these two bound a run's memory and time (see CHANGES.md). A ``c`` above
+# wire.MAX_BODY is refused before the run starts.
+SIM_QOS_LIMITS = {"t": lambda t: t >= Fraction(1, 100), "c": lambda c: c <= 10**5 or c > wire.MAX_BODY}
 COMMANDS = ("allocate", "compare", "solve")
 CLI_CASES = [("flow_set", c) for c in COMMANDS] + [("networks", c) for c in COMMANDS] + [("scenario", "simulate")]
 

@@ -81,12 +81,14 @@ def milp_optimum(instance: IlpInstance) -> int:
     return sum(score for _, score, _, _ in picked)
 
 
-@pytest.mark.parametrize("n", [12, 16, 20])
+@pytest.mark.parametrize("n", [12, 16, 20, 30, 40])
 def test_exact_matches_milp_on_tight_instances(n):
+    # n = 40 keeps an open tail: seed 4000 takes seconds (see ROADMAP.md).
+    limit = 10.0 if n == 40 else 1.0
     for k in range(10):
         instance = tight_instance(n, 100 * n + k)
         started = time.perf_counter()
         table = exact_solve(instance)
         elapsed = time.perf_counter() - started
         assert objective(table, L_MAX) == milp_optimum(instance), f"seed {100 * n + k}"
-        assert elapsed < 1.0, f"seed {100 * n + k} took {elapsed:.3f} s"
+        assert elapsed < limit, f"seed {100 * n + k} took {elapsed:.3f} s"

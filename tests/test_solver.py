@@ -82,6 +82,44 @@ class TestUpperBound:
             assert bound(0, 0, free) >= best_objective_by_enumeration(flows, networks, cfg.l_max, cfg.factor)
 
 
+def fragmented_instance(rng: random.Random, n: int, require_all: bool) -> IlpInstance:
+    """Equal networks that each hold about 1.6 level-3 flows, so the merged-bin LP is loose."""
+    flows = []
+    for i in range(n):
+        c3 = rng.randint(50, 100)
+        c2 = c3 * rng.randint(2, 3)
+        qos = {
+            1: QosRequirement(c2 * rng.randint(2, 3), Fraction(1)),
+            2: QosRequirement(c2, Fraction(1)),
+            3: QosRequirement(c3, Fraction(1)),
+        }
+        flows.append(FlowSpec(id=str(i + 1), app="App", name=f"flow {i + 1}", qos=qos))
+    capacity = 8 * 75 * 16 // 10  # 1.6 times the mean level-3 demand, in bps
+    networks = tuple(NetworkProfile(f"n{j}", f"net {j}", capacity) for j in range(rng.randint(3, 5)))
+    return IlpInstance(tuple(flows), networks, 3, 8, require_all)
+
+
+class TestDescent:
+    def test_descent_matches_exhaustive_search_on_fragmented_networks(self):
+        # Same table as the unpruned search, or Infeasible on both sides; a
+        # root bound above the optimum makes the descent take several steps.
+        rng = random.Random(0xF4A6)
+        steps = {False: 0, True: 0}
+        for k in range(60):
+            instance = fragmented_instance(rng, rng.randint(3, 7), require_all=k % 2 == 1)
+            try:
+                table = exact_solve(instance)
+            except Infeasible:
+                with pytest.raises(Infeasible):
+                    exact_solve(instance, prune=False)
+                continue
+            assert table == exact_solve(instance, prune=False)
+            bound = SurrogateBound(level_options(instance), instance.require_all)
+            free = sum(p.capacity_micro_bps for p in instance.networks)
+            steps[instance.require_all] += bound(0, 0, free) > objective(table, 3)
+        assert min(steps.values()) >= 3, steps
+
+
 class TestEdges:
     def test_single_flow_too_big_for_any_level(self):
         flow = FlowSpec(id="1", app="A", name="big", qos={1: QosRequirement(1000, Fraction(1))})

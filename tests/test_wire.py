@@ -117,6 +117,24 @@ class TestFrames:
         payload = encoded.split(b":", 3)[3][:-1]
         assert length == len(payload)
 
+    def test_huge_length_field_does_not_stall_the_stream(self):
+        # A length above MAX_BODY is malformed at once, so the frames after it
+        # decode instead of waiting for 10**10 bytes.
+        decoder = FrameDecoder()
+        events = decoder.feed(b":ML:9999999999:" + encode_frame(b"HI") * 1000)
+        assert events == [MalformedFrame("bad-length"), MalformedFrame("bad-header", b"ML:9999999999:")] + [
+            Frame(b"HI")
+        ] * 1000
+        assert decoder.pending == b""
+
+    def test_body_size_is_bounded_by_max_body(self):
+        body = b"x" * wire.MAX_BODY
+        assert decode_all(encode_frame(body)) == ([Frame(body)], b"")
+        with pytest.raises(ValueError, match="MAX_BODY"):
+            encode_frame(b"\n" * (wire.MAX_BODY // 2 + 1))  # escapes to MAX_BODY + 2 bytes
+        events, rest = decode_all(b":ML:%d:x\n:ML:2:HI\n" % (wire.MAX_BODY + 1))
+        assert (events[0], events[-1], rest) == (MalformedFrame("bad-length"), Frame(b"HI"), b"")
+
     def test_malformed_stream_events_are_pinned(self):
         stream = (
             b"noise:M:ML:x:AB\n:ML:2:ABX:ML:2:\\x\n:ML:12345678901:Z\n"
