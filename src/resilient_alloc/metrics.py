@@ -151,16 +151,21 @@ def render_comparison_csv(
     return buffer.getvalue()
 
 
+def placements_json(placements: dict[str, tuple[str, int] | None]) -> dict[str, dict | None]:
+    """Flow id -> its ``{"network", "level"}`` object, or None for a flow left unplaced."""
+    return {
+        flow_id: None if placed is None else {"network": placed[0], "level": placed[1]}
+        for flow_id, placed in placements.items()
+    }
+
+
 def report_to_json_dict(rep: AllocationReport) -> dict:
     return {
         "objective": rep.objective,
         "percent_served": float(rep.percent_served),
         "avg_criticality": None if rep.avg_criticality is None else float(rep.avg_criticality),
         "avg_criticality_display": format_quantity(rep.avg_criticality),
-        "per_flow": {
-            flow_id: None if placed is None else {"network": placed[0], "level": placed[1]}
-            for flow_id, placed in rep.per_flow.items()
-        },
+        "per_flow": placements_json(rep.per_flow),
         "per_network_load": {
             network_id: {"used_micro_bps": used, "capacity_micro_bps": capacity}
             for network_id, (used, capacity) in rep.per_network_load.items()

@@ -53,6 +53,7 @@ from . import wire
 from .allocators import AllocatorConfig
 from .catalog import ALGORITHM_NAMES, run_algorithm
 from .flows import FlowSpec, flow_from_dict, validate_flow_set
+from .metrics import placements_json
 from .networks import NetworkProfile, network_from_dict
 from .rational import Node, read_json
 from .rng import RNG_NAME, DelayModel, SplitMix64, UniformDelay, delay_from_dict
@@ -71,6 +72,13 @@ _P_DELIVER = 4
 
 class InvalidScenario(ValueError):
     """The scenario violates a structural rule."""
+
+
+def _mfea_entry(flow: FlowSpec, network_name: str, level: int) -> wire.MfeaEntry:
+    """The MFEA record that announces ``flow`` at ``level`` on the network named ``network_name``."""
+    qos = flow.qos[level]
+    period = wire._wire_period(qos.min_interval_seconds)
+    return wire.MfeaEntry(qos.message_size_bytes, network_name, period, flow.name, level)
 
 
 DEFAULT_HANDSHAKE = UniformDelay(Fraction("1.3"), Fraction("1.5"))
@@ -111,16 +119,22 @@ class Scenario:
         except ValueError as exc:
             raise InvalidScenario(str(exc)) from None
         if self.duration_seconds <= 0:
-            raise InvalidScenario(f"duration must be > 0, got {self.duration_seconds}")
+            raise InvalidScenario(f"duration_seconds: must be > 0, got {self.duration_seconds}")
         # Every simulated time is at most the duration plus one handshake or one latency.
         delays = [self.handshake, *(profile.latency for profile in self.networks)]
         if self.duration_seconds + max(delay.max_seconds for delay in delays) > _FLOAT_MAX:
-            raise InvalidScenario("duration plus the longest handshake or latency is beyond the float range")
+            raise InvalidScenario(
+                "duration_seconds: the duration plus the longest handshake or latency is beyond the float range"
+            )
         for index, flow in enumerate(self.flows):
             for level, qos in flow.qos.items():
                 period = qos.min_interval_seconds
-                if period.denominator != 1 and period > _FLOAT_MAX:
-                    raise InvalidScenario(f"flow {flow.id!r}: level {level} period is fractional and beyond the float range")
+                # MFEA records write a fractional period as a nonzero float.
+                if period.denominator != 1 and (period > _FLOAT_MAX or float(period) == 0):
+                    raise InvalidScenario(
+                        f"flows[{index}].qos.{level}.t: flow {flow.id!r}: level {level} period is fractional"
+                        " and beyond the float range"
+                    )
                 # The payload needs no escaping, so the frame grows by exactly c.
                 size = len(wire.escape_body(wire.encode_app(wire.AppMessage(flow.name, level, b"")))) + qos.message_size_bytes
                 if size > wire.MAX_BODY:
@@ -133,26 +147,67 @@ class Scenario:
         if sum(self.duration_seconds // period for period in periods) > _MAX_EMISSIONS:
             raise InvalidScenario(f"duration_seconds: the run would emit more than {_MAX_EMISSIONS} messages")
         if self.algorithm not in ALGORITHM_NAMES:
-            raise InvalidScenario(f"unknown algorithm {self.algorithm!r}")
+            raise InvalidScenario(f"algorithm: unknown algorithm {self.algorithm!r}")
         if self.factor < 1:
-            raise InvalidScenario(f"factor must be >= 1, got {self.factor}")
+            raise InvalidScenario(f"factor: must be >= 1, got {self.factor}")
         if not 0 <= self.seed < (1 << 64):
-            raise InvalidScenario("seed must fit in 64 bits")
-        names = [flow.name for flow in self.flows]
-        if len(set(names)) != len(names):
-            raise InvalidScenario("flow names must be unique (the wire protocol addresses flows by name)")
-        ids = {profile.id for profile in self.networks}
-        if len(ids) != len(self.networks):
-            raise InvalidScenario("network ids must be unique")
+            raise InvalidScenario(f"seed: must fit in 64 bits, got {self.seed}")
+        names: set[str] = set()
+        for index, flow in enumerate(self.flows):
+            if flow.name in names:
+                raise InvalidScenario(
+                    f"flows[{index}].name: duplicate flow name {flow.name!r}"
+                    " (the wire protocol addresses flows by name)"
+                )
+            names.add(flow.name)
+        ids: set[str] = set()
+        for index, profile in enumerate(self.networks):
+            if profile.id in ids:
+                raise InvalidScenario(f"networks[{index}].id: duplicate network id {profile.id!r}")
+            ids.add(profile.id)
         for index, event in enumerate(self.events):
             if event.network_id not in ids:
                 raise InvalidScenario(f"events[{index}].network: unknown network {event.network_id!r}")
             if not 0 <= event.time <= self.duration_seconds:
                 raise InvalidScenario(f"events[{index}].t: time {event.time} outside [0, duration]")
-        if self.initially_available is not None:
-            unknown = set(self.initially_available) - ids
-            if unknown:
-                raise InvalidScenario(f"initially_available references unknown networks {sorted(unknown)}")
+        for index, network_id in enumerate(self.initially_available or ()):
+            if network_id not in ids:
+                raise InvalidScenario(f"initially_available[{index}]: unknown network {network_id!r}")
+        self._check_announcement_size()
+
+    def _check_announcement_size(self) -> None:
+        """Refuse a name that no MFEA record can quote, or an announcement too large for one frame.
+
+        The node announces every allocated flow in one frame. At worst each
+        flow is placed at its longest record on the network whose name
+        encodes longest.
+        """
+        names = [(f"networks[{j}].name", profile.name) for j, profile in enumerate(self.networks)]
+        names += [(f"flows[{i}].name", flow.name) for i, flow in enumerate(self.flows)]
+        for path, name in names:
+            try:
+                wire._quote(name)
+            except ValueError as exc:
+                raise InvalidScenario(f"{path}: {exc}") from None
+        if not self.networks:
+            return  # no flow is ever announced
+        widest = max(
+            (profile.name for profile in self.networks),
+            key=lambda name: len(wire.escape_body(wire._quote(name).encode("utf-8"))),
+        )
+        entries = [
+            max(
+                (_mfea_entry(flow, widest, level) for level in flow.qos),
+                key=lambda entry: len(wire.encode_mfea([entry])),
+            )
+            for flow in self.flows
+        ]
+        size = len(wire.escape_body(wire.encode_mfea(entries).encode("utf-8")))
+        if size > wire.MAX_BODY:
+            raise InvalidScenario(
+                f"flows: announcing all {len(entries)} flows can need a {size}-byte frame body,"
+                f" over the {wire.MAX_BODY}-byte limit"
+            )
 
 
 @dataclass
@@ -246,10 +301,7 @@ class SimReport:
                 for shake in self.handshakes
             ],
             "delivered_fraction_by_level": by_level,
-            "final_allocation": {
-                flow_id: None if placed is None else {"network": placed[0], "level": placed[1]}
-                for flow_id, placed in self.final_allocation.items()
-            },
+            "final_allocation": placements_json(self.final_allocation),
         }
 
     def json_bytes(self) -> bytes:
@@ -258,7 +310,7 @@ class SimReport:
 
 @dataclass(frozen=True)
 class _MsgRecord:
-    flow: FlowSpec
+    flow_idx: int
     level: int
     size: int
 
@@ -286,7 +338,9 @@ class _Simulation:
         self.transcript = transcript
         self.rng = SplitMix64(scenario.seed)
         self.cfg = AllocatorConfig(l_max=scenario.l_max, factor=scenario.factor)
-        self.flow_index = {flow.id: i for i, flow in enumerate(scenario.flows)}
+        # Per-flow state is kept by the flow's position in ``flows``.
+        self.flows = scenario.flows
+        self.index_by_name = {flow.name: i for i, flow in enumerate(scenario.flows)}
 
         initially = (
             set(scenario.initially_available)
@@ -299,23 +353,20 @@ class _Simulation:
 
         # host state
         self.paused = False
-        self.levels: dict[str, int] = {}  # flow id -> level the application emits at
+        self.levels: list[int] = []  # the level each application emits at
         self.emit_epoch = 0
         self.wire_acks: Counter[str] = Counter()
         self.wire_errs: Counter[tuple[str, wire.ErrorReason]] = Counter()
 
         # node state
-        self.flows_by_name = {flow.name: flow for flow in scenario.flows}
-        self.active: dict[str, tuple[str, int]] = {}  # flow id -> (network id, level)
-        self.pending_active: dict[str, tuple[str, int]] | None = None
+        self.active: dict[int, tuple[str, int]] = {}  # flow position -> (network id, level)
+        self.pending_active: dict[int, tuple[str, int]] | None = None
         self.window_start: Fraction | None = None  # set while a re-allocation window is open
         self.realloc_epoch = 0
         self._msg_key = 0
 
         # accounting
-        self.stats: dict[str, dict[int, FlowLevelCounts]] = {
-            flow.id: {} for flow in scenario.flows
-        }
+        self.stats: list[dict[int, FlowLevelCounts]] = [{} for _ in scenario.flows]
         self.handshakes: list[Handshake] = []
 
         self.now = Fraction(0)
@@ -333,8 +384,8 @@ class _Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (time, priority, flow_idx, self._seq, action, payload))
 
-    def _counts(self, flow_id: str, level: int) -> FlowLevelCounts:
-        return self.stats[flow_id].setdefault(level, FlowLevelCounts())
+    def _counts(self, flow_idx: int, level: int) -> FlowLevelCounts:
+        return self.stats[flow_idx].setdefault(level, FlowLevelCounts())
 
     def _send(self, direction: str, body: bytes) -> None:
         """Frame ``body``, feed it to the receiver's decoder and dispatch it."""
@@ -357,36 +408,22 @@ class _Simulation:
 
     # -- node ------------------------------------------------------------------
 
-    def _mfea_for(self, allocation: dict[str, tuple[str, int]]) -> list[wire.MfeaEntry]:
-        entries = []
-        for flow in self.scenario.flows:
-            placed = allocation.get(flow.id)
-            if placed is None:
-                continue
-            network_id, level = placed
-            qos = flow.qos[level]
-            entries.append(
-                wire.MfeaEntry(
-                    payload_size=qos.message_size_bytes,
-                    network=self.networks[network_id].profile.name,
-                    period_seconds=wire._wire_period(qos.min_interval_seconds),
-                    flow_name=flow.name,
-                    level=level,
-                )
-            )
-        return entries
-
-    def _announce_allocation(self) -> dict[str, tuple[str, int]]:
+    def _announce_allocation(self) -> dict[int, tuple[str, int]]:
         """Allocate over the networks that are up, announce the table and return it."""
         table = run_algorithm(
             self.scenario.algorithm,
-            list(self.scenario.flows),
+            list(self.flows),
             [p for p in self.scenario.networks if self.networks[p.id].up],
             self.cfg,
         )
-        allocation = {flow_id: (entry.network_id, entry.level) for flow_id, entry in table.entries.items()}
+        allocation, entries = {}, []
+        for i, flow in enumerate(self.flows):
+            placed = table.entries.get(flow.id)
+            if placed is not None:
+                allocation[i] = (placed.network_id, placed.level)
+                entries.append(_mfea_entry(flow, self.networks[placed.network_id].profile.name, placed.level))
         self.pending_active = allocation
-        self._send(_TO_HOST, wire.encode_mfea(self._mfea_for(allocation)).encode("utf-8"))
+        self._send(_TO_HOST, wire.encode_mfea(entries).encode("utf-8"))
         return allocation
 
     def _node_on_frame(self, body: bytes) -> None:
@@ -404,14 +441,14 @@ class _Simulation:
             return
         self._node_on_app(wire.decode_app(body))
 
-    def _refuse(self, flow: FlowSpec, level: int, reason: wire.ErrorReason) -> None:
+    def _refuse(self, flow_idx: int, level: int, reason: wire.ErrorReason) -> None:
         """Count a message the node does not deliver and report it to the host."""
-        counts = self._counts(flow.id, level)
+        counts = self._counts(flow_idx, level)
         if reason is wire.ErrorReason.NOT_ALLOCATED:
             counts.err_not_allocated += 1
         else:
             counts.err_not_delivered += 1
-        self._send_control(_TO_HOST, wire.Err(flow.name, reason))
+        self._send_control(_TO_HOST, wire.Err(self.flows[flow_idx].name, reason))
 
     def _admits(self, runtime: _NetworkRuntime, size: int) -> bool:
         """Apply the send-time rules in the module docstring's order; count a budget refusal."""
@@ -429,32 +466,32 @@ class _Simulation:
         return gap is None or runtime.last_send is None or self.now - runtime.last_send >= gap
 
     def _node_on_app(self, message: wire.AppMessage) -> None:
-        flow = self.flows_by_name[message.flow_name]
-        placed = self.active.get(flow.id)
+        flow_idx = self.index_by_name[message.flow_name]
+        placed = self.active.get(flow_idx)
         if placed is None or not self.networks[placed[0]].up:
-            self._refuse(flow, message.level, wire.ErrorReason.NOT_ALLOCATED)
+            self._refuse(flow_idx, message.level, wire.ErrorReason.NOT_ALLOCATED)
             return
         runtime = self.networks[placed[0]]
         size = len(message.payload)
         if not self._admits(runtime, size):
-            self._refuse(flow, message.level, wire.ErrorReason.NOT_DELIVERED)
+            self._refuse(flow_idx, message.level, wire.ErrorReason.NOT_DELIVERED)
             return
         runtime.last_send = self.now
         runtime.sent_today += 1
         self._msg_key += 1
-        runtime.pending[self._msg_key] = _MsgRecord(flow, message.level, size)
+        runtime.pending[self._msg_key] = _MsgRecord(flow_idx, message.level, size)
         latency = runtime.profile.latency.sample(self.rng)
-        self._push(self.now + latency, _P_DELIVER, self.flow_index[flow.id], self._do_deliver, runtime, self._msg_key)
+        self._push(self.now + latency, _P_DELIVER, flow_idx, self._do_deliver, runtime, self._msg_key)
 
     def _do_deliver(self, runtime: _NetworkRuntime, key: int) -> None:
         # A key is gone when its network went down while the message was in flight.
         record = runtime.pending.pop(key, None)
         if record is None:
             return
-        self._counts(record.flow.id, record.level).delivered += 1
+        self._counts(record.flow_idx, record.level).delivered += 1
         runtime.counts.messages += 1
         runtime.counts.bytes += record.size
-        self._send_control(_TO_HOST, wire.Ack(record.flow.name))
+        self._send_control(_TO_HOST, wire.Ack(self.flows[record.flow_idx].name))
 
     # -- host -------------------------------------------------------------------
 
@@ -476,20 +513,15 @@ class _Simulation:
         raise AssertionError(f"host cannot handle control message {message!r}")
 
     def _host_apply_mfea(self, entries: list[wire.MfeaEntry]) -> None:
-        by_name = {entry.flow_name: entry for entry in entries}
-        for flow in self.scenario.flows:
-            entry = by_name.get(flow.name)
-            if entry is None:
-                # No service: the application still runs at its most generous
-                # declared level, and the node will refuse its messages.
-                self.levels[flow.id] = min(flow.qos)
-                continue
-            qos = flow.qos[entry.level]
-            if entry.payload_size != qos.message_size_bytes:
-                raise AssertionError(f"MFEA payload size disagrees for flow {flow.id}")
-            if entry.period_seconds != wire._wire_period(qos.min_interval_seconds):
-                raise AssertionError(f"MFEA period disagrees for flow {flow.id}")
-            self.levels[flow.id] = entry.level
+        # A flow left out has no service: the application still runs at its
+        # most generous declared level, and the node will refuse its messages.
+        self.levels = [min(flow.qos) for flow in self.flows]
+        for entry in entries:
+            flow_idx = self.index_by_name[entry.flow_name]
+            flow = self.flows[flow_idx]
+            if entry != _mfea_entry(flow, entry.network, entry.level):
+                raise AssertionError(f"MFEA entry disagrees for flow {flow.id}")
+            self.levels[flow_idx] = entry.level
         was_paused = self.paused
         self.paused = False
         self._schedule_all_emissions()
@@ -499,22 +531,21 @@ class _Simulation:
     def _schedule_all_emissions(self) -> None:
         # A new epoch makes every emission scheduled under the old table stale.
         self.emit_epoch += 1
-        for flow_idx in range(len(self.scenario.flows)):
+        for flow_idx in range(len(self.flows)):
             self._schedule_emit(flow_idx)
 
     def _schedule_emit(self, flow_idx: int) -> None:
         """Schedule the flow's next emission one period on, unless that passes the end of the run."""
-        flow = self.scenario.flows[flow_idx]
-        next_time = self.now + flow.qos[self.levels[flow.id]].min_interval_seconds
+        next_time = self.now + self.flows[flow_idx].qos[self.levels[flow_idx]].min_interval_seconds
         if next_time <= self.scenario.duration_seconds:
             self._push(next_time, _P_EMIT, flow_idx, self._do_emit, flow_idx, self.emit_epoch)
 
     def _do_emit(self, flow_idx: int, epoch: int) -> None:
         if epoch != self.emit_epoch or self.paused:
             return
-        flow = self.scenario.flows[flow_idx]
-        level = self.levels[flow.id]
-        self._counts(flow.id, level).sent += 1
+        flow = self.flows[flow_idx]
+        level = self.levels[flow_idx]
+        self._counts(flow_idx, level).sent += 1
         size = flow.qos[level].message_size_bytes
         self._send(_TO_NODE, wire.encode_app(wire.AppMessage(flow.name, level, b"x" * size)))
         self._schedule_emit(flow_idx)
@@ -527,7 +558,7 @@ class _Simulation:
         if not up:
             for record in runtime.pending.values():
                 # the node reports the loss exactly as a failed send would be
-                self._refuse(record.flow, record.level, wire.ErrorReason.NOT_DELIVERED)
+                self._refuse(record.flow_idx, record.level, wire.ErrorReason.NOT_DELIVERED)
             runtime.pending.clear()
         self._push(self.now, _P_REALLOC_START, 0, self._do_realloc_start)
 
@@ -569,14 +600,12 @@ class _Simulation:
             rng_name=RNG_NAME,
             factor=self.scenario.factor,
             l_max=self.scenario.l_max,
-            declared_levels=tuple(sorted({level for flow in self.scenario.flows for level in flow.qos})),
+            declared_levels=tuple(sorted({level for flow in self.flows for level in flow.qos})),
             duration_seconds=self.scenario.duration_seconds,
-            per_flow_level={
-                flow.id: dict(sorted(self.stats[flow.id].items())) for flow in self.scenario.flows
-            },
+            per_flow_level={flow.id: dict(sorted(stats.items())) for flow, stats in zip(self.flows, self.stats)},
             per_network={network_id: runtime.counts for network_id, runtime in self.networks.items()},
             handshakes=list(self.handshakes),
-            final_allocation={flow.id: self.active.get(flow.id) for flow in self.scenario.flows},
+            final_allocation={flow.id: self.active.get(i) for i, flow in enumerate(self.flows)},
         )
         self._check_consistency(report)
         return report
@@ -585,7 +614,7 @@ class _Simulation:
         # Conservation per (flow, level): the host counts a message as sent at
         # the level it emitted, the node counts its outcome at the level it
         # decoded. Then agreement between the wire view and the counters.
-        for flow in self.scenario.flows:
+        for flow in self.flows:
             for level, counts in report.per_flow_level[flow.id].items():
                 if counts.sent != counts.delivered + counts.err_not_allocated + counts.err_not_delivered:
                     raise AssertionError(f"conservation violated for flow {flow.id} at level {level}")

@@ -84,7 +84,14 @@ class IlpInstance:
 
 
 def level_options(instance: IlpInstance) -> list[list[tuple[int, int, int]]]:
-    """Per flow, its ``(level, score, demand)`` options in ascending level order."""
+    """Per flow, its ``(level, score, demand)`` options in ascending level order.
+
+    An option whose demand is above every network's capacity is left out.
+    No network can hold it, so the search never places it and no leaf
+    changes; the bound loses an option it could never use, so it only
+    tightens.
+    """
+    widest = max((p.capacity_micro_bps for p in instance.networks), default=0)
     options = []
     for flow in instance.flows:
         per_flow = []
@@ -93,7 +100,8 @@ def level_options(instance: IlpInstance) -> list[list[tuple[int, int, int]]]:
                 continue
             demand = utilization(flow, level, instance.factor)
             assert demand is not None
-            per_flow.append((level, 1 + instance.l_max - level, demand))
+            if demand <= widest:
+                per_flow.append((level, 1 + instance.l_max - level, demand))
         options.append(per_flow)
     return options
 

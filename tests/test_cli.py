@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from resilient_alloc.cli import main
+from resilient_alloc.simulator import scenario_from_dict
 
 from conftest import DEMOS
 
@@ -32,6 +33,11 @@ def _unknown_networks(tmp_path, count: int) -> str:
     path = tmp_path / "networks.json"
     path.write_text(json.dumps([{"id": f"n{i}", "capacity_bps": 100} for i in range(count)]))
     return str(path)
+
+
+def _long_named_flows(count: int) -> list[dict]:
+    """``count`` flows whose MFEA records each take 1052 bytes on the Wi-Fi loss demo's NB-IoT."""
+    return [{"id": str(i), "name": f"flow {i:04d} " + "x" * 990, "qos": {"1": {"c": 1, "t": 1}}} for i in range(count)]
 
 
 def _wifi_latency(latency) -> str:
@@ -578,14 +584,64 @@ class TestArgumentHandling:
             pytest.param(
                 "handshake",
                 '{"fixed_seconds": "1e400"}',
-                "error: duration plus the longest handshake or latency is beyond the float range\n",
+                "error: duration_seconds: the duration plus the longest handshake or latency"
+                " is beyond the float range\n",
                 id="handshake_beyond_float_range",
             ),
             pytest.param(
                 "flows",
                 json.dumps([{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": "1" + "0" * 320 + ".5"}}}]),
-                "error: flow '1': level 1 period is fractional and beyond the float range\n",
+                "error: flows[0].qos.1.t: flow '1': level 1 period is fractional and beyond the float range\n",
                 id="fractional_period_beyond_float_range",
+            ),
+            pytest.param(
+                "flows",
+                json.dumps([{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": "1e-400"}}}]),
+                "error: flows[0].qos.1.t: flow '1': level 1 period is fractional and beyond the float range\n",
+                id="fractional_period_below_float_range",
+            ),
+            pytest.param("duration_seconds", "0", "error: duration_seconds: must be > 0, got 0\n", id="zero_duration"),
+            pytest.param("algorithm", '"magic"', "error: algorithm: unknown algorithm 'magic'\n", id="unknown_algorithm"),
+            pytest.param("factor", "0", "error: factor: must be >= 1, got 0\n", id="factor_below_one"),
+            pytest.param(
+                "seed", str(2**64), f"error: seed: must fit in 64 bits, got {2**64}\n", id="seed_beyond_64_bits"
+            ),
+            pytest.param(
+                "initially_available",
+                '["wifi", "x"]',
+                "error: initially_available[1]: unknown network 'x'\n",
+                id="initially_available_unknown_network",
+            ),
+            pytest.param(
+                "flows",
+                json.dumps([{"id": str(i), "name": "a", "qos": {"1": {"c": 1, "t": 1}}} for i in (1, 2)]),
+                "error: flows[1].name: duplicate flow name 'a' (the wire protocol addresses flows by name)\n",
+                id="duplicate_flow_name",
+            ),
+            pytest.param(
+                "networks",
+                '[{"builtin": "wifi_fipy"}, {"builtin": "nbiot_fipy"}, {"builtin": "wifi_table2"}]',
+                "error: networks[2].id: duplicate network id 'wifi'\n",
+                id="duplicate_network_id",
+            ),
+            pytest.param(
+                "flows",
+                json.dumps([{"id": "1", "name": "a'b\"c", "qos": {"1": {"c": 1, "t": 1}}}]),
+                "error: flows[0].name: string 'a\\'b\"c' mixes both quote characters\n",
+                id="flow_name_with_both_quotes",
+            ),
+            pytest.param(
+                "networks",
+                '[{"id": "wifi", "name": "a\'b\\"c", "capacity_bps": 10}]',
+                "error: networks[0].name: string 'a\\'b\"c' mixes both quote characters\n",
+                id="network_name_with_both_quotes",
+            ),
+            pytest.param(
+                "flows",
+                json.dumps(_long_named_flows(995)),
+                "error: flows: announcing all 995 flows can need a 1048735-byte frame body,"
+                " over the 1048576-byte limit\n",
+                id="announcement_larger_than_a_frame",
             ),
             pytest.param(
                 "duration_seconds",
@@ -607,6 +663,10 @@ class TestArgumentHandling:
         path.write_text(json.dumps({**doc, key: "@"}).replace('"@"', value))
         assert main(["simulate", "--scenario", str(path)]) == 1
         assert capsys.readouterr().err == message
+
+    def test_announcement_one_flow_under_the_frame_limit_is_valid(self, wifi_loss_path):
+        doc = json.loads(wifi_loss_path.read_text())
+        scenario_from_dict({**doc, "flows": _long_named_flows(994)})
 
     @pytest.mark.parametrize("option", ["--flows", "--networks", "--scenario"])
     def test_deeply_nested_json_exits_without_traceback(self, tmp_path, capsys, option):

@@ -83,7 +83,7 @@ class TestUpperBound:
 
 
 def fragmented_instance(rng: random.Random, n: int, require_all: bool) -> IlpInstance:
-    """Equal networks that each hold about 1.6 level-3 flows, so the merged-bin LP is loose."""
+    """Equal networks that each hold about 2 level-3 flows, so the merged-bin LP is loose."""
     flows = []
     for i in range(n):
         c3 = rng.randint(50, 100)
@@ -94,7 +94,7 @@ def fragmented_instance(rng: random.Random, n: int, require_all: bool) -> IlpIns
             3: QosRequirement(c3, Fraction(1)),
         }
         flows.append(FlowSpec(id=str(i + 1), app="App", name=f"flow {i + 1}", qos=qos))
-    capacity = 8 * 75 * 16 // 10  # 1.6 times the mean level-3 demand, in bps
+    capacity = 8 * 75 * 2  # twice the mean level-3 demand, in bps
     networks = tuple(NetworkProfile(f"n{j}", f"net {j}", capacity) for j in range(rng.randint(3, 5)))
     return IlpInstance(tuple(flows), networks, 3, 8, require_all)
 
