@@ -143,9 +143,8 @@ def builtin_profile(kind: str) -> NetworkProfile:
         raise ValueError(f"unknown built-in profile {kind!r}; known: {', '.join(BUILTIN_KINDS)}") from None
 
 
-def network_from_dict(node: Node | dict) -> NetworkProfile:
+def network_from_dict(node: Node) -> NetworkProfile:
     """Build a profile from a JSON object; ``{"builtin": kind}`` names a built-in."""
-    node = node if isinstance(node, Node) else Node(node, "network", root=True)
     kind = node.get("builtin", Node.text, None)
     if kind is not None:
         return node.build(builtin_profile, kind)

@@ -81,6 +81,14 @@ def _mfea_entry(flow: FlowSpec, network_name: str, level: int) -> wire.MfeaEntry
     return wire.MfeaEntry(qos.message_size_bytes, network_name, period, flow.name, level)
 
 
+def _quoted(path: str, text: str) -> str:
+    """``text`` as an MFEA record quotes it; ``path`` names the field if it cannot be quoted."""
+    try:
+        return wire._quote(text)
+    except ValueError as exc:
+        raise InvalidScenario(f"{path}: {exc}") from None
+
+
 DEFAULT_HANDSHAKE = UniformDelay(Fraction("1.3"), Fraction("1.5"))
 
 # Reports and transcripts write times and periods as floats.
@@ -114,6 +122,7 @@ class Scenario:
     initially_available: tuple[str, ...] | None = None
 
     def validate(self) -> None:
+        """Apply every scenario rule; the first rule broken raises ``InvalidScenario``."""
         try:
             validate_flow_set(self.flows, self.l_max)
         except ValueError as exc:
@@ -126,7 +135,34 @@ class Scenario:
             raise InvalidScenario(
                 "duration_seconds: the duration plus the longest handshake or latency is beyond the float range"
             )
+        if float(self.duration_seconds) == 0:
+            raise InvalidScenario("duration_seconds: must be > 0 as a float, got a value that rounds to 0.0")
+        if self.algorithm not in ALGORITHM_NAMES:
+            raise InvalidScenario(f"algorithm: unknown algorithm {self.algorithm!r}")
+        if self.factor < 1:
+            raise InvalidScenario(f"factor: must be >= 1, got {self.factor}")
+        if not 0 <= self.seed < (1 << 64):
+            raise InvalidScenario(f"seed: must fit in 64 bits, got {self.seed}")
+        ids: set[str] = set()
+        widest, width = "", -1  # the network name that encodes longest in an MFEA record
+        for index, profile in enumerate(self.networks):
+            if profile.id in ids:
+                raise InvalidScenario(f"networks[{index}].id: duplicate network id {profile.id!r}")
+            ids.add(profile.id)
+            quoted = len(wire.escape_body(_quoted(f"networks[{index}].name", profile.name).encode("utf-8")))
+            if quoted > width:
+                widest, width = profile.name, quoted
+        names: set[str] = set()
+        emissions = 0
+        entries = []  # each flow's longest MFEA record on the widest network
         for index, flow in enumerate(self.flows):
+            if flow.name in names:
+                raise InvalidScenario(
+                    f"flows[{index}].name: duplicate flow name {flow.name!r}"
+                    " (the wire protocol addresses flows by name)"
+                )
+            names.add(flow.name)
+            _quoted(f"flows[{index}].name", flow.name)
             for level, qos in flow.qos.items():
                 period = qos.min_interval_seconds
                 # MFEA records write a fractional period as a nonzero float.
@@ -142,29 +178,20 @@ class Scenario:
                         f"flows[{index}].qos.{level}.c: flow {flow.id!r}: a level {level} message needs a"
                         f" {size}-byte frame body, over the {wire.MAX_BODY}-byte limit"
                     )
-        # A flow emits at most once per its shortest declared period.
-        periods = (min(qos.min_interval_seconds for qos in flow.qos.values()) for flow in self.flows)
-        if sum(self.duration_seconds // period for period in periods) > _MAX_EMISSIONS:
+            # A flow emits at most once per its shortest declared period.
+            emissions += self.duration_seconds // min(qos.min_interval_seconds for qos in flow.qos.values())
+            if self.networks:
+                records = (_mfea_entry(flow, widest, level) for level in flow.qos)
+                entries.append(max(records, key=lambda entry: len(wire.encode_mfea([entry]))))
+        if emissions > _MAX_EMISSIONS:
             raise InvalidScenario(f"duration_seconds: the run would emit more than {_MAX_EMISSIONS} messages")
-        if self.algorithm not in ALGORITHM_NAMES:
-            raise InvalidScenario(f"algorithm: unknown algorithm {self.algorithm!r}")
-        if self.factor < 1:
-            raise InvalidScenario(f"factor: must be >= 1, got {self.factor}")
-        if not 0 <= self.seed < (1 << 64):
-            raise InvalidScenario(f"seed: must fit in 64 bits, got {self.seed}")
-        names: set[str] = set()
-        for index, flow in enumerate(self.flows):
-            if flow.name in names:
-                raise InvalidScenario(
-                    f"flows[{index}].name: duplicate flow name {flow.name!r}"
-                    " (the wire protocol addresses flows by name)"
-                )
-            names.add(flow.name)
-        ids: set[str] = set()
-        for index, profile in enumerate(self.networks):
-            if profile.id in ids:
-                raise InvalidScenario(f"networks[{index}].id: duplicate network id {profile.id!r}")
-            ids.add(profile.id)
+        # The node announces every allocated flow in one frame; ``entries`` is its worst case.
+        size = len(wire.escape_body(wire.encode_mfea(entries).encode("utf-8")))
+        if entries and size > wire.MAX_BODY:
+            raise InvalidScenario(
+                f"flows: announcing all {len(entries)} flows can need a {size}-byte frame body,"
+                f" over the {wire.MAX_BODY}-byte limit"
+            )
         for index, event in enumerate(self.events):
             if event.network_id not in ids:
                 raise InvalidScenario(f"events[{index}].network: unknown network {event.network_id!r}")
@@ -173,41 +200,6 @@ class Scenario:
         for index, network_id in enumerate(self.initially_available or ()):
             if network_id not in ids:
                 raise InvalidScenario(f"initially_available[{index}]: unknown network {network_id!r}")
-        self._check_announcement_size()
-
-    def _check_announcement_size(self) -> None:
-        """Refuse a name that no MFEA record can quote, or an announcement too large for one frame.
-
-        The node announces every allocated flow in one frame. At worst each
-        flow is placed at its longest record on the network whose name
-        encodes longest.
-        """
-        names = [(f"networks[{j}].name", profile.name) for j, profile in enumerate(self.networks)]
-        names += [(f"flows[{i}].name", flow.name) for i, flow in enumerate(self.flows)]
-        for path, name in names:
-            try:
-                wire._quote(name)
-            except ValueError as exc:
-                raise InvalidScenario(f"{path}: {exc}") from None
-        if not self.networks:
-            return  # no flow is ever announced
-        widest = max(
-            (profile.name for profile in self.networks),
-            key=lambda name: len(wire.escape_body(wire._quote(name).encode("utf-8"))),
-        )
-        entries = [
-            max(
-                (_mfea_entry(flow, widest, level) for level in flow.qos),
-                key=lambda entry: len(wire.encode_mfea([entry])),
-            )
-            for flow in self.flows
-        ]
-        size = len(wire.escape_body(wire.encode_mfea(entries).encode("utf-8")))
-        if size > wire.MAX_BODY:
-            raise InvalidScenario(
-                f"flows: announcing all {len(entries)} flows can need a {size}-byte frame body,"
-                f" over the {wire.MAX_BODY}-byte limit"
-            )
 
 
 @dataclass
@@ -650,9 +642,10 @@ def _event(node: Node) -> NetworkEvent:
 
 
 def scenario_from_dict(obj: object) -> Scenario:
+    """Parse a scenario document; ``Scenario.validate`` (which ``run`` calls) applies the rules."""
     doc = Node(obj, "scenario", root=True)
     try:
-        scenario = Scenario(
+        return Scenario(
             flows=tuple(map(flow_from_dict, doc["flows"])),
             networks=tuple(map(network_from_dict, doc["networks"])),
             l_max=doc["l_max"].int(),
@@ -666,8 +659,6 @@ def scenario_from_dict(obj: object) -> Scenario:
         )
     except ValueError as exc:
         raise InvalidScenario(str(exc)) from None
-    scenario.validate()
-    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from resilient_alloc.cli import main
-from resilient_alloc.simulator import scenario_from_dict
+from resilient_alloc.cli import SEED_ENV_VAR, main
+from resilient_alloc.simulator import Scenario, scenario_from_dict
 
 from conftest import DEMOS
 
@@ -228,6 +228,18 @@ class TestSimulate:
         assert captured.err == err
         if code == 0:
             assert json.loads(captured.out)["seed"] == 1000
+
+    @pytest.mark.parametrize("seed", [None, "7"], ids=["scenario_seed", "env_seed"])
+    def test_scenario_is_validated_once(self, wifi_loss_path, monkeypatch, seed):
+        if seed is None:
+            monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, seed)
+        calls = []
+        validate = Scenario.validate
+        monkeypatch.setattr(Scenario, "validate", lambda scenario: calls.append(scenario) or validate(scenario))
+        assert main(["simulate", "--scenario", str(wifi_loss_path), "--format", "json"]) == 0
+        assert len(calls) == 1
 
     def test_missing_scenario_is_validation_error(self, capsys):
         assert main(["simulate", "--scenario", "/nonexistent.json"]) == 1
@@ -601,6 +613,19 @@ class TestArgumentHandling:
                 id="fractional_period_below_float_range",
             ),
             pytest.param("duration_seconds", "0", "error: duration_seconds: must be > 0, got 0\n", id="zero_duration"),
+            pytest.param(
+                "duration_seconds",
+                '"1e-399"',
+                "error: duration_seconds: must be > 0 as a float, got a value that rounds to 0.0\n",
+                id="duration_rounds_to_zero",
+            ),
+            pytest.param(
+                "duration_seconds",
+                '"1e400"',
+                "error: duration_seconds: the duration plus the longest handshake or latency"
+                " is beyond the float range\n",
+                id="duration_beyond_float_range",
+            ),
             pytest.param("algorithm", '"magic"', "error: algorithm: unknown algorithm 'magic'\n", id="unknown_algorithm"),
             pytest.param("factor", "0", "error: factor: must be >= 1, got 0\n", id="factor_below_one"),
             pytest.param(
@@ -666,7 +691,7 @@ class TestArgumentHandling:
 
     def test_announcement_one_flow_under_the_frame_limit_is_valid(self, wifi_loss_path):
         doc = json.loads(wifi_loss_path.read_text())
-        scenario_from_dict({**doc, "flows": _long_named_flows(994)})
+        scenario_from_dict({**doc, "flows": _long_named_flows(994)}).validate()
 
     @pytest.mark.parametrize("option", ["--flows", "--networks", "--scenario"])
     def test_deeply_nested_json_exits_without_traceback(self, tmp_path, capsys, option):

@@ -59,7 +59,7 @@ DOCUMENTS = {
             "initially_available": ["wifi", "nbiot"],
             "handshake": {"uniform_seconds": [1.3, 1.5]},
         },
-        scenario_from_dict,
+        lambda doc: scenario_from_dict(doc).validate(),
     ),
 }
 
@@ -105,7 +105,7 @@ def _mutated(data, doc, keep_kind: bool):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_value_of_another_json_type_is_a_value_error(name, data):
-    # The loaders only parse; a mutated scenario is never run, since a
+    # A mutated scenario is parsed and validated but never run, since a
     # mutated duration could make the run unbounded.
     doc, load = DOCUMENTS[name]
     try:

@@ -11,6 +11,11 @@ from resilient_alloc.networks import (
     network_from_dict,
     networks_from_json,
 )
+from resilient_alloc.rational import Node
+
+
+def _profile(doc: dict):
+    return network_from_dict(Node(doc, "network", root=True))
 
 
 class TestBuiltins:
@@ -101,12 +106,12 @@ class TestLoraTable:
 
 class TestJson:
     def test_builtin_reference(self):
-        profile = network_from_dict({"builtin": "sigfox_fipy"})
+        profile = _profile({"builtin": "sigfox_fipy"})
         assert profile.id == "sigfox"
         assert profile.capacity_bps == 100
 
     def test_custom_profile(self):
-        profile = network_from_dict(
+        profile = _profile(
             {
                 "id": "mesh",
                 "name": "Mesh",
@@ -126,7 +131,7 @@ class TestJson:
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            network_from_dict({"id": "x", "capacity_bps": 0})
+            _profile({"id": "x", "capacity_bps": 0})
 
     def test_load_accepts_wrapped_document(self, tmp_path):
         from resilient_alloc import load_networks

@@ -1,13 +1,24 @@
 """Replay oracle: the simulator's counts against a simplified model of the node.
 
-Without availability events the allocation never changes, so a reference
-needs no heap, no wire and no random numbers. It runs the allocator once over
-the networks that start up, lists each flow's emissions at k·T <= duration
-(k >= 1; T from the allocated level, or from the lowest declared level when
-the flow is unallocated), and replays each network's sends in (time, flow
-position) order through the payload cap, the daily allowance and the gap
-since the last successful send. Without outages every admitted message is
-delivered, so latency moves no count and uniform latencies can be drawn too.
+The model needs no heap, no wire and no random numbers. It cuts the run into
+epochs. Epoch 0 starts at 0 with the allocation over the networks that start
+up. An availability event at time e pauses the host before any emission at e,
+so it ends the epoch: every emission at or after e is dropped. With a fixed
+handshake h, the next epoch starts at e + h with the allocation over the
+networks then up. In each epoch a flow emits at start + k·T (k >= 1; T from
+the allocated level, or from the lowest declared level when the flow is
+unallocated) while the time is before the next event and at most the
+duration. Each network's sends are replayed in (time, flow position) order
+across epochs through the payload cap, the daily allowance and the gap since
+the last successful send.
+
+Stage 1 draws no events, so the allocation never changes, every admitted
+message is delivered, latency moves no count and uniform latencies can be
+drawn too. Stage 2 draws one outage with fixed latencies: a network X that
+starts up goes down at t_d and may come back at t_u > t_d + h. At t_d, every
+message admitted on X that would arrive at or after t_d is lost: it counts as
+not delivered at its level and never reaches X's counts, though its send
+still advanced X's gap clock and daily count.
 
 The model and its comparisons stay in this module: pytest rewrites asserts
 only in test modules, so they hold under ``python -O`` as well.
@@ -24,7 +35,7 @@ from hypothesis import strategies as st
 from resilient_alloc import FixedDelay, FlowSpec, NetworkProfile, QosRequirement, Scenario, UniformDelay, run
 from resilient_alloc.allocators import AllocatorConfig
 from resilient_alloc.catalog import run_algorithm
-from resilient_alloc.simulator import FlowLevelCounts, NetworkCounts
+from resilient_alloc.simulator import DEFAULT_HANDSHAKE, FlowLevelCounts, Handshake, NetworkCounts, NetworkEvent
 
 _SECONDS_PER_DAY = 86400
 # Keeps each example under about this many emissions.
@@ -34,36 +45,48 @@ _MAX_EMISSIONS = 3000
 _SIZES = (1, 5, 12, 51, 100)
 
 
-def reference_counts(scenario: Scenario) -> tuple[dict, dict]:
-    """``per_flow_level`` and ``per_network`` as the simplified model counts them."""
+def reference(scenario: Scenario) -> tuple[dict, dict, list]:
+    """``per_flow_level``, ``per_network`` and ``handshakes`` as the simplified model counts them.
+
+    With events, the handshake and every latency must be fixed, no two
+    re-allocation windows may overlap, and each network may go down once.
+    """
     up = {p.id for p in scenario.networks}
     if scenario.initially_available is not None:
         up = set(scenario.initially_available)
+    shake = scenario.handshake.max_seconds
+    epochs, start = [], Fraction(0)  # (start, end, networks up)
+    for event in scenario.events:
+        epochs.append((start, event.time, up))
+        up = up | {event.network_id} if event.up else up - {event.network_id}
+        start = event.time + shake
+    epochs.append((start, math.inf, up))
+
     cfg = AllocatorConfig(l_max=scenario.l_max, factor=scenario.factor)
-    table = run_algorithm(scenario.algorithm, list(scenario.flows), [p for p in scenario.networks if p.id in up], cfg)
-
-    per_flow_level: dict[str, dict[int, FlowLevelCounts]] = {}
+    per_flow_level: dict[str, dict[int, FlowLevelCounts]] = {flow.id: {} for flow in scenario.flows}
     sends: dict[str, list[tuple[Fraction, int, int, FlowLevelCounts]]] = {p.id: [] for p in scenario.networks}
-    for position, flow in enumerate(scenario.flows):
-        placed = table.entries.get(flow.id)
-        level = min(flow.qos) if placed is None else placed.level
-        qos = flow.qos[level]
-        emissions = int(scenario.duration_seconds // qos.min_interval_seconds)
-        per_flow_level[flow.id] = {}
-        if emissions == 0:
-            continue
-        counts = per_flow_level[flow.id][level] = FlowLevelCounts(sent=emissions)
-        if placed is None:
-            counts.err_not_allocated = emissions
-            continue
-        for k in range(1, emissions + 1):
-            sends[placed.network_id].append((k * qos.min_interval_seconds, position, qos.message_size_bytes, counts))
+    for start, end, up in epochs:
+        table = run_algorithm(scenario.algorithm, list(scenario.flows), [p for p in scenario.networks if p.id in up], cfg)
+        for position, flow in enumerate(scenario.flows):
+            placed = table.entries.get(flow.id)
+            level = min(flow.qos) if placed is None else placed.level
+            qos = flow.qos[level]
+            time = start + qos.min_interval_seconds
+            while time <= scenario.duration_seconds and time < end:
+                counts = per_flow_level[flow.id].setdefault(level, FlowLevelCounts())
+                counts.sent += 1
+                if placed is None:
+                    counts.err_not_allocated += 1
+                else:
+                    sends[placed.network_id].append((time, position, qos.message_size_bytes, counts))
+                time += qos.min_interval_seconds
 
+    down_at = {event.network_id: event.time for event in scenario.events if not event.up}
     per_network = {}
     for profile in scenario.networks:
         totals = per_network[profile.id] = NetworkCounts()
         cap, allowance = profile.max_payload_bytes, profile.max_messages_per_day
-        gap = profile.min_inter_message_gap_seconds
+        gap, down = profile.min_inter_message_gap_seconds, down_at.get(profile.id)
         last_send, day, sent_today = None, None, 0
         for time, _, size, counts in sorted(sends[profile.id], key=lambda send: send[:2]):
             if time // _SECONDS_PER_DAY != day:
@@ -77,15 +100,27 @@ def reference_counts(scenario: Scenario) -> tuple[dict, dict]:
                 counts.err_not_delivered += 1
             else:
                 last_send, sent_today = time, sent_today + 1
-                totals.messages += 1
-                totals.bytes += size
-                counts.delivered += 1
-    return per_flow_level, per_network
+                if down is not None and time < down <= time + profile.latency.max_seconds:
+                    counts.err_not_delivered += 1  # lost in flight
+                else:
+                    totals.messages += 1
+                    totals.bytes += size
+                    counts.delivered += 1
+    handshakes = [Handshake(event.time, event.time + shake) for event in scenario.events]
+    return per_flow_level, per_network, handshakes
+
+
+def _millis(ms: int) -> Fraction:
+    return Fraction(ms, 1000)
 
 
 @st.composite
-def scenarios(draw) -> Scenario:
-    """Event-free scenarios of up to 6 flows and 3 networks, over runs of up to 50 hours."""
+def scenarios(draw, outage: bool = False) -> Scenario:
+    """Scenarios of up to 6 flows and 3 networks, over runs of up to 50 hours.
+
+    With ``outage``, latencies and the handshake are fixed and one network
+    that starts up goes down, and may come back after the handshake.
+    """
     # Whole days drawn apart, so that allowances roll over in many examples.
     duration = Fraction(draw(st.integers(0, 2)) * _SECONDS_PER_DAY + draw(st.integers(1, 2 * 3600)))
     n_flows = draw(st.integers(0, 6))
@@ -99,12 +134,14 @@ def scenarios(draw) -> Scenario:
         levels = draw(st.sets(st.integers(1, l_max), min_size=1))
         qos = {level: QosRequirement(draw(st.sampled_from(_SIZES)), draw(multiples)) for level in levels}
         flows.append(FlowSpec(id=str(i + 1), app="App", name=f"flow {i + 1}", qos=qos))
-    latency = st.one_of(
-        st.integers(0, 5000).map(lambda ms: FixedDelay(Fraction(ms, 1000))),
-        st.tuples(st.integers(0, 3000), st.integers(0, 3000)).map(
-            lambda pair: UniformDelay(Fraction(pair[0], 1000), Fraction(sum(pair), 1000))
-        ),
-    )
+    # Delays of up to 5 s, or a few periods, so that messages are in flight
+    # at an outage and windows span emissions.
+    delays = st.integers(0, 5000).map(_millis) | multiples
+    latency = delays.map(FixedDelay)
+    if not outage:
+        latency |= st.tuples(st.integers(0, 3000), st.integers(0, 3000)).map(
+            lambda pair: UniformDelay(_millis(pair[0]), _millis(sum(pair)))
+        )
     networks = [
         NetworkProfile(
             id=f"n{j}",
@@ -117,7 +154,18 @@ def scenarios(draw) -> Scenario:
         )
         for j in range(draw(st.integers(1, 3)))
     ]
-    initially_available = draw(st.none() | st.lists(st.sampled_from([p.id for p in networks]), unique=True))
+    ids = [p.id for p in networks]
+    initially_available = draw(st.none() | st.lists(st.sampled_from(ids), min_size=1 if outage else 0, unique=True))
+    handshake, events = DEFAULT_HANDSHAKE, []
+    if outage:
+        handshake = FixedDelay(draw(delays))
+        network = draw(st.sampled_from(initially_available or ids))
+        # Outages often fall just after a send, which is a multiple of the unit.
+        down = min(duration, draw(st.integers(0, int(duration // unit))) * unit + draw(delays))
+        events.append(NetworkEvent(down, network, False))
+        if down + handshake.seconds < duration and draw(st.booleans()):
+            back = min(duration, down + handshake.seconds + _millis(draw(st.integers(1, 5000))) + draw(delays))
+            events.append(NetworkEvent(back, network, True))
     return Scenario(
         flows=tuple(flows),
         networks=tuple(networks),
@@ -126,14 +174,27 @@ def scenarios(draw) -> Scenario:
         algorithm=draw(st.sampled_from(("cabf", "cabf-inv", "l-ff", "h-bfd", "exact"))),
         duration_seconds=duration,
         seed=draw(st.integers(0, 2**64 - 1)),
+        events=tuple(events),
+        handshake=handshake,
         initially_available=None if initially_available is None else tuple(initially_available),
     )
+
+
+def _check(scenario: Scenario) -> None:
+    per_flow_level, per_network, handshakes = reference(scenario)
+    report = run(scenario)
+    assert report.per_flow_level == per_flow_level
+    assert report.per_network == per_network
+    assert report.handshakes == handshakes
 
 
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
 def test_simulator_matches_the_replay_model(scenario):
-    per_flow_level, per_network = reference_counts(scenario)
-    report = run(scenario)
-    assert report.per_flow_level == per_flow_level
-    assert report.per_network == per_network
+    _check(scenario)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios(outage=True))
+def test_simulator_matches_the_replay_model_with_one_outage(scenario):
+    _check(scenario)
