@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .rational import Node, read_json
+from .rational import Node, number_text, read_json
 
 MICRO = 10**6
 
@@ -67,7 +67,7 @@ class QosRequirement:
         if self.message_size_bytes < 1:
             raise ValueError(f"message size must be >= 1, got {self.message_size_bytes}")
         if self.min_interval_seconds <= 0:
-            raise ValueError(f"interval must be > 0, got {self.min_interval_seconds}")
+            raise ValueError(f"interval must be > 0, got {number_text(self.min_interval_seconds)}")
 
 
 @dataclass(frozen=True)

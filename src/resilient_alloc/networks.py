@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .flows import MICRO
-from .rational import Node, read_json
+from .rational import Node, number_text, read_json
 from .rng import DelayModel, FixedDelay, UniformDelay, delay_from_dict
 
 
@@ -51,7 +51,7 @@ class NetworkProfile:
         for name in ("max_messages_per_day", "min_inter_message_gap_seconds", "connect_time_seconds", "time_on_air_ms"):
             value = getattr(self, name)
             if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+                raise ValueError(f"{name} must be >= 0, got {number_text(value)}")
 
     @property
     def capacity_micro_bps(self) -> int:

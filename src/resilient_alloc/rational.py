@@ -15,11 +15,25 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Callable, Iterator
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 MAX_EXPONENT = 400
+
+
+def number_text(value: Fraction | int) -> str:
+    """``value`` as ``:g`` prints its float, or to 6 digits (``-1e-399``) where the float overflows or underflows."""
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = math.inf
+    if sys.float_info.min <= abs(approx) < math.inf or value == 0:
+        return f"{approx:g}"
+    digits = Context(prec=6).divide(Decimal(value.numerator), Decimal(value.denominator))
+    return f"{digits.normalize():g}"
 
 
 def read_json(path: str | Path) -> object:

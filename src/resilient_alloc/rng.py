@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import Node
+from .rational import Node, number_text
 
 RNG_NAME = "splitmix64"
 
@@ -48,7 +48,7 @@ class FixedDelay:
 
     def __post_init__(self) -> None:
         if self.seconds < 0:
-            raise ValueError(f"delay must be >= 0 seconds, got {float(self.seconds):g}")
+            raise ValueError(f"delay must be >= 0 seconds, got {number_text(self.seconds)}")
 
     @property
     def max_seconds(self) -> Fraction:
@@ -67,8 +67,8 @@ class UniformDelay:
 
     def __post_init__(self) -> None:
         if not 0 <= self.min_seconds <= self.max_seconds:
-            low, high = float(self.min_seconds), float(self.max_seconds)
-            raise ValueError(f"delay needs 0 <= min <= max seconds, got [{low:g}, {high:g}]")
+            low, high = number_text(self.min_seconds), number_text(self.max_seconds)
+            raise ValueError(f"delay needs 0 <= min <= max seconds, got [{low}, {high}]")
 
     def sample(self, rng: SplitMix64) -> Fraction:
         return rng.uniform(Fraction(self.min_seconds), Fraction(self.max_seconds))

@@ -55,7 +55,7 @@ from .catalog import ALGORITHM_NAMES, run_algorithm
 from .flows import FlowSpec, flow_from_dict, validate_flow_set
 from .metrics import placements_json
 from .networks import NetworkProfile, network_from_dict
-from .rational import Node, read_json
+from .rational import Node, number_text, read_json
 from .rng import RNG_NAME, DelayModel, SplitMix64, UniformDelay, delay_from_dict
 
 SIM_SCHEMA_VERSION = 1
@@ -128,7 +128,7 @@ class Scenario:
         except ValueError as exc:
             raise InvalidScenario(str(exc)) from None
         if self.duration_seconds <= 0:
-            raise InvalidScenario(f"duration_seconds: must be > 0, got {self.duration_seconds}")
+            raise InvalidScenario(f"duration_seconds: must be > 0, got {number_text(self.duration_seconds)}")
         # Every simulated time is at most the duration plus one handshake or one latency.
         delays = [self.handshake, *(profile.latency for profile in self.networks)]
         if self.duration_seconds + max(delay.max_seconds for delay in delays) > _FLOAT_MAX:
@@ -167,9 +167,10 @@ class Scenario:
                 period = qos.min_interval_seconds
                 # MFEA records write a fractional period as a nonzero float.
                 if period.denominator != 1 and (period > _FLOAT_MAX or float(period) == 0):
+                    problem = "beyond the float range" if period > _FLOAT_MAX else "rounds to 0.0 as a float"
                     raise InvalidScenario(
                         f"flows[{index}].qos.{level}.t: flow {flow.id!r}: level {level} period is fractional"
-                        " and beyond the float range"
+                        f" and {problem}"
                     )
                 # The payload needs no escaping, so the frame grows by exactly c.
                 size = len(wire.escape_body(wire.encode_app(wire.AppMessage(flow.name, level, b"")))) + qos.message_size_bytes
@@ -196,7 +197,7 @@ class Scenario:
             if event.network_id not in ids:
                 raise InvalidScenario(f"events[{index}].network: unknown network {event.network_id!r}")
             if not 0 <= event.time <= self.duration_seconds:
-                raise InvalidScenario(f"events[{index}].t: time {event.time} outside [0, duration]")
+                raise InvalidScenario(f"events[{index}].t: time {number_text(event.time)} outside [0, duration]")
         for index, network_id in enumerate(self.initially_available or ()):
             if network_id not in ids:
                 raise InvalidScenario(f"initially_available[{index}]: unknown network {network_id!r}")

@@ -6,16 +6,18 @@ capacity, and the score of an assignment at level L is ``1 + l_max - L`` (the
 extra unit makes serving a flow at the strictest level better than not
 serving it at all). Depth-first search walks flows in input order; per flow
 it tries levels in ascending order, networks in declaration order, and
-"unallocated" last. The incumbent is only replaced on a strict improvement,
-so the returned table is the lexicographically first optimum under that
-exploration order.
+"unallocated" last. The returned table is the first optimum under that
+exploration order: the table an exhaustive search returns when it replaces
+its incumbent only on a strict improvement. The tests check it against such
+a search, ``tests/enumeration_oracle.first_optimum``, which shares no code
+with this one.
 
 The search keeps an explicit stack, so its depth is bounded by memory rather
 than by the interpreter's recursion limit. Each frame is a generator over one
 flow's branches: it applies a branch to the residuals, the objective and the
 current path, yields, and undoes that branch before it tries the next, so a
-frame always resumes on the state it was entered with. With ``prune`` on,
-two rules cut the tree without changing what it returns:
+frame always resumes on the state it was entered with. Two rules cut the
+tree:
 
 * **Surrogate LP bound.** All residual capacity is merged into one bin and
   the remaining flows are relaxed to a multiple-choice knapsack: each flow
@@ -23,34 +25,28 @@ two rules cut the tree without changing what it returns:
   (0, 0) unless ``require_all``. Greedy filling of the merged residual with
   the upper-hull increments of every flow, steepest first, solves that LP
   (Sinha & Zoltners, 1979). Its floor, added to the objective so far, is an
-  integer that no completion can beat; a node whose bound does not exceed
-  the incumbent is cut. Under ``require_all`` a node whose mandatory base
-  demand already exceeds the merged residual is cut as infeasible.
+  integer that no completion can beat. Under ``require_all`` a node whose
+  mandatory base demand already exceeds the merged residual is cut as
+  infeasible.
 * **Twin networks.** For one flow, a network whose residual equals that of
   an earlier network is skipped. Swapping the two networks in every later
   choice maps each completion under the later twin to one with the same
   objective under the earlier twin, which the search visits first.
 
-Neither rule changes the exploration order. A cut subtree holds no leaf
-that beats the incumbent, and a skipped twin holds no leaf that comes
-first among the optima, so the first optimum is reached and kept as
-before.
-
-With ``prune`` on, the search does not start from an empty incumbent but
-descends from the root bound, as in iterative deepening (Korf, 1985). Each
-step takes a target and searches with incumbent ``target - 1``, stopping at
-the first leaf that reaches the target. A step that finds none proves that
-no leaf reaches the target; its *ceiling*, the largest bound value or leaf
-objective it cut, is then the next target that could hold a leaf, so no
-step repeats a search that cannot succeed. The descent starts at the root
-bound, which no leaf exceeds, and targets fall strictly, so the first
+The search descends from the root bound, as in iterative deepening (Korf,
+1985). Each step takes a target, cuts every node whose bound is below it,
+and stops at the first leaf that reaches it. A step that finds none proves
+that no leaf reaches the target; its *ceiling*, the largest bound value or
+leaf objective it cut, is then the next target that could hold a leaf, so
+no step repeats a search that cannot succeed. The descent starts at the
+root bound, which no leaf exceeds, and targets fall strictly, so the first
 target that yields a leaf is the optimum. That step cuts only subtrees
-whose bound is below the optimum, which hold no optimal leaf, and it stops
-at the first leaf that reaches the optimum in exploration order: the same
-table as the strict-improvement search from an empty incumbent. When a
-target falls below 0, no leaf exists; this happens only under
-``require_all``, where it raises ``Infeasible`` as before. ``prune=False``
-turns off both rules and the descent, and serves as the reference.
+whose bound is below the optimum, which hold no optimal leaf, and skips
+only later twins, whose optimal leaves each have a counterpart under the
+earlier twin that comes first. Neither rule changes the exploration order,
+so the step stops at the first leaf that reaches the optimum in that order:
+the first optimum. When a target falls below 0, no leaf exists; this
+happens only under ``require_all``, where it raises ``Infeasible``.
 
 A purpose-built search keeps the package dependency-free.
 """
@@ -183,16 +179,12 @@ class SurrogateBound:
         return value
 
 
-def exact_solve(instance: IlpInstance, prune: bool = True) -> AllocationTable:
-    """Optimal allocation table for ``instance``.
-
-    ``prune=False`` disables the bound and the twin rule (exhaustive search);
-    it exists so that both can be checked against unpruned search.
-    """
+def exact_solve(instance: IlpInstance) -> AllocationTable:
+    """Optimal allocation table for ``instance``: the first optimum in exploration order."""
     networks = list(instance.networks)
     n = len(instance.flows)
     options = level_options(instance)
-    bound = SurrogateBound(options, instance.require_all) if prune else None
+    bound = SurrogateBound(options, instance.require_all)
 
     residual = [p.capacity_micro_bps for p in networks]
     objective = 0
@@ -202,7 +194,7 @@ def exact_solve(instance: IlpInstance, prune: bool = True) -> AllocationTable:
     def frame(i: int):
         """Flow ``i``'s branches in exploration order: apply one, yield, undo it."""
         nonlocal objective
-        targets = [j for j, left in enumerate(residual) if not prune or residual.index(left) == j]
+        targets = [j for j, left in enumerate(residual) if residual.index(left) == j]
         for level, score, demand in options[i]:
             for j in targets:
                 if residual[j] >= demand:
@@ -216,49 +208,41 @@ def exact_solve(instance: IlpInstance, prune: bool = True) -> AllocationTable:
             choice[i] = None
             yield
 
-    def search(incumbent: int, first: bool) -> tuple[list | None, int]:
-        """Best leaf above ``incumbent`` (the first one if ``first``), and the ceiling.
+    def search(target: int) -> tuple[list | None, int]:
+        """The first leaf whose objective is at least ``target``, or None and the ceiling.
 
-        The ceiling is the largest bound value or leaf objective that was
-        cut, or -1. A search that returns early leaves the shared state
-        mid-path; nothing reads it after that.
+        The ceiling is the largest bound value or leaf objective below
+        ``target``, or -1. A search that returns a leaf leaves the shared
+        state mid-path; nothing reads it after that.
         """
         # stack[0] is a root with one empty branch; stack[k + 1] is flow k's frame.
-        stack = [iter((None,))]
-        best_objective, best_choice, ceiling = incumbent, None, -1
+        stack, ceiling = [iter((None,))], -1
         while stack:
             for _ in stack[-1]:
                 depth = len(stack) - 1
                 if depth == n:
-                    if objective > best_objective:
-                        best_objective, best_choice = objective, list(choice)
-                        if first:
-                            return best_choice, ceiling
-                    elif objective > ceiling:
+                    if objective >= target:
+                        return list(choice), ceiling
+                    if objective > ceiling:
                         ceiling = objective
-                elif bound is None or (cut := bound(depth, objective, sum(residual))) > best_objective:
+                elif (cut := bound(depth, objective, sum(residual))) >= target:
                     stack.append(frame(depth))
                     break
                 elif cut > ceiling:
                     ceiling = cut
             else:
                 stack.pop()
-        return best_choice, ceiling
+        return None, ceiling
 
-    if bound is None:
-        best_choice, _ = search(-1, first=False)
-    else:
-        best_choice, target = None, bound(0, 0, sum(residual))
-        while best_choice is None and target >= 0:
-            best_choice, target = search(target - 1, first=True)
-
+    best_choice, target = None, bound(0, 0, sum(residual))
+    while best_choice is None and target >= 0:
+        best_choice, target = search(target)
     if best_choice is None:
         raise Infeasible("no assignment serves every flow")
 
     table = AllocationTable(networks)
     for flow, picked in zip(instance.flows, best_choice):
-        if picked is None:
-            continue
-        level, j, demand = picked
-        table.place(Allocation(flow.id, networks[j].id, level), demand)
+        if picked is not None:
+            level, j, demand = picked
+            table.place(Allocation(flow.id, networks[j].id, level), demand)
     return table

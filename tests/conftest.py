@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import signal
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,25 @@ from resilient_alloc import builtin_profile, load_flow_set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMOS = REPO_ROOT / "demos"
+
+
+@pytest.fixture()
+def time_box():
+    """Fail the test after 60 s of wall time instead of letting it hang (where SIGALRM exists)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 60 s time box")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

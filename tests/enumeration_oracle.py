@@ -1,11 +1,16 @@
-"""Independent brute-force oracle and random instance generator.
+"""Independent exhaustive oracles and random instance generator.
 
-The oracle enumerates every assignment (each flow takes one (network, level)
-option or stays unallocated), filters by capacity feasibility, and returns
-the best objective. It shares nothing with the branch-and-bound search it
-checks except the utilization arithmetic, which is the quantity under test
-elsewhere. numpy keeps full enumeration affordable: the largest instances
-used here have 10^5 assignments.
+Each flow takes one (network, level) option or stays unallocated; an
+assignment is feasible when no network is loaded past its capacity. Both
+oracles share nothing with the branch-and-bound search they check except
+the utilization arithmetic, which is the quantity under test elsewhere.
+
+* `best_objective_by_enumeration` scores every assignment at once with
+  numpy, which keeps full enumeration affordable: the largest instances
+  used here have 10^5 assignments.
+* `first_optimum` walks the feasible assignments depth-first in the exact
+  solver's exploration order and keeps the first optimum, so it checks the
+  solver's table, not only its objective.
 """
 
 from __future__ import annotations
@@ -20,8 +25,12 @@ from resilient_alloc.flows import utilization
 
 
 def best_objective_by_enumeration(
-    flows: list[FlowSpec], networks: list[NetworkProfile], l_max: int, factor: int
-) -> int:
+    flows: list[FlowSpec], networks: list[NetworkProfile], l_max: int, factor: int, require_all: bool = False
+) -> int | None:
+    """The best objective, or None when no assignment is feasible.
+
+    With ``require_all`` no flow may stay unallocated.
+    """
     if not flows:
         return 0
     m = len(networks)
@@ -29,7 +38,7 @@ def best_objective_by_enumeration(
 
     per_flow: list[list[tuple[int, np.ndarray]]] = []
     for flow in flows:
-        options = [(0, np.zeros(m, dtype=np.int64))]
+        options = [] if require_all else [(0, np.zeros(m, dtype=np.int64))]
         for level in sorted(flow.qos):
             demand = utilization(flow, level, factor)
             assert demand is not None
@@ -38,6 +47,8 @@ def best_objective_by_enumeration(
                 load[j] = demand
                 options.append((1 + l_max - level, load))
         per_flow.append(options)
+    if not all(per_flow):
+        return None
 
     total = 1
     for options in per_flow:
@@ -53,7 +64,46 @@ def best_objective_by_enumeration(
         loads += np.stack([load for _, load in options])[digit]
         stride *= base
     feasible = (loads <= caps).all(axis=1)
-    return int(scores[feasible].max())
+    return int(scores[feasible].max()) if feasible.any() else None
+
+
+def first_optimum(
+    flows: list[FlowSpec], networks: list[NetworkProfile], l_max: int, factor: int, require_all: bool = False
+) -> dict[str, tuple[str, int]] | None:
+    """The first optimal assignment, flow id -> (network id, level), or None when none is feasible.
+
+    Flows in input order; per flow, levels ascending, then networks in
+    declaration order, then unallocated (left out with ``require_all``).
+    Only a strict improvement replaces the best assignment found so far.
+    """
+    residual = [p.capacity_micro_bps for p in networks]
+    path: dict[str, tuple[str, int]] = {}
+    best: dict[str, tuple[str, int]] | None = None
+    best_score = -1
+
+    def visit(i: int, score: int) -> None:
+        nonlocal best, best_score
+        if i == len(flows):
+            if score > best_score:
+                best, best_score = dict(path), score
+            return
+        flow = flows[i]
+        for level in sorted(flow.qos):
+            if level > l_max:
+                continue
+            demand = utilization(flow, level, factor)
+            for j, network in enumerate(networks):
+                if residual[j] >= demand:
+                    residual[j] -= demand
+                    path[flow.id] = (network.id, level)
+                    visit(i + 1, score + 1 + l_max - level)
+                    del path[flow.id]
+                    residual[j] += demand
+        if not require_all:
+            visit(i + 1, score)
+
+    visit(0, 0)
+    return best
 
 
 def random_instance(

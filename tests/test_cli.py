@@ -500,14 +500,29 @@ class TestArgumentHandling:
                 "error: networks[0].latency.uniform_ms: expected [low, high], got [20]\n",
                 id="latency_one_bound",
             ),
+            pytest.param(
+                None,
+                _one_network(latency={"fixed_ms": "-1e400"}),
+                1,
+                "error: networks[0].latency: delay must be >= 0 seconds, got -1e+397\n",
+                id="latency_negative_beyond_float_range",
+            ),
+            pytest.param(
+                None,
+                _one_network(latency={"uniform_ms": ["-1e-399", "1"]}),
+                1,
+                "error: networks[0].latency: delay needs 0 <= min <= max seconds, got [-1e-402, 0.001]\n",
+                id="latency_negative_below_float_range",
+            ),
             *(
                 pytest.param(
                     None,
-                    _one_network(**{key: -1}),
+                    _one_network(**{key: value}),
                     1,
-                    f"error: networks[0]: {key} must be >= 0, got -1\n",
-                    id=f"{key}_negative",
+                    f"error: networks[0]: {key} must be >= 0, got {shown}\n",
+                    id=f"{key}_{case}",
                 )
+                for case, value, shown in [("negative", -1, "-1"), ("negative_beyond_float_range", "-1e400", "-1e+400")]
                 for key in [
                     "max_messages_per_day",
                     "min_inter_message_gap_seconds",
@@ -609,10 +624,43 @@ class TestArgumentHandling:
             pytest.param(
                 "flows",
                 json.dumps([{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": "1e-400"}}}]),
-                "error: flows[0].qos.1.t: flow '1': level 1 period is fractional and beyond the float range\n",
+                "error: flows[0].qos.1.t: flow '1': level 1 period is fractional and rounds to 0.0 as a float\n",
                 id="fractional_period_below_float_range",
             ),
+            pytest.param(
+                "flows",
+                json.dumps([{"id": "1", "name": "a", "qos": {"1": {"c": 1, "t": "-1e-399"}}}]),
+                "error: flows[0].qos.1: interval must be > 0, got -1e-399\n",
+                id="period_negative_below_float_range",
+            ),
             pytest.param("duration_seconds", "0", "error: duration_seconds: must be > 0, got 0\n", id="zero_duration"),
+            pytest.param(
+                "duration_seconds",
+                '"-1e-399"',
+                "error: duration_seconds: must be > 0, got -1e-399\n",
+                id="duration_negative_below_float_range",
+            ),
+            *(
+                pytest.param(
+                    "events",
+                    json.dumps([{"kind": "down", "network": "wifi", "t": t}]),
+                    f"error: events[0].t: time {shown} outside [0, duration]\n",
+                    id=f"event_time_{case}",
+                )
+                for case, t, shown in [("beyond_float_range", "1e399", "1e+399"), ("negative", "-1e-399", "-1e-399")]
+            ),
+            pytest.param(
+                "handshake",
+                '{"fixed_seconds": "-1e400"}',
+                "error: handshake: delay must be >= 0 seconds, got -1e+400\n",
+                id="handshake_negative_beyond_float_range",
+            ),
+            pytest.param(
+                "handshake",
+                '{"uniform_seconds": ["1e400", "1"]}',
+                "error: handshake: delay needs 0 <= min <= max seconds, got [1e+400, 1]\n",
+                id="handshake_bounds_beyond_float_range",
+            ),
             pytest.param(
                 "duration_seconds",
                 '"1e-399"',

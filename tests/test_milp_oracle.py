@@ -19,6 +19,9 @@ from resilient_alloc.flows import MICRO, utilization
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
+# A search that never lowers its target fails here instead of hanging the run.
+pytestmark = pytest.mark.usefixtures("time_box")
+
 L_MAX = 3
 FACTOR = 8
 

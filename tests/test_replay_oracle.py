@@ -4,11 +4,13 @@ The model needs no heap, no wire and no random numbers. It cuts the run into
 epochs. Epoch 0 starts at 0 with the allocation over the networks that start
 up. An availability event at time e pauses the host before any emission at e,
 so it ends the epoch: every emission at or after e is dropped. With a fixed
-handshake h, the next epoch starts at e + h with the allocation over the
-networks then up. In each epoch a flow emits at start + k·T (k >= 1; T from
-the allocated level, or from the lowest declared level when the flow is
-unallocated) while the time is before the next event and at most the
-duration. Each network's sends are replayed in (time, flow position) order
+handshake h, it opens a re-allocation window that closes at e + h; a later
+event at or before the close extends the window to close h after that event,
+and the pair is one handshake. The next epoch starts when the window closes,
+with the allocation over the networks then up. In each epoch a flow emits at
+start + k·T (k >= 1; T from the allocated level, or from the lowest declared
+level when the flow is unallocated) while the time is before the next event
+and at most the duration. Each network's sends are replayed in (time, flow position) order
 across epochs through the payload cap, the daily allowance and the gap since
 the last successful send.
 
@@ -18,7 +20,10 @@ drawn too. Stage 2 draws one outage with fixed latencies: a network X that
 starts up goes down at t_d and may come back at t_u > t_d + h. At t_d, every
 message admitted on X that would arrive at or after t_d is lost: it counts as
 not delivered at its level and never reaches X's counts, though its send
-still advanced X's gap clock and daily count.
+still advanced X's gap clock and daily count. Stage 3 may add a second change
+at t_2 inside the window, t_d < t_2 < t_d + h: X comes back, or another
+network goes up or down. The window then closes at t_2 + h, and a network
+that goes down at t_2 loses its messages in flight at t_2 the same way.
 
 The model and its comparisons stay in this module: pytest rewrites asserts
 only in test modules, so they hold under ``python -O`` as well.
@@ -48,18 +53,22 @@ _SIZES = (1, 5, 12, 51, 100)
 def reference(scenario: Scenario) -> tuple[dict, dict, list]:
     """``per_flow_level``, ``per_network`` and ``handshakes`` as the simplified model counts them.
 
-    With events, the handshake and every latency must be fixed, no two
-    re-allocation windows may overlap, and each network may go down once.
+    With events, the handshake and every latency must be fixed.
     """
     up = {p.id for p in scenario.networks}
     if scenario.initially_available is not None:
         up = set(scenario.initially_available)
     shake = scenario.handshake.max_seconds
     epochs, start = [], Fraction(0)  # (start, end, networks up)
+    windows: list[list[Fraction]] = []  # [opened, closes] of each re-allocation window
     for event in scenario.events:
-        epochs.append((start, event.time, up))
+        if windows and event.time <= windows[-1][1]:
+            windows[-1][1] = event.time + shake
+        else:
+            epochs.append((start, event.time, up))
+            windows.append([event.time, event.time + shake])
         up = up | {event.network_id} if event.up else up - {event.network_id}
-        start = event.time + shake
+        start = windows[-1][1]
     epochs.append((start, math.inf, up))
 
     cfg = AllocatorConfig(l_max=scenario.l_max, factor=scenario.factor)
@@ -81,12 +90,15 @@ def reference(scenario: Scenario) -> tuple[dict, dict, list]:
                     sends[placed.network_id].append((time, position, qos.message_size_bytes, counts))
                 time += qos.min_interval_seconds
 
-    down_at = {event.network_id: event.time for event in scenario.events if not event.up}
+    downs: dict[str, list[Fraction]] = {p.id: [] for p in scenario.networks}
+    for event in scenario.events:
+        if not event.up:
+            downs[event.network_id].append(event.time)
     per_network = {}
     for profile in scenario.networks:
         totals = per_network[profile.id] = NetworkCounts()
         cap, allowance = profile.max_payload_bytes, profile.max_messages_per_day
-        gap, down = profile.min_inter_message_gap_seconds, down_at.get(profile.id)
+        gap, latency = profile.min_inter_message_gap_seconds, profile.latency.max_seconds
         last_send, day, sent_today = None, None, 0
         for time, _, size, counts in sorted(sends[profile.id], key=lambda send: send[:2]):
             if time // _SECONDS_PER_DAY != day:
@@ -100,13 +112,13 @@ def reference(scenario: Scenario) -> tuple[dict, dict, list]:
                 counts.err_not_delivered += 1
             else:
                 last_send, sent_today = time, sent_today + 1
-                if down is not None and time < down <= time + profile.latency.max_seconds:
+                if any(time < down <= time + latency for down in downs[profile.id]):
                     counts.err_not_delivered += 1  # lost in flight
                 else:
                     totals.messages += 1
                     totals.bytes += size
                     counts.delivered += 1
-    handshakes = [Handshake(event.time, event.time + shake) for event in scenario.events]
+    handshakes = [Handshake(opened, closes) for opened, closes in windows]
     return per_flow_level, per_network, handshakes
 
 
@@ -115,11 +127,13 @@ def _millis(ms: int) -> Fraction:
 
 
 @st.composite
-def scenarios(draw, outage: bool = False) -> Scenario:
+def scenarios(draw, outage: bool = False, second_change: bool = False) -> Scenario:
     """Scenarios of up to 6 flows and 3 networks, over runs of up to 50 hours.
 
     With ``outage``, latencies and the handshake are fixed and one network
-    that starts up goes down, and may come back after the handshake.
+    that starts up goes down, and may come back after the handshake. With
+    ``second_change`` too, a second network change falls inside that
+    handshake's window where the window and the run leave room for one.
     """
     # Whole days drawn apart, so that allowances roll over in many examples.
     duration = Fraction(draw(st.integers(0, 2)) * _SECONDS_PER_DAY + draw(st.integers(1, 2 * 3600)))
@@ -163,8 +177,16 @@ def scenarios(draw, outage: bool = False) -> Scenario:
         # Outages often fall just after a send, which is a multiple of the unit.
         down = min(duration, draw(st.integers(0, int(duration // unit))) * unit + draw(delays))
         events.append(NetworkEvent(down, network, False))
-        if down + handshake.seconds < duration and draw(st.booleans()):
-            back = min(duration, down + handshake.seconds + _millis(draw(st.integers(1, 5000))) + draw(delays))
+        up, closes = set(initially_available or ids) - {network}, down + handshake.seconds
+        if second_change and down < min(duration, closes):
+            # Strictly inside the window: X comes back, or another network changes.
+            changed = draw(st.sampled_from(ids))
+            at = min(duration, down + handshake.seconds * Fraction(draw(st.integers(1, 15)), 16))
+            events.append(NetworkEvent(at, changed, changed not in up))
+            up ^= {changed}
+            closes = at + handshake.seconds
+        if network not in up and closes < duration and draw(st.booleans()):
+            back = min(duration, closes + _millis(draw(st.integers(1, 5000))) + draw(delays))
             events.append(NetworkEvent(back, network, True))
     return Scenario(
         flows=tuple(flows),
@@ -197,4 +219,10 @@ def test_simulator_matches_the_replay_model(scenario):
 @settings(max_examples=200, deadline=None)
 @given(scenarios(outage=True))
 def test_simulator_matches_the_replay_model_with_one_outage(scenario):
+    _check(scenario)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios(outage=True, second_change=True))
+def test_simulator_matches_the_replay_model_with_a_second_change_in_the_window(scenario):
     _check(scenario)

@@ -19,7 +19,25 @@ from resilient_alloc import (
 )
 from resilient_alloc.solver import SurrogateBound, level_options
 
-from enumeration_oracle import best_objective_by_enumeration, random_instance
+from enumeration_oracle import best_objective_by_enumeration, first_optimum, random_instance
+
+# A search that never lowers its target fails here instead of hanging the run.
+pytestmark = pytest.mark.usefixtures("time_box")
+
+
+def solve_or_none(instance: IlpInstance) -> dict[str, tuple[str, int]] | None:
+    """``exact_solve``'s placements, flow id -> (network id, level), or None if it raises Infeasible."""
+    try:
+        table = exact_solve(instance)
+    except Infeasible:
+        return None
+    return {fid: (entry.network_id, entry.level) for fid, entry in table.entries.items()}
+
+
+def reference(instance: IlpInstance) -> dict[str, tuple[str, int]] | None:
+    return first_optimum(
+        list(instance.flows), list(instance.networks), instance.l_max, instance.factor, instance.require_all
+    )
 
 
 class TestMotivatingExample:
@@ -49,13 +67,12 @@ class TestUpperBound:
         for _ in range(60):
             flows, networks, cfg = random_instance(rng, max_flows=4)
             instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor)
-            pruned = objective(exact_solve(instance, prune=True), cfg.l_max)
-            unpruned = objective(exact_solve(instance, prune=False), cfg.l_max)
-            assert pruned == unpruned
+            assert solve_or_none(instance) == reference(instance)
 
     def test_pruning_keeps_the_first_optimum(self):
-        # identical tables, not just equal objectives; every other instance
-        # gets networks of one capacity so that the twin rule has work to do
+        # the same placements as the exhaustive first optimum, or Infeasible
+        # where it finds nothing; every other instance gets networks of one
+        # capacity so that the twin rule has work to do
         rng = random.Random(0x7A1E)
         for k in range(240):
             flows, networks, cfg = random_instance(rng)
@@ -64,13 +81,7 @@ class TestUpperBound:
                 networks = [NetworkProfile(id=p.id, name=p.name, capacity_bps=capacity) for p in networks]
             for require_all in (False, True):
                 instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor, require_all)
-                try:
-                    pruned = exact_solve(instance, prune=True)
-                except Infeasible:
-                    with pytest.raises(Infeasible):
-                        exact_solve(instance, prune=False)
-                    continue
-                assert pruned == exact_solve(instance, prune=False)
+                assert solve_or_none(instance) == reference(instance)
 
     def test_root_bound_is_at_least_the_optimum(self):
         rng = random.Random(0xB0B0)
@@ -101,23 +112,39 @@ def fragmented_instance(rng: random.Random, n: int, require_all: bool) -> IlpIns
 
 class TestDescent:
     def test_descent_matches_exhaustive_search_on_fragmented_networks(self):
-        # Same table as the unpruned search, or Infeasible on both sides; a
-        # root bound above the optimum makes the descent take several steps.
+        # The same placements as the exhaustive first optimum, or Infeasible
+        # where it finds nothing; a root bound above the optimum makes the
+        # descent take several steps.
         rng = random.Random(0xF4A6)
         steps = {False: 0, True: 0}
         for k in range(60):
             instance = fragmented_instance(rng, rng.randint(3, 7), require_all=k % 2 == 1)
-            try:
-                table = exact_solve(instance)
-            except Infeasible:
-                with pytest.raises(Infeasible):
-                    exact_solve(instance, prune=False)
+            placements = solve_or_none(instance)
+            assert placements == reference(instance)
+            if placements is None:
                 continue
-            assert table == exact_solve(instance, prune=False)
             bound = SurrogateBound(level_options(instance), instance.require_all)
             free = sum(p.capacity_micro_bps for p in instance.networks)
-            steps[instance.require_all] += bound(0, 0, free) > objective(table, 3)
+            steps[instance.require_all] += bound(0, 0, free) > sum(1 + 3 - level for _, level in placements.values())
         assert min(steps.values()) >= 3, steps
+
+    def test_descent_lowers_the_target_to_a_leaf_objective(self):
+        # The root bound is 4 and no node is cut: the search to target 4
+        # only rejects leaves of objective 3, so the next target comes from
+        # leaf objectives alone. A ceiling that ignored them would stay at -1
+        # and end the descent with Infeasible.
+        flows = (
+            FlowSpec(id="1", app="A", name="f1", qos={1: QosRequirement(46, Fraction(4))}),
+            FlowSpec(
+                id="2",
+                app="A",
+                name="f2",
+                qos={1: QosRequirement(14, Fraction(1)), 2: QosRequirement(5, Fraction(5, 2))},
+            ),
+        )
+        networks = (NetworkProfile("n0", "net 0", 203), NetworkProfile("n1", "net 1", 37))
+        instance = IlpInstance(flows, networks, 2, 8, require_all=True)
+        assert solve_or_none(instance) == reference(instance) == {"1": ("n0", 1), "2": ("n0", 2)}
 
 
 class TestEdges:
@@ -174,3 +201,15 @@ class TestOracle:
             assert objective(table, cfg.l_max) == best_objective_by_enumeration(
                 flows, networks, cfg.l_max, cfg.factor
             )
+
+    def test_the_two_oracles_agree(self):
+        # first_optimum's score is the numpy brute force's objective, and
+        # both find nothing on the same instances
+        rng = random.Random(0x2C0DE)
+        for _ in range(300):
+            flows, networks, cfg = random_instance(rng)
+            for require_all in (False, True):
+                best = best_objective_by_enumeration(flows, networks, cfg.l_max, cfg.factor, require_all)
+                first = first_optimum(flows, networks, cfg.l_max, cfg.factor, require_all)
+                score = None if first is None else sum(1 + cfg.l_max - level for _, level in first.values())
+                assert score == best
