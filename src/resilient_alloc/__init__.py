@@ -13,7 +13,6 @@ from .allocators import (
     Allocation,
     AllocationTable,
     AllocatorConfig,
-    HeuristicKind,
     cabf,
     cabf_inv,
     heuristic,
@@ -62,7 +61,6 @@ __all__ = [
     "FlowSet",
     "FlowSpec",
     "Handshake",
-    "HeuristicKind",
     "IlpInstance",
     "Infeasible",
     "InvalidScenario",

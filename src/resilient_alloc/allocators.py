@@ -23,34 +23,24 @@ Determinism rules used throughout (ties are never broken randomly):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .flows import FlowSpec, utilization
 from .networks import NetworkProfile
+from .rational import number_text
 
+#: The twelve classic baselines in the comparison table's row order. A name
+#: reads ``<l|h>-<ff|wf|bf>[d]``: every flow pinned to its lowest (``l``) or
+#: highest (``h``) declared level, first/worst/best fit, and ``d`` for flows
+#: sorted by decreasing utilization.
+BASELINE_NAMES = (
+    "l-ff", "l-ffd", "h-ff", "h-ffd",
+    "l-wf", "l-wfd", "h-wf", "h-wfd",
+    "l-bf", "l-bfd", "h-bf", "h-bfd",
+)
 
-class FitRule(Enum):
-    FIRST_FIT = "ff"
-    BEST_FIT = "bf"
-    WORST_FIT = "wf"
-
-
-class LevelSide(Enum):
-    LOWEST_DEFINED = "l"
-    HIGHEST_DEFINED = "h"
-
-
-@dataclass(frozen=True)
-class HeuristicKind:
-    """One of the twelve classic baselines."""
-
-    fit: FitRule
-    decreasing: bool
-    side: LevelSide
-
-    @property
-    def name(self) -> str:
-        return f"{self.side.value}-{self.fit.value}{'d' if self.decreasing else ''}"
+#: Row order used by the comparison table: the baselines, then the
+#: criticality-aware pair; callers append "exact" for the optimal solver.
+HEURISTIC_NAMES = BASELINE_NAMES + ("cabf", "cabf-inv")
 
 
 @dataclass(frozen=True)
@@ -75,9 +65,9 @@ class AllocatorConfig:
 
     def __post_init__(self) -> None:
         if self.l_max < 1:
-            raise ValueError(f"l_max must be >= 1, got {self.l_max}")
+            raise ValueError(f"l_max must be >= 1, got {number_text(self.l_max)}")
         if self.factor < 1:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
+            raise ValueError(f"factor must be >= 1, got {number_text(self.factor)}")
 
 
 class AllocationTable:
@@ -122,22 +112,22 @@ class AllocationTable:
 
 
 def _pick_network(
-    fit: FitRule, demand: int, networks: list[NetworkProfile], residual: dict[str, int]
+    fit: str, demand: int, networks: list[NetworkProfile], residual: dict[str, int]
 ) -> str | None:
-    """Network id chosen by the fit rule, or None when nothing fits."""
+    """Network id chosen by the fit rule ("ff", "bf" or "wf"), or None when nothing fits."""
     best_id: str | None = None
     best_after = 0
     for profile in networks:
         after = residual[profile.id] - demand
         if after < 0:
             continue
-        if fit is FitRule.FIRST_FIT:
+        if fit == "ff":
             return profile.id
         if best_id is None:
             best_id, best_after = profile.id, after
-        elif fit is FitRule.BEST_FIT and after < best_after:
+        elif fit == "bf" and after < best_after:
             best_id, best_after = profile.id, after
-        elif fit is FitRule.WORST_FIT and after > best_after:
+        elif fit == "wf" and after > best_after:
             best_id, best_after = profile.id, after
     return best_id
 
@@ -174,7 +164,7 @@ def _criticality_aware(
                         continue
                     held = table.remove(flow.id)
                 demand = utilization(flow, level, cfg.factor)
-                target = _pick_network(FitRule.BEST_FIT, demand, networks, table.residual)
+                target = _pick_network("bf", demand, networks, table.residual)
                 if target is not None:
                     table.place(Allocation(flow.id, target, level), demand)
                 elif held is not None:
@@ -197,45 +187,31 @@ def cabf_inv(
 
 
 def heuristic(
-    kind: HeuristicKind,
+    name: str,
     flows: list[FlowSpec],
     networks: list[NetworkProfile],
     cfg: AllocatorConfig,
 ) -> AllocationTable:
-    """Run one classic baseline; flows that fit nowhere are skipped."""
+    """Run the baseline ``name`` (one of BASELINE_NAMES); flows that fit nowhere are skipped."""
+    if name not in BASELINE_NAMES:
+        raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(HEURISTIC_NAMES)}")
+    pick_level = max if name[0] == "h" else min
     chosen: list[tuple[FlowSpec, int, int]] = []
     for flow in flows:
-        level = min(flow.qos) if kind.side is LevelSide.LOWEST_DEFINED else max(flow.qos)
+        level = pick_level(flow.qos)
         demand = utilization(flow, level, cfg.factor)
         assert demand is not None
         chosen.append((flow, level, demand))
-    if kind.decreasing:
+    if name.endswith("d"):
         chosen.sort(key=lambda item: item[2], reverse=True)
 
+    fit = name[2:4]
     table = AllocationTable(networks)
     for flow, level, demand in chosen:
-        target = _pick_network(kind.fit, demand, networks, table.residual)
+        target = _pick_network(fit, demand, networks, table.residual)
         if target is not None:
             table.place(Allocation(flow.id, target, level), demand)
     return table
-
-
-def _baseline_kinds() -> dict[str, HeuristicKind]:
-    kinds: dict[str, HeuristicKind] = {}
-    for fit in (FitRule.FIRST_FIT, FitRule.WORST_FIT, FitRule.BEST_FIT):
-        for side in (LevelSide.LOWEST_DEFINED, LevelSide.HIGHEST_DEFINED):
-            for decreasing in (False, True):
-                kind = HeuristicKind(fit=fit, decreasing=decreasing, side=side)
-                kinds[kind.name] = kind
-    return kinds
-
-
-BASELINE_KINDS = _baseline_kinds()
-
-#: Row order used by the comparison table: first/worst/best-fit blocks with
-#: their decreasing and low/high-side variants, then the criticality-aware
-#: pair; callers append "exact" for the optimal solver.
-HEURISTIC_NAMES = tuple(BASELINE_KINDS) + ("cabf", "cabf-inv")
 
 
 def verify_allocation_table(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import allocators
-from .allocators import BASELINE_KINDS, HEURISTIC_NAMES, AllocationTable, AllocatorConfig
+from .allocators import HEURISTIC_NAMES, AllocationTable, AllocatorConfig
 from .flows import FlowSpec
 from .networks import NetworkProfile
 from .solver import IlpInstance, exact_solve
@@ -36,7 +36,4 @@ def run_algorithm(
         return allocators.cabf(flows, networks, cfg)
     if name == "cabf-inv":
         return allocators.cabf_inv(flows, networks, cfg)
-    kind = BASELINE_KINDS.get(name)
-    if kind is None:
-        raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(HEURISTIC_NAMES)}")
-    return allocators.heuristic(kind, flows, networks, cfg)
+    return allocators.heuristic(name, flows, networks, cfg)

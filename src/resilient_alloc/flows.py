@@ -65,7 +65,7 @@ class QosRequirement:
 
     def __post_init__(self) -> None:
         if self.message_size_bytes < 1:
-            raise ValueError(f"message size must be >= 1, got {self.message_size_bytes}")
+            raise ValueError(f"message size must be >= 1, got {number_text(self.message_size_bytes)}")
         if self.min_interval_seconds <= 0:
             raise ValueError(f"interval must be > 0, got {number_text(self.min_interval_seconds)}")
 
@@ -119,7 +119,7 @@ def utilization(flow: FlowSpec, level: int, factor: int = 8) -> int | None:
 def validate_flow_set(flows: list[FlowSpec] | tuple[FlowSpec, ...], l_max: int) -> None:
     """Check set-level rules; raise ValidationError naming flow and rule."""
     if l_max < 1:
-        raise ValidationError(None, "bad-l-max", f"must be >= 1, got {l_max}", "l_max")
+        raise ValidationError(None, "bad-l-max", f"must be >= 1, got {number_text(l_max)}", "l_max")
     seen: set[str] = set()
     for index, flow in enumerate(flows):
         path = f"flows[{index}]"

@@ -45,9 +45,9 @@ class NetworkProfile:
 
     def __post_init__(self) -> None:
         if self.capacity_bps <= 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity_bps}")
+            raise ValueError(f"capacity must be > 0, got {number_text(self.capacity_bps)}")
         if self.max_payload_bytes is not None and self.max_payload_bytes < 1:
-            raise ValueError(f"payload cap must be >= 1, got {self.max_payload_bytes}")
+            raise ValueError(f"payload cap must be >= 1, got {number_text(self.max_payload_bytes)}")
         for name in ("max_messages_per_day", "min_inter_message_gap_seconds", "connect_time_seconds", "time_on_air_ms"):
             value = getattr(self, name)
             if value is not None and value < 0:

@@ -25,7 +25,10 @@ MAX_EXPONENT = 400
 
 
 def number_text(value: Fraction | int) -> str:
-    """``value`` as ``:g`` prints its float, or to 6 digits (``-1e-399``) where the float overflows or underflows."""
+    """``value`` for a one-line message: an int of at most 20 digits in full, otherwise as ``:g``
+    prints its float, or to 6 digits (``-1e+400``) where the float overflows or underflows."""
+    if isinstance(value, int) and abs(value) < 10**20:
+        return str(value)
     try:
         approx = float(value)
     except OverflowError:

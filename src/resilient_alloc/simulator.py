@@ -140,9 +140,9 @@ class Scenario:
         if self.algorithm not in ALGORITHM_NAMES:
             raise InvalidScenario(f"algorithm: unknown algorithm {self.algorithm!r}")
         if self.factor < 1:
-            raise InvalidScenario(f"factor: must be >= 1, got {self.factor}")
+            raise InvalidScenario(f"factor: must be >= 1, got {number_text(self.factor)}")
         if not 0 <= self.seed < (1 << 64):
-            raise InvalidScenario(f"seed: must fit in 64 bits, got {self.seed}")
+            raise InvalidScenario(f"seed: must fit in 64 bits, got {number_text(self.seed)}")
         ids: set[str] = set()
         widest, width = "", -1  # the network name that encodes longest in an MFEA record
         for index, profile in enumerate(self.networks):

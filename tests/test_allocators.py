@@ -24,7 +24,7 @@ from resilient_alloc import (
     run_algorithm,
     verify_allocation_table,
 )
-from resilient_alloc.allocators import BASELINE_KINDS, HEURISTIC_NAMES
+from resilient_alloc.allocators import HEURISTIC_NAMES
 from resilient_alloc.flows import utilization
 
 from enumeration_oracle import random_instance
@@ -49,24 +49,25 @@ class TestBestFit:
     def test_prefers_tightest_network(self, assisted_living, table2_networks):
         # flow 2 at its strictest level needs 4 bps; empty Sigfox (48) is tightest
         flow = assisted_living.flows[1]
-        table = heuristic(BASELINE_KINDS["h-bf"], [flow], table2_networks, CFG8)
+        table = heuristic("h-bf", [flow], table2_networks, CFG8)
         assert table.entries[flow.id] == Allocation(flow.id, "sigfox", 3)
 
     def test_none_when_nothing_fits(self, assisted_living):
         # flow 4 needs 32000 bps at level 1; Wi-Fi offers only 30000 bps
         flow = assisted_living.flows[3]
         wifi = NetworkProfile(id="wifi", name="Wi-Fi", capacity_bps=30_000)
-        table = heuristic(BASELINE_KINDS["l-bf"], [flow], [wifi], CFG8)
+        table = heuristic("l-bf", [flow], [wifi], CFG8)
         assert table.entries == {}
         assert table.residual["wifi"] == 30_000_000_000
 
-    def test_tie_breaks_toward_earlier_declaration(self):
+    @pytest.mark.parametrize("name", HEURISTIC_NAMES)
+    def test_tie_breaks_toward_earlier_declaration(self, name):
         flow = FlowSpec(id="1", app="A", name="f", qos={1: QosRequirement(10, Fraction(1))})
         twins = [
             NetworkProfile(id="a", name="A", capacity_bps=100),
             NetworkProfile(id="b", name="B", capacity_bps=100),
         ]
-        table = heuristic(BASELINE_KINDS["l-bf"], [flow], twins, CFG8)
+        table = run_algorithm(name, [flow], twins, CFG8)
         assert table.entries["1"].network_id == "a"
 
 
@@ -252,15 +253,22 @@ class TestBaselines:
         table = run_algorithm("l-ffd", flows, [net], AllocatorConfig(l_max=1, factor=8))
         assert sorted(table.entries) == ["1", "2"]
 
-    def test_unknown_name_rejected(self, assisted_living, table2_networks):
-        with pytest.raises(ValueError):
-            run_algorithm("m-ff", list(assisted_living.flows), table2_networks, CFG8)
+    @pytest.mark.parametrize("name", ["m-ff", "l-ffx"])
+    def test_unknown_name_rejected(self, assisted_living, table2_networks, name):
+        flows = list(assisted_living.flows)
+        message = f"unknown heuristic {name!r}; known: l-ff, l-ffd, "
+        with pytest.raises(ValueError, match=message):
+            run_algorithm(name, flows, table2_networks, CFG8)
+        with pytest.raises(ValueError, match=message):
+            heuristic(name, flows, table2_networks, CFG8)
 
     def test_config_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^l_max must be >= 1, got 0$"):
             AllocatorConfig(l_max=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^factor must be >= 1, got 0$"):
             AllocatorConfig(l_max=3, factor=0)
+        with pytest.raises(ValueError, match=r"^l_max must be >= 1, got -1e\+400$"):
+            AllocatorConfig(l_max=-(10**400))
 
     def test_require_all_rejected_for_heuristics(self, assisted_living, table2_networks):
         from resilient_alloc import run_algorithm

@@ -359,6 +359,35 @@ class TestArgumentHandling:
                 "error: networks[0].capacity_bps: expected a finite number, got inf\n",
                 id="capacity_infinite",
             ),
+            # An integer beyond 20 digits shows as its 6-digit float form, so the line stays short.
+            pytest.param(
+                None,
+                '[{"id": "n", "capacity_bps": "-1e400"}]',
+                1,
+                "error: networks[0]: capacity must be > 0, got -1e+400\n",
+                id="capacity_negative_beyond_float_range",
+            ),
+            pytest.param(
+                None,
+                '[{"id": "n", "capacity_bps": 100, "max_payload_bytes": "-1e400"}]',
+                1,
+                "error: networks[0]: payload cap must be >= 1, got -1e+400\n",
+                id="payload_cap_negative_beyond_float_range",
+            ),
+            pytest.param(
+                '{"l_max": 1, "flows": [{"id": "1", "name": "a", "qos": {"1": {"c": "-1e400", "t": 1}}}]}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: flows[0].qos.1: message size must be >= 1, got -1e+400\n",
+                id="size_negative_beyond_float_range",
+            ),
+            pytest.param(
+                '{"l_max": "-1e400", "flows": []}',
+                '[{"builtin": "wifi_fipy"}]',
+                1,
+                "error: l_max: [bad-l-max] must be >= 1, got -1e+400\n",
+                id="l_max_negative_beyond_float_range",
+            ),
             pytest.param(
                 None,
                 '[{"id": "n", "capacity_bps": 99.99}]',
@@ -677,6 +706,12 @@ class TestArgumentHandling:
             pytest.param("algorithm", '"magic"', "error: algorithm: unknown algorithm 'magic'\n", id="unknown_algorithm"),
             pytest.param("factor", "0", "error: factor: must be >= 1, got 0\n", id="factor_below_one"),
             pytest.param(
+                "factor", '"-1e400"', "error: factor: must be >= 1, got -1e+400\n", id="factor_beyond_float_range"
+            ),
+            pytest.param(
+                "seed", '"-1e400"', "error: seed: must fit in 64 bits, got -1e+400\n", id="seed_beyond_float_range"
+            ),
+            pytest.param(
                 "seed", str(2**64), f"error: seed: must fit in 64 bits, got {2**64}\n", id="seed_beyond_64_bits"
             ),
             pytest.param(
@@ -751,6 +786,10 @@ class TestArgumentHandling:
             argv = ["allocate", "--flows", FLOWS, "--networks", TABLE2, option, str(path)]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+    def test_factor_option_beyond_20_digits_is_one_short_line(self, capsys):
+        assert main(["compare", "--flows", FLOWS, "--networks", TABLE2, "--factor", "-1" + "0" * 400]) == 1
+        assert capsys.readouterr().err == "error: factor must be >= 1, got -1e+400\n"
 
     def test_unknown_flag_is_exit_one(self, capsys):
         assert main(["compare", "--flows", FLOWS, "--networks", TABLE2, "--bogus"]) == 1
