@@ -17,7 +17,7 @@ from resilient_alloc import load_scenario, run
 def main() -> None:
     scenario = load_scenario(Path(__file__).parent / "wifi_loss.json")
     transcript: list = []
-    report = run(scenario, transcript=transcript)
+    report = run(scenario, transcript=transcript.append)
 
     shake = report.handshakes[0]
     print(f"scenario: {scenario.algorithm}, seed {scenario.seed}, "

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
@@ -151,16 +152,15 @@ def _render_sim_table(rep: simulator.SimReport) -> str:
 
 
 def cmd_simulate(args) -> int:
-    scenario = simulator.load_scenario(args.scenario)
-    seed_override = os.environ.get(SEED_ENV_VAR)
-    if seed_override is not None:
-        scenario = replace(scenario, seed=Node(seed_override, SEED_ENV_VAR).int())
-    transcript: list | None = [] if args.transcript else None
-    rep = simulator.run(scenario, transcript=transcript)
-    if args.transcript:
-        with open(args.transcript, "w", encoding="utf-8") as handle:
-            for entry in transcript or []:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    # The transcript file is opened first, so an unwritable path fails before
+    # any work, and each frame is written as it is sent.
+    with open(args.transcript, "w", encoding="utf-8") if args.transcript else nullcontext() as handle:
+        scenario = simulator.load_scenario(args.scenario)
+        seed_override = os.environ.get(SEED_ENV_VAR)
+        if seed_override is not None:
+            scenario = replace(scenario, seed=Node(seed_override, SEED_ENV_VAR).int())
+        write = None if handle is None else lambda entry: handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        rep = simulator.run(scenario, transcript=write)
     if args.fmt == "json":
         sys.stdout.buffer.write(rep.json_bytes())
         sys.stdout.write("\n")

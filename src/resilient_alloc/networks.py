@@ -41,14 +41,13 @@ class NetworkProfile:
     min_inter_message_gap_seconds: Fraction | None = None
     latency: DelayModel = FixedDelay(Fraction(0))
     connect_time_seconds: Fraction = Fraction(0)
-    time_on_air_ms: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.capacity_bps <= 0:
             raise ValueError(f"capacity must be > 0, got {number_text(self.capacity_bps)}")
         if self.max_payload_bytes is not None and self.max_payload_bytes < 1:
             raise ValueError(f"payload cap must be >= 1, got {number_text(self.max_payload_bytes)}")
-        for name in ("max_messages_per_day", "min_inter_message_gap_seconds", "connect_time_seconds", "time_on_air_ms"):
+        for name in ("max_messages_per_day", "min_inter_message_gap_seconds", "connect_time_seconds"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0, got {number_text(value)}")
@@ -59,16 +58,17 @@ class NetworkProfile:
 
 
 #: Per spreading factor / bandwidth: uplink bitrate (bps), payload cap
-#: (bytes), time on air for a max-size message (ms), and the daily message
-#: allowance implied by the 1% duty cycle plus community fair-use airtime cap.
-LORA_UPLINK_TABLE: dict[tuple[int, int], tuple[int, int, Fraction, int]] = {
-    (12, 125): (250, 51, Fraction("2793.5"), 12),
-    (11, 125): (440, 51, Fraction("1560.6"), 23),
-    (10, 125): (980, 51, Fraction("698.4"), 51),
-    (9, 125): (1760, 115, Fraction("676.9"), 53),
-    (8, 125): (3125, 222, Fraction("655.9"), 54),
-    (7, 125): (5470, 222, Fraction("368.9"), 97),
-    (7, 250): (11000, 222, Fraction("184.4"), 195),
+#: (bytes), and the daily message allowance. The allowance is the number of
+#: max-size messages whose time on air fits the 1% duty cycle plus the
+#: community fair-use airtime cap.
+LORA_UPLINK_TABLE: dict[tuple[int, int], tuple[int, int, int]] = {
+    (12, 125): (250, 51, 12),
+    (11, 125): (440, 51, 23),
+    (10, 125): (980, 51, 51),
+    (9, 125): (1760, 115, 53),
+    (8, 125): (3125, 222, 54),
+    (7, 125): (5470, 222, 97),
+    (7, 250): (11000, 222, 195),
 }
 
 
@@ -84,7 +84,7 @@ def lora_profile(sf: int, bandwidth_khz: int) -> NetworkProfile:
             f"unsupported LoRa configuration SF{sf}/{bandwidth_khz} kHz; "
             f"supported: {sorted(LORA_UPLINK_TABLE)}"
         )
-    bitrate, payload, airtime_ms, per_day = entry
+    bitrate, payload, per_day = entry
     return NetworkProfile(
         id="lora",
         name="LoRa",
@@ -94,7 +94,6 @@ def lora_profile(sf: int, bandwidth_khz: int) -> NetworkProfile:
         min_inter_message_gap_seconds=Fraction("0.000165"),
         latency=UniformDelay(Fraction("0.024"), Fraction("2.8")),
         connect_time_seconds=Fraction("5.6"),  # over-the-air activation, measured average
-        time_on_air_ms=airtime_ms,
     )
 
 
@@ -159,7 +158,6 @@ def network_from_dict(node: Node) -> NetworkProfile:
         min_inter_message_gap_seconds=node.get("min_inter_message_gap_seconds", Node.fraction, None),
         latency=node.get("latency", lambda latency: delay_from_dict(latency, "ms"), FixedDelay(Fraction(0))),
         connect_time_seconds=node.get("connect_time_seconds", Node.fraction, Fraction(0)),
-        time_on_air_ms=node.get("time_on_air_ms", Node.fraction, None),
     )
 
 

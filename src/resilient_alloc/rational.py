@@ -24,16 +24,17 @@ from pathlib import Path
 MAX_EXPONENT = 400
 
 
-def number_text(value: Fraction | int) -> str:
+def number_text(value: Fraction | int | float) -> str:
     """``value`` for a one-line message: an int of at most 20 digits in full, otherwise as ``:g``
-    prints its float, or to 6 digits (``-1e+400``) where the float overflows or underflows."""
+    prints its float, or to 6 digits (``-1e+400``) where an int or Fraction overflows or
+    underflows a float."""
     if isinstance(value, int) and abs(value) < 10**20:
         return str(value)
     try:
         approx = float(value)
     except OverflowError:
         approx = math.inf
-    if sys.float_info.min <= abs(approx) < math.inf or value == 0:
+    if sys.float_info.min <= abs(approx) < math.inf or value == 0 or isinstance(value, float):
         return f"{approx:g}"
     digits = Context(prec=6).divide(Decimal(value.numerator), Decimal(value.denominator))
     return f"{digits.normalize():g}"

@@ -44,7 +44,7 @@ import heapq
 import json
 import sys
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -326,7 +326,7 @@ _TO_HOST = "node->host"
 class _Simulation:
     """Single-run state; see module docstring for the rules implemented."""
 
-    def __init__(self, scenario: Scenario, transcript: list | None) -> None:
+    def __init__(self, scenario: Scenario, transcript: Callable[[dict], object] | None) -> None:
         self.scenario = scenario
         self.transcript = transcript
         self.rng = SplitMix64(scenario.seed)
@@ -383,13 +383,7 @@ class _Simulation:
     def _send(self, direction: str, body: bytes) -> None:
         """Frame ``body``, feed it to the receiver's decoder and dispatch it."""
         if self.transcript is not None:
-            self.transcript.append(
-                {
-                    "t": float(self.now),
-                    "dir": direction,
-                    "body": body.decode("utf-8", "backslashreplace"),
-                }
-            )
+            self.transcript({"t": float(self.now), "dir": direction, "body": body.decode("utf-8", "backslashreplace")})
         decoder, on_frame = self._links[direction]
         for event in decoder.feed(wire.encode_frame(body)):
             if isinstance(event, wire.MalformedFrame):
@@ -622,11 +616,13 @@ class _Simulation:
                     raise AssertionError(f"wire {reason.value.lower()} ERRs disagree for flow {flow.id}")
 
 
-def run(scenario: Scenario, transcript: list | None = None) -> SimReport:
-    """Simulate ``scenario``; optionally append wire transcript entries.
+def run(scenario: Scenario, transcript: Callable[[dict], object] | None = None) -> SimReport:
+    """Simulate ``scenario``; optionally pass each wire frame to ``transcript``.
 
-    ``transcript``, when given, receives one ``{"t", "dir", "body"}`` dict per
-    frame in stream order.
+    ``transcript``, when given, is called with one ``{"t", "dir", "body"}`` dict
+    per frame, in stream order, as the frame is sent; nothing is buffered. A
+    caller that wants a list passes ``entries.append``. If the run stops with an
+    error, the frames sent before it have already been passed.
     """
     scenario.validate()
     return _Simulation(scenario, transcript).run()

@@ -36,6 +36,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .flows import check_flow_name
+from .rational import number_text
 
 HEADER = b":ML:"
 # The largest escaped body a frame may carry. The decoder reads at most this
@@ -189,7 +190,7 @@ class AppMessage:
     def __post_init__(self) -> None:
         check_flow_name(self.flow_name)
         if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
+            raise ValueError(f"level must be >= 1, got {number_text(self.level)}")
 
 
 def encode_app(message: AppMessage) -> bytes:
@@ -232,11 +233,11 @@ class MfeaEntry:
 
     def __post_init__(self) -> None:
         if self.payload_size < 0:
-            raise ValueError(f"payload size must be >= 0, got {self.payload_size}")
+            raise ValueError(f"payload size must be >= 0, got {number_text(self.payload_size)}")
         if not 0 < self.period_seconds < math.inf:
-            raise ValueError(f"period must be > 0 and finite, got {self.period_seconds}")
+            raise ValueError(f"period must be > 0 and finite, got {number_text(self.period_seconds)}")
         if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
+            raise ValueError(f"level must be >= 1, got {number_text(self.level)}")
         check_flow_name(self.flow_name)
 
 

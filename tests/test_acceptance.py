@@ -216,7 +216,7 @@ def test_criterion_8_high_criticality_delivery_and_handshake(assisted_living):
 
     transcript: list = []
     started = time.perf_counter()
-    rep = run(families[-1], transcript=transcript)
+    rep = run(families[-1], transcript=transcript.append)
     elapsed = time.perf_counter() - started
     one_handshake = len(rep.handshakes) == 1
     shake = rep.handshakes[0]

@@ -3,9 +3,11 @@ from __future__ import annotations
 import io
 import json
 import sys
+import tracemalloc
 
 import pytest
 
+from resilient_alloc import simulator, wire
 from resilient_alloc.cli import SEED_ENV_VAR, main
 from resilient_alloc.simulator import Scenario, scenario_from_dict
 
@@ -184,6 +186,75 @@ class TestSimulate:
         assert entries[0]["t"] == 0.0
         assert entries[0]["body"].startswith("MFEA:")
         assert {"t", "dir", "body"} <= set(entries[0])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({"duration_seconds": [600]}, id="unreadable"),
+            pytest.param({"events": [{"kind": "down", "network": "wifi", "t": 601}]}, id="fails_validation"),
+        ],
+    )
+    def test_invalid_scenario_leaves_the_transcript_empty(self, wifi_loss_path, tmp_path, capsys, change):
+        path, transcript = tmp_path / "scenario.json", tmp_path / "frames.jsonl"
+        path.write_text(json.dumps({**json.loads(wifi_loss_path.read_text()), **change}))
+        transcript.write_text("left from an earlier run\n")
+        assert main(["simulate", "--scenario", str(path), "--transcript", str(transcript)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert transcript.read_text() == ""
+
+    def test_stopped_run_leaves_the_frames_sent_before_it(self, wifi_loss_path, tmp_path, capsys, monkeypatch):
+        transcript = tmp_path / "frames.jsonl"
+        argv = ["simulate", "--scenario", str(wifi_loss_path), "--transcript", str(transcript), "--format", "json"]
+        assert main(argv) == 0
+        full = transcript.read_text().splitlines(keepends=True)
+        decode_app, calls = wire.decode_app, []
+
+        def stop_at_the_fifth_message(data: bytes) -> wire.AppMessage:
+            calls.append(data)
+            if len(calls) == 5:
+                raise wire.ParseError("stopped on purpose", 0)
+            return decode_app(data)
+
+        monkeypatch.setattr(wire, "decode_app", stop_at_the_fifth_message)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: stopped on purpose (at byte 0)\n"
+        stopped = transcript.read_text().splitlines(keepends=True)
+        assert all(line.endswith("\n") and json.loads(line) for line in stopped)
+        assert 0 < len(stopped) < len(full) and stopped == full[: len(stopped)]
+
+    def test_unwritable_transcript_fails_before_the_run(self, wifi_loss_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: pytest.fail("the simulation started"))
+        transcript = tmp_path / "missing" / "frames.jsonl"
+        assert main(["simulate", "--scenario", str(wifi_loss_path), "--transcript", str(transcript)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_memory_stays_flat_with_a_transcript(self, tmp_path, capsys):
+        # The transcript is written as frames are sent, so neither it nor the
+        # run holds memory that grows with simulated time.
+        def peak_bytes(days: int) -> int:
+            scenario = {
+                "l_max": 1,
+                "factor": 1,
+                "duration_seconds": days * 86400,
+                "seed": 42,
+                "networks": [{"builtin": "wifi_fipy"}],
+                "flows": [{"id": "1", "name": "flow 1", "qos": {"1": {"c": 1, "t": 300}}}],
+            }
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(scenario))
+            argv = ["simulate", "--scenario", str(path), "--transcript", str(tmp_path / "frames.jsonl")]
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--format", "json"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak_bytes(1)  # warm up one-time caches
+        assert peak_bytes(7) <= 1.5 * peak_bytes(1)
 
     def test_periods_written_with_an_exponent_round_trip(self, tmp_path, capsys):
         scenario = {
@@ -556,7 +627,6 @@ class TestArgumentHandling:
                     "max_messages_per_day",
                     "min_inter_message_gap_seconds",
                     "connect_time_seconds",
-                    "time_on_air_ms",
                 ]
             ),
             pytest.param(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from resilient_alloc import FixedDelay, UniformDelay, builtin_profile, lora_profile
+from resilient_alloc import FixedDelay, NetworkProfile, UniformDelay, builtin_profile, lora_profile
 from resilient_alloc.networks import (
     BUILTIN_KINDS,
     LORA_UPLINK_TABLE,
@@ -76,21 +76,18 @@ class TestLoraTable:
         profile = lora_profile(9, 125)
         assert profile.capacity_bps == 1760
         assert profile.max_payload_bytes == 115
-        assert profile.time_on_air_ms == Fraction("676.9")
         assert profile.max_messages_per_day == 53
 
     def test_sf7_250(self):
         profile = lora_profile(7, 250)
         assert profile.capacity_bps == 11000
         assert profile.max_payload_bytes == 222
-        assert profile.time_on_air_ms == Fraction("184.4")
         assert profile.max_messages_per_day == 195
 
     def test_sf12_125(self):
         profile = lora_profile(12, 125)
         assert profile.capacity_bps == 250
         assert profile.max_payload_bytes == 51
-        assert profile.time_on_air_ms == Fraction("2793.5")
         assert profile.max_messages_per_day == 12
 
     def test_exactly_seven_rows_supported(self):
@@ -124,6 +121,12 @@ class TestJson:
         assert profile.capacity_bps == 1234
         assert profile.min_inter_message_gap_seconds == Fraction(1, 4)
         assert profile.latency == UniformDelay(Fraction("0.01"), Fraction("0.02"))
+
+    def test_time_on_air_key_is_ignored(self):
+        # The profile has no airtime field; the key is ignored like any unknown key.
+        assert networks_from_json([{"id": "lora", "capacity_bps": 5470, "time_on_air_ms": -1}]) == [
+            NetworkProfile(id="lora", name="lora", capacity_bps=5470)
+        ]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):

@@ -163,7 +163,7 @@ class TestAvailabilityChange:
 
     def test_no_emissions_inside_the_window(self, assisted_living):
         transcript: list = []
-        report = run(self._loss_scenario(assisted_living), transcript=transcript)
+        report = run(self._loss_scenario(assisted_living), transcript=transcript.append)
         shake = report.handshakes[0]
         for entry in transcript:
             if entry["dir"] == "host->node" and not entry["body"].startswith("<"):
@@ -178,7 +178,7 @@ class TestAvailabilityChange:
 
     def test_handshake_frames_in_transcript(self, assisted_living):
         transcript: list = []
-        report = run(self._loss_scenario(assisted_living), transcript=transcript)
+        report = run(self._loss_scenario(assisted_living), transcript=transcript.append)
         shake = report.handshakes[0]
         inits = [e for e in transcript if e["body"] == "<INFO:RE-ALLOC:INIT>"]
         accepts = [e for e in transcript if e["body"] == "<INFO:RE-ALLOC:ACCEPTED>"]
@@ -231,7 +231,7 @@ class TestAvailabilityChange:
             ),
         )
         transcript: list = []
-        report = run(scenario, transcript=transcript)
+        report = run(scenario, transcript=transcript.append)
         assert len(report.handshakes) == 1
         shake = report.handshakes[0]
         assert shake.start == 300
@@ -341,7 +341,7 @@ class TestDeliveryConstraints:
         transcript: list = []
         report = run(
             _scenario([fits, too_big], [tiny], duration_seconds=Fraction(30)),
-            transcript=transcript,
+            transcript=transcript.append,
         )
         assert report.final_allocation["1"] == ("tiny", 1)
         assert report.final_allocation["2"] is None
@@ -534,7 +534,6 @@ class TestScenarioValidation:
                     "max_messages_per_day",
                     "min_inter_message_gap_seconds",
                     "connect_time_seconds",
-                    "time_on_air_ms",
                 )
             ),
         ],

@@ -208,6 +208,10 @@ class TestAppMessages:
         with pytest.raises(ParseError):
             decode_app(b"f,abc,payload")
 
+    def test_long_negative_level_gives_a_short_message(self):
+        with pytest.raises(ValueError, match=r"^level must be >= 1, got -1e\+4000$"):
+            AppMessage("f", -int("9" * 4000), b"")
+
     @given(
         name=flow_names,
         level=st.integers(1, 9),
@@ -287,6 +291,14 @@ class TestMfea:
     def test_period_beyond_float_range_rejected(self, period):
         with pytest.raises(ParseError):
             decode_mfea(f"MFEA:[{{'PS': 1, 'N': 'A', 'PE': {period}, 'MF': 'x', 'CL': 1}}]")
+
+    @pytest.mark.parametrize("key", ["PS", "PE", "CL"])
+    def test_long_negative_number_gives_a_short_message(self, key):
+        fields = {"PS": "1", "N": "'A'", "PE": "1", "MF": "'x'", "CL": "1", key: "-" + "9" * 4000}
+        text = "MFEA:[{" + ", ".join(f"'{name}': {value}" for name, value in fields.items()) + "}]"
+        with pytest.raises(ParseError, match=r"got -1e\+4000 ") as excinfo:
+            decode_mfea(text)
+        assert len(str(excinfo.value).encode()) < 200
 
     def test_trailing_data_rejected(self):
         with pytest.raises(ParseError):
