@@ -100,7 +100,7 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def utilization(flow: FlowSpec, level: int, factor: int = 8) -> int | None:
+def utilization(flow: FlowSpec, level: int, factor: int) -> int | None:
     """Bandwidth demand of ``flow`` at ``level`` in integer micro-bps.
 
     Returns None when the flow declares no service at that level. The C/T

@@ -74,17 +74,10 @@ class InvalidScenario(ValueError):
     """The scenario violates a structural rule."""
 
 
-def _mfea_entry(flow: FlowSpec, network_name: str, level: int) -> wire.MfeaEntry:
-    """The MFEA record that announces ``flow`` at ``level`` on the network named ``network_name``."""
-    qos = flow.qos[level]
-    period = wire._wire_period(qos.min_interval_seconds)
-    return wire.MfeaEntry(qos.message_size_bytes, network_name, period, flow.name, level)
-
-
 def _quoted(path: str, text: str) -> str:
     """``text`` as an MFEA record quotes it; ``path`` names the field if it cannot be quoted."""
     try:
-        return wire._quote(text)
+        return wire.quote(text)
     except ValueError as exc:
         raise InvalidScenario(f"{path}: {exc}") from None
 
@@ -182,7 +175,7 @@ class Scenario:
             # A flow emits at most once per its shortest declared period.
             emissions += self.duration_seconds // min(qos.min_interval_seconds for qos in flow.qos.values())
             if self.networks:
-                records = (_mfea_entry(flow, widest, level) for level in flow.qos)
+                records = (wire.mfea_entry(flow, widest, level) for level in flow.qos)
                 entries.append(max(records, key=lambda entry: len(wire.encode_mfea([entry]))))
         if emissions > _MAX_EMISSIONS:
             raise InvalidScenario(f"duration_seconds: the run would emit more than {_MAX_EMISSIONS} messages")
@@ -301,8 +294,10 @@ class SimReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2).encode("utf-8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MsgRecord:
+    """One message in flight, hashed by identity: each record is its own key in ``pending``."""
+
     flow_idx: int
     level: int
     size: int
@@ -316,7 +311,7 @@ class _NetworkRuntime:
     last_send: Fraction | None = None
     day_index: int | None = None
     sent_today: int = 0
-    pending: dict[int, _MsgRecord] = field(default_factory=dict)
+    pending: dict[_MsgRecord, None] = field(default_factory=dict)  # in send order
 
 
 _TO_NODE = "host->node"
@@ -356,7 +351,6 @@ class _Simulation:
         self.pending_active: dict[int, tuple[str, int]] | None = None
         self.window_start: Fraction | None = None  # set while a re-allocation window is open
         self.realloc_epoch = 0
-        self._msg_key = 0
 
         # accounting
         self.stats: list[dict[int, FlowLevelCounts]] = [{} for _ in scenario.flows]
@@ -408,7 +402,7 @@ class _Simulation:
             placed = table.entries.get(flow.id)
             if placed is not None:
                 allocation[i] = (placed.network_id, placed.level)
-                entries.append(_mfea_entry(flow, self.networks[placed.network_id].profile.name, placed.level))
+                entries.append(wire.mfea_entry(flow, self.networks[placed.network_id].profile.name, placed.level))
         self.pending_active = allocation
         self._send(_TO_HOST, wire.encode_mfea(entries).encode("utf-8"))
         return allocation
@@ -465,16 +459,16 @@ class _Simulation:
             return
         runtime.last_send = self.now
         runtime.sent_today += 1
-        self._msg_key += 1
-        runtime.pending[self._msg_key] = _MsgRecord(flow_idx, message.level, size)
+        record = _MsgRecord(flow_idx, message.level, size)
+        runtime.pending[record] = None
         latency = runtime.profile.latency.sample(self.rng)
-        self._push(self.now + latency, _P_DELIVER, flow_idx, self._do_deliver, runtime, self._msg_key)
+        self._push(self.now + latency, _P_DELIVER, flow_idx, self._do_deliver, runtime, record)
 
-    def _do_deliver(self, runtime: _NetworkRuntime, key: int) -> None:
-        # A key is gone when its network went down while the message was in flight.
-        record = runtime.pending.pop(key, None)
-        if record is None:
+    def _do_deliver(self, runtime: _NetworkRuntime, record: _MsgRecord) -> None:
+        # A record is gone when its network went down while the message was in flight.
+        if record not in runtime.pending:
             return
+        del runtime.pending[record]
         self._counts(record.flow_idx, record.level).delivered += 1
         runtime.counts.messages += 1
         runtime.counts.bytes += record.size
@@ -506,20 +500,17 @@ class _Simulation:
         for entry in entries:
             flow_idx = self.index_by_name[entry.flow_name]
             flow = self.flows[flow_idx]
-            if entry != _mfea_entry(flow, entry.network, entry.level):
+            if entry != wire.mfea_entry(flow, entry.network, entry.level):
                 raise AssertionError(f"MFEA entry disagrees for flow {flow.id}")
             self.levels[flow_idx] = entry.level
         was_paused = self.paused
         self.paused = False
-        self._schedule_all_emissions()
-        if was_paused:
-            self._send_control(_TO_NODE, wire.ReallocAccepted())
-
-    def _schedule_all_emissions(self) -> None:
         # A new epoch makes every emission scheduled under the old table stale.
         self.emit_epoch += 1
         for flow_idx in range(len(self.flows)):
             self._schedule_emit(flow_idx)
+        if was_paused:
+            self._send_control(_TO_NODE, wire.ReallocAccepted())
 
     def _schedule_emit(self, flow_idx: int) -> None:
         """Schedule the flow's next emission one period on, unless that passes the end of the run."""
@@ -543,7 +534,7 @@ class _Simulation:
         runtime = self.networks[network_id]
         runtime.up = up
         if not up:
-            for record in runtime.pending.values():
+            for record in runtime.pending:
                 # the node reports the loss exactly as a failed send would be
                 self._refuse(record.flow_idx, record.level, wire.ErrorReason.NOT_DELIVERED)
             runtime.pending.clear()

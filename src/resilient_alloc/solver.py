@@ -75,7 +75,7 @@ class IlpInstance:
     flows: tuple[FlowSpec, ...]
     networks: tuple[NetworkProfile, ...]
     l_max: int
-    factor: int = 8
+    factor: int
     require_all: bool = False
 
 

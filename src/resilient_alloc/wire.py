@@ -19,7 +19,9 @@ Payload kinds carried inside frames:
   decoder also accepts double quotes, any key order and spaces around the
   delimiters). PS and CL are ints. PE is whole seconds as an int, or else
   the nearest float. A number is an int, or a float as ``repr`` writes it,
-  exponent included: ``10``, ``-1``, ``0.5``, ``1e-05``, ``2.5e+16``;
+  exponent included: ``10``, ``-1``, ``0.5``, ``1e-05``, ``2.5e+16``.
+  ``mfea_entry`` builds the one record that announces a flow at a level,
+  and ``quote`` writes a name as a record quotes it;
 * control messages: ``<INFO:RE-ALLOC:INIT>``, ``<INFO:RE-ALLOC:ACCEPTED>``,
   ``<ACK:flow>``, ``<ERR:flow:NOT-ALLOCATED>``, ``<ERR:flow:NOT-DELIVERED>``.
 
@@ -33,9 +35,8 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .flows import check_flow_name
+from .flows import FlowSpec, check_flow_name
 from .rational import number_text
 
 HEADER = b":ML:"
@@ -241,7 +242,8 @@ class MfeaEntry:
         check_flow_name(self.flow_name)
 
 
-def _quote(value: str) -> str:
+def quote(value: str) -> str:
+    """``value`` as an MFEA record writes a string: single-quoted, or double-quoted if it holds ``'``."""
     if "'" not in value:
         return f"'{value}'"
     if '"' not in value:
@@ -256,18 +258,21 @@ def encode_mfea(entries: list[MfeaEntry]) -> str:
             "{'PS': %r, 'N': %s, 'PE': %r, 'MF': %s, 'CL': %r}"
             % (
                 entry.payload_size,
-                _quote(entry.network),
+                quote(entry.network),
                 entry.period_seconds,
-                _quote(entry.flow_name),
+                quote(entry.flow_name),
                 entry.level,
             )
         )
     return "MFEA:[" + ", ".join(records) + "]"
 
 
-def _wire_period(period: Fraction) -> int | float:
-    """MFEA period field: whole seconds as an int, anything else as a float."""
-    return int(period) if period.denominator == 1 else float(period)
+def mfea_entry(flow: FlowSpec, network_name: str, level: int) -> MfeaEntry:
+    """The MFEA record that announces ``flow`` at ``level`` on the network named ``network_name``."""
+    qos = flow.qos[level]
+    period = qos.min_interval_seconds  # whole seconds as an int, anything else as a float
+    period_seconds = int(period) if period.denominator == 1 else float(period)
+    return MfeaEntry(qos.message_size_bytes, network_name, period_seconds, flow.name, level)
 
 
 # Spaces, then a field value: a quoted string, or a number as ``%r`` writes an

@@ -279,6 +279,64 @@ class TestBaselines:
             )
 
 
+# Each edit breaks one invariant of the cabf table on the assisted-living
+# flows, whose placements TestCriticalityAware pins: flows 2 and 4 on Wi-Fi at
+# level 1, flow 6 on Sigfox at level 2, flow 8 (level 1 only) on Sigfox.
+TABLE_CORRUPTIONS = {
+    "key_is_not_flow_id": (
+        lambda table: table.entries.update({"9": Allocation("8", "sigfox", 1)}),
+        r"^entry key '9' does not match Allocation\(flow_id='8', network_id='sigfox', level=1\)$",
+    ),
+    "unknown_flow": (
+        lambda table: table.entries.update({"9": Allocation("9", "sigfox", 1)}),
+        r"^allocation for unknown flow '9'$",
+    ),
+    "unknown_network": (
+        lambda table: table.entries.update({"8": Allocation("8", "zigbee", 1)}),
+        r"^allocation on unknown network 'zigbee'$",
+    ),
+    "undeclared_level": (
+        lambda table: table.entries.update({"8": Allocation("8", "sigfox", 2)}),
+        r"^flow '8' has no QoS at level 2$",
+    ),
+    # 1.6 + 32 + 32 kbps on the 64 kbps Wi-Fi, checked before Wi-Fi's residual.
+    "overloaded_network": (
+        lambda table: table.entries.update({"6": Allocation("6", "wifi", 1)}),
+        r"^network 'wifi' overloaded: 65600000000 micro-bps$",
+    ),
+    "residual_mismatch": (
+        lambda table: table.residual.update(lora=table.residual["lora"] + 1),
+        r"^residual mismatch on 'lora': 896000001 != 896000000$",
+    ),
+}
+
+
+class TestTableChecks:
+    @pytest.mark.parametrize("corrupt,message", TABLE_CORRUPTIONS.values(), ids=list(TABLE_CORRUPTIONS))
+    def test_verify_names_the_broken_invariant(self, assisted_living, table2_networks, corrupt, message):
+        flows = list(assisted_living.flows)
+        table = cabf(flows, table2_networks, CFG8)
+        verify_allocation_table(table, flows, table2_networks, CFG8)
+        corrupt(table)
+        with pytest.raises(ValueError, match=message):
+            verify_allocation_table(table, flows, table2_networks, CFG8)
+
+    def test_place_refuses_a_second_entry_for_a_flow(self, table2_networks):
+        table = AllocationTable(table2_networks)
+        table.place(Allocation("1", "wifi", 1), 10)
+        with pytest.raises(ValueError, match=r"^flow '1' is already allocated$"):
+            table.place(Allocation("1", "lora", 1), 10)
+        assert table.entries == {"1": Allocation("1", "wifi", 1)}
+        assert table.residual["lora"] == 1_760_000_000
+
+    def test_place_refuses_an_overload(self, table2_networks):
+        table = AllocationTable(table2_networks)
+        with pytest.raises(ValueError, match=r"^network 'sigfox' cannot take 48000001 micro-bps$"):
+            table.place(Allocation("1", "sigfox", 1), 48_000_001)
+        assert table.entries == {}
+        assert table.residual["sigfox"] == 48_000_000
+
+
 @st.composite
 def small_instances(draw):
     l_max = draw(st.integers(1, 3))

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilient_alloc import wire
+from resilient_alloc import FlowSpec, QosRequirement, wire
 from resilient_alloc.wire import (
     Ack,
     AppMessage,
@@ -26,6 +27,7 @@ from resilient_alloc.wire import (
     encode_control,
     encode_frame,
     encode_mfea,
+    mfea_entry,
     parse_control,
 )
 
@@ -91,6 +93,15 @@ class TestFrames:
         events, rest = decode_all(b":ML:2:\\x\n:ML:2:HI\n")
         assert events == [MalformedFrame("bad-escape", b"\\x"), Frame(b"HI")]
         assert rest == b""
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [(b"a\\", r"^dangling escape$"), (b"a\\x", r"^bad escape \\'x'$")],
+        ids=["dangling", "unknown"],
+    )
+    def test_unescape_error_names_the_escape(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            wire.unescape_body(data)
 
     def test_trailing_partial_is_retained(self):
         decoder = FrameDecoder()
@@ -204,9 +215,18 @@ class TestAppMessages:
         with pytest.raises(ParseError):
             decode_app(b"only-name")
 
-    def test_bad_level(self):
-        with pytest.raises(ParseError):
-            decode_app(b"f,abc,payload")
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"f,abc,payload", r"^criticality level is not a number \(at byte 2\)$"),
+            (b"f,0,x", r"^level must be >= 1, got 0 \(at byte 0\)$"),
+            (b"\xff,1,x", r"^flow name is not valid UTF-8 \(at byte 0\)$"),
+        ],
+        ids=["level_not_a_number", "level_zero", "name_not_utf8"],
+    )
+    def test_bad_name_or_level(self, data, message):
+        with pytest.raises(ParseError, match=message):
+            decode_app(data)
 
     def test_long_negative_level_gives_a_short_message(self):
         with pytest.raises(ValueError, match=r"^level must be >= 1, got -1e\+4000$"):
@@ -264,6 +284,15 @@ class TestMfea:
         assert '"O\'Hara room"' in text
         assert decode_mfea(text) == entries
 
+    def test_entry_for_a_flow_writes_whole_periods_as_ints(self):
+        qos = {1: QosRequirement(41, Fraction(10)), 2: QosRequirement(41, Fraction(1, 2))}
+        flow = FlowSpec(id="k", app="home", name="Kitchen Sensor", qos=qos)
+        whole = mfea_entry(flow, "Wi-Fi", 1)
+        assert encode_mfea([whole]) == PAPER_SAMPLE
+        assert type(whole.period_seconds) is int
+        half = "MFEA:[{'PS': 41, 'N': 'Wi-Fi', 'PE': 0.5, 'MF': 'Kitchen Sensor', 'CL': 2}]"
+        assert encode_mfea([mfea_entry(flow, "Wi-Fi", 2)]) == half
+
     def test_fractional_period(self):
         entries = [MfeaEntry(1, "A", 0.5, "x", 1)]
         assert decode_mfea(encode_mfea(entries)) == entries
@@ -275,13 +304,26 @@ class TestMfea:
 
     @pytest.mark.parametrize(
         "text,offset",
-        [("MFEA:[{ 1: 2}]", 8), ("MFEA:[{'Q':  1}]", 13), ("MFEA:[{'PS': 'x'}]", 13), ("MFEA:x", 5)],
-        ids=["numeric_key", "unknown_key", "string_for_number", "missing_bracket"],
+        [
+            ("MFEA:[{ 1: 2}]", 8),
+            ("MFEA:[{'Q':  1}]", 13),
+            ("MFEA:[{'PS': 'x'}]", 13),
+            ("MFEA:x", 5),
+            ("MFEA:[{'PS' 1}]", 12),
+        ],
+        ids=["numeric_key", "unknown_key", "string_for_number", "missing_bracket", "missing_colon"],
     )
     def test_offset_points_at_the_bad_token(self, text, offset):
         with pytest.raises(ParseError) as excinfo:
             decode_mfea(text)
         assert excinfo.value.offset == offset
+
+    @pytest.mark.parametrize("key,number", [("PS", "1.5"), ("CL", "2.0")])
+    def test_float_size_or_level_rejected(self, key, number):
+        fields = {"PS": "1", "N": "'A'", "PE": "1", "MF": "'x'", "CL": "1", key: number}
+        text = "MFEA:[{" + ", ".join(f"'{name}': {value}" for name, value in fields.items()) + "}]"
+        with pytest.raises(ParseError, match=r"^PS and CL must be integers \(at byte \d+\)$"):
+            decode_mfea(text)
 
     def test_missing_key_rejected(self):
         with pytest.raises(ParseError):
@@ -347,6 +389,10 @@ class TestControl:
     def test_unwrapped_text(self):
         with pytest.raises(ParseError):
             parse_control("ACK:f")
+
+    def test_unknown_kind(self):
+        with pytest.raises(ParseError, match=r"^unknown control message '<FOO:x>' \(at byte 1\)$"):
+            parse_control("<FOO:x>")
 
     @given(name=flow_names, reason=st.sampled_from(list(ErrorReason)))
     def test_roundtrip_random(self, name, reason):
