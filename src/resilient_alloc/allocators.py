@@ -97,7 +97,7 @@ class AllocationTable:
         remaining = self.residual[allocation.network_id] - demand_micro_bps
         if remaining < 0:
             raise ValueError(
-                f"network {allocation.network_id!r} cannot take {demand_micro_bps} micro-bps"
+                f"network {allocation.network_id!r} cannot take {number_text(demand_micro_bps)} micro-bps"
             )
         self.entries[allocation.flow_id] = allocation
         self.residual[allocation.network_id] = remaining
@@ -238,10 +238,11 @@ def verify_allocation_table(
     for profile in networks:
         used = load[profile.id]
         if used > profile.capacity_micro_bps:
-            raise ValueError(f"network {profile.id!r} overloaded: {used} micro-bps")
+            raise ValueError(f"network {profile.id!r} overloaded: {number_text(used)} micro-bps")
         expected_residual = profile.capacity_micro_bps - used
-        if table.residual.get(profile.id) != expected_residual:
+        residual = table.residual.get(profile.id)
+        if residual != expected_residual:
+            shown = "None" if residual is None else number_text(residual)
             raise ValueError(
-                f"residual mismatch on {profile.id!r}: "
-                f"{table.residual.get(profile.id)} != {expected_residual}"
+                f"residual mismatch on {profile.id!r}: {shown} != {number_text(expected_residual)}"
             )

@@ -5,15 +5,20 @@ The three aggregate columns reported for every algorithm are the objective
 served, and the average assigned criticality level. Averages are exact
 fractions internally; tables render them truncated toward zero at two
 decimals (17/8 prints as 2.12).
+
+Every JSON report, the comparison here and the simulation report, is written
+by ``json_document``, whose text is byte-identical to what ``json.dumps``
+writes with ``sort_keys=True`` and an indent of 2.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from string import ascii_lowercase
 
 from .allocators import AllocationTable
@@ -181,4 +186,66 @@ def render_comparison_json(
         "factor": factor,
         "rows": [{"algorithm": name, **report_to_json_dict(rep)} for name, rep in rows],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_document(doc) + "\n"
+
+
+def json_document(value: object) -> str:
+    """What ``json.dumps`` writes for ``value`` with ``sort_keys=True`` and an indent of 2.
+
+    Up to CPython 3.13, any indent makes ``json.dumps`` fall back to its pure-Python,
+    generator-based encoder; this writer appends to one list and joins once.
+    Dict keys must be ``str``; a key or value of any other type is a TypeError.
+    """
+    parts: list[str] = []
+    _write_json(value, parts, "\n")
+    return "".join(parts)
+
+
+def _write_json(value: object, parts: list[str], newline: str) -> None:
+    """Append ``value``'s text to ``parts``; ``newline`` starts a line at its depth."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        lead, separator = "{" + inner, "," + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(lead + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], parts, inner)
+            lead = separator
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        lead, separator = "[" + inner, "," + inner
+        for item in value:
+            parts.append(lead)
+            _write_json(item, parts, inner)
+            lead = separator
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)

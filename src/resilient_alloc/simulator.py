@@ -41,7 +41,6 @@ recorded.
 from __future__ import annotations
 
 import heapq
-import json
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable
@@ -53,7 +52,7 @@ from . import wire
 from .allocators import AllocatorConfig
 from .catalog import ALGORITHM_NAMES, run_algorithm
 from .flows import FlowSpec, flow_from_dict, validate_flow_set
-from .metrics import placements_json
+from .metrics import json_document, placements_json
 from .networks import NetworkProfile, network_from_dict
 from .rational import Node, number_text, read_json
 from .rng import RNG_NAME, DelayModel, SplitMix64, UniformDelay, delay_from_dict
@@ -291,7 +290,7 @@ class SimReport:
         }
 
     def json_bytes(self) -> bytes:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2).encode("utf-8")
+        return json_document(self.to_json_dict()).encode("utf-8")
 
 
 @dataclass(frozen=True, eq=False)

@@ -336,6 +336,11 @@ class TestTableChecks:
         assert table.entries == {}
         assert table.residual["sigfox"] == 48_000_000
 
+    def test_place_prints_a_huge_demand_in_short(self, table2_networks):
+        table = AllocationTable(table2_networks)
+        with pytest.raises(ValueError, match=r"^network 'sigfox' cannot take 1e\+50 micro-bps$"):
+            table.place(Allocation("1", "sigfox", 1), 10**50)
+
 
 @st.composite
 def small_instances(draw):

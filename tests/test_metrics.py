@@ -1,16 +1,39 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
-from resilient_alloc import AllocationTable, AllocatorConfig, cabf, objective, report, run_algorithm
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from resilient_alloc import (
+    AllocationTable,
+    AllocatorConfig,
+    FlowSpec,
+    NetworkEvent,
+    QosRequirement,
+    Scenario,
+    builtin_profile,
+    cabf,
+    load_scenario,
+    objective,
+    report,
+    run,
+    run_algorithm,
+)
+from resilient_alloc.allocators import HEURISTIC_NAMES
 from resilient_alloc.metrics import (
+    REPORT_SCHEMA_VERSION,
     format_quantity,
     glyph_map,
+    json_document,
     render_comparison_csv,
     render_comparison_json,
     render_comparison_table,
+    report_to_json_dict,
 )
 
 from enumeration_oracle import random_instance
@@ -121,3 +144,121 @@ class TestRendering:
         assert row["objective"] == 22
         assert row["avg_criticality_display"] == "1.25"
         assert row["per_flow"]["6"]["level"] == 2
+
+
+def stdlib_document(value) -> str:
+    """The reference ``json_document`` must match: the stdlib's indented encoder."""
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def stdlib_comparison(rows, factor: int) -> str:
+    doc = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "factor": factor,
+        "rows": [{"algorithm": name, **report_to_json_dict(rep)} for name, rep in rows],
+    }
+    return stdlib_document(doc) + "\n"
+
+
+def comparison_rows(flows, networks, cfg):
+    return [
+        (name, report(run_algorithm(name, flows, networks, cfg), flows, networks, cfg.l_max))
+        for name in HEURISTIC_NAMES
+    ]
+
+
+# Any code point, plus the lone surrogates and C0 controls that escape specially.
+JSON_TEXT = st.text(
+    st.one_of(st.characters(), st.characters(categories=["Cs"]), st.characters(max_codepoint=0x1F))
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(lambda big: st.sampled_from([big, -big])),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf]),
+    JSON_TEXT,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonDocument:
+    @settings(max_examples=300)
+    @given(JSON_VALUES)
+    @example({"": {}, "a": [], "b": [[], {}, ()], "c": ({"d": [{}]},)})
+    @example([2**64, -(2**70), -0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf, True, False, None])
+    @example({"\ud800": "\udfff\x00\x1f\x7f", "é": "😀\u2028", "\"": "\\"})
+    def test_matches_the_stdlib_encoder(self, value):
+        assert json_document(value) == stdlib_document(value)
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(1, 3), {1, 2}, {"k": [Fraction(1)]}, [{"k": frozenset()}], {1: "int key"}]
+    )
+    def test_unsupported_value_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            json_document(value)
+
+    def test_comparison_on_random_instances_matches_the_stdlib(self):
+        rng = random.Random(0x150)
+        checked = 0
+        while checked < 200:
+            flows, networks, cfg = random_instance(rng, max_flows=128)
+            if len(flows) < 8:
+                continue
+            rows = comparison_rows(flows, networks, cfg)
+            assert render_comparison_json(rows, cfg.factor) == stdlib_comparison(rows, cfg.factor)
+            checked += 1
+
+    @pytest.mark.parametrize("factor", [1, 8])
+    def test_comparison_on_the_paper_networks_matches_the_stdlib(
+        self, assisted_living, table2_networks, fipy_networks, factor
+    ):
+        flows = list(assisted_living.flows)
+        cfg = AllocatorConfig(l_max=assisted_living.l_max, factor=factor)
+        for networks in (table2_networks, list(fipy_networks.values())):
+            rows = comparison_rows(flows, networks, cfg)
+            assert render_comparison_json(rows, factor) == stdlib_comparison(rows, factor)
+
+    def test_wifi_loss_report_matches_the_stdlib(self, wifi_loss_path):
+        result = run(load_scenario(wifi_loss_path))
+        assert result.json_bytes() == stdlib_document(result.to_json_dict()).encode("utf-8")
+
+    def test_many_small_flows_report_matches_the_stdlib(self):
+        rng = random.Random(0x5A11)
+        flows = tuple(
+            FlowSpec(
+                id=str(i + 1),
+                app=f"App{i % 4}",
+                name=f"flow {i + 1}",
+                qos={
+                    level: QosRequirement(rng.randint(4, 200) // level, Fraction(rng.randint(1, 30) * level))
+                    for level in (1, 2, 3)
+                },
+            )
+            for i in range(24)
+        )
+        events = []
+        for network_id in ("wifi", "nbiot", "lora"):
+            start = rng.randrange(10, 200)
+            events += [NetworkEvent(Fraction(start), network_id, False), NetworkEvent(Fraction(start + 50), network_id, True)]
+        scenario = Scenario(
+            flows=flows,
+            networks=tuple(builtin_profile(kind) for kind in ("wifi_table2", "lora_sf7_fipy", "sigfox_fipy", "nbiot_fipy")),
+            l_max=3,
+            factor=8,
+            algorithm="cabf-inv",
+            duration_seconds=Fraction(300),
+            seed=rng.getrandbits(63),
+            events=tuple(sorted(events, key=lambda event: (event.time, event.network_id))),
+        )
+        result = run(scenario)
+        assert result.json_bytes() == stdlib_document(result.to_json_dict()).encode("utf-8")
