@@ -38,7 +38,7 @@ def main() -> None:
     for flow in flow_set.flows:
         placed = report.final_allocation[flow.id]
         assert placed is not None  # bandwidth-wise everything fits
-        level = placed[1]
+        level = placed.level
         size = flow.qos[level].message_size_bytes
         totals = report.flow_totals(flow.id)
         note = ""

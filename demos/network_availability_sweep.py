@@ -47,7 +47,7 @@ def main() -> None:
         cells = []
         for flow in flows:
             placed = rep.per_flow[flow.id]
-            cells.append(("" if placed is None else f"{placed[1]}{glyphs[placed[0]]}").rjust(flow_width))
+            cells.append(("" if placed is None else f"{placed.level}{glyphs[placed.network_id]}").rjust(flow_width))
         print(
             label.ljust(16),
             "  ".join(cells),

@@ -31,7 +31,7 @@ def main() -> None:
     for flow in scenario.flows:
         totals = report.flow_totals(flow.id)
         placed = report.final_allocation[flow.id]
-        where = "unserved" if placed is None else f"{placed[0]} @ level {placed[1]}"
+        where = "unserved" if placed is None else f"{placed.network_id} @ level {placed.level}"
         print(
             f"  flow {flow.id} ({flow.name}): sent={totals.sent} delivered={totals.delivered} "
             f"errors={totals.err_not_allocated + totals.err_not_delivered}  final: {where}"

@@ -194,7 +194,7 @@ def heuristic(
 ) -> AllocationTable:
     """Run the baseline ``name`` (one of BASELINE_NAMES); flows that fit nowhere are skipped."""
     if name not in BASELINE_NAMES:
-        raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(HEURISTIC_NAMES)}")
+        raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(BASELINE_NAMES)}")
     pick_level = max if name[0] == "h" else min
     chosen: list[tuple[FlowSpec, int, int]] = []
     for flow in flows:

@@ -19,6 +19,8 @@ def run_algorithm(
     require_all: bool = False,
 ) -> AllocationTable:
     """Run any allocator (heuristic or exact) by its CLI name."""
+    if name not in ALGORITHM_NAMES:
+        raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHM_NAMES)}")
     if name == "exact":
         instance = IlpInstance(
             flows=tuple(flows),

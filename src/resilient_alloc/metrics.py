@@ -21,7 +21,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from string import ascii_lowercase
 
-from .allocators import AllocationTable
+from .allocators import Allocation, AllocationTable
 from .flows import FlowSpec
 from .networks import NetworkProfile
 
@@ -38,7 +38,7 @@ class AllocationReport:
     objective: int
     percent_served: Fraction
     avg_criticality: Fraction | None
-    per_flow: dict[str, tuple[str, int] | None]
+    per_flow: dict[str, Allocation | None]
     per_network_load: dict[str, tuple[int, int]]
 
 
@@ -52,15 +52,8 @@ def report(
     networks: list[NetworkProfile],
     l_max: int,
 ) -> AllocationReport:
-    per_flow: dict[str, tuple[str, int] | None] = {}
-    served_levels: list[int] = []
-    for flow in flows:
-        entry = table.entries.get(flow.id)
-        if entry is None:
-            per_flow[flow.id] = None
-        else:
-            per_flow[flow.id] = (entry.network_id, entry.level)
-            served_levels.append(entry.level)
+    per_flow = {flow.id: table.entries.get(flow.id) for flow in flows}
+    served_levels = [placed.level for placed in per_flow.values() if placed is not None]
 
     per_network_load: dict[str, tuple[int, int]] = {}
     for profile in networks:
@@ -120,7 +113,7 @@ def _row(name: str, rep: AllocationReport, flows: list[FlowSpec], glyphs: dict[s
     cells = []
     for flow in flows:
         placed = rep.per_flow[flow.id]
-        cells.append("" if placed is None else f"{placed[1]}{glyphs[placed[0]]}")
+        cells.append("" if placed is None else f"{placed.level}{glyphs[placed.network_id]}")
     return [name, *cells, format_quantity(rep.percent_served), format_quantity(rep.avg_criticality), str(rep.objective)]
 
 
@@ -156,10 +149,10 @@ def render_comparison_csv(
     return buffer.getvalue()
 
 
-def placements_json(placements: dict[str, tuple[str, int] | None]) -> dict[str, dict | None]:
+def placements_json(placements: dict[str, Allocation | None]) -> dict[str, dict | None]:
     """Flow id -> its ``{"network", "level"}`` object, or None for a flow left unplaced."""
     return {
-        flow_id: None if placed is None else {"network": placed[0], "level": placed[1]}
+        flow_id: None if placed is None else {"network": placed.network_id, "level": placed.level}
         for flow_id, placed in placements.items()
     }
 

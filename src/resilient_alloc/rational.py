@@ -41,12 +41,13 @@ def number_text(value: Fraction | int | float) -> str:
 
 
 def read_json(path: str | Path) -> object:
-    """Parse a JSON file; a document nested too deeply to parse is a ValueError."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a JSON file; text that is not UTF-8 or not JSON is a ValueError naming the file."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # invalid UTF-8 or JSON, or an int over the digit limit
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class Node:

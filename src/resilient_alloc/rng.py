@@ -80,16 +80,18 @@ _UNIT_SECONDS = {"ms": Fraction(1, 1000), "seconds": Fraction(1)}
 
 
 def delay_from_dict(node: Node, unit: str) -> DelayModel:
-    """Read ``{"fixed_<unit>": x}`` or ``{"uniform_<unit>": [low, high]}``.
+    """Read ``{"fixed_<unit>": x}`` or ``{"uniform_<unit>": [low, high]}``, not both.
 
     ``unit`` is ``"ms"`` or ``"seconds"``; the model is in seconds either way.
     """
     scale = _UNIT_SECONDS[unit]
     fixed, uniform = f"fixed_{unit}", f"uniform_{unit}"
     seconds = node.get(fixed, Node.fraction, None)
-    if seconds is not None:
-        return node.build(FixedDelay, seconds * scale)
     bounds = node.get(uniform, lambda pair: [bound.fraction() * scale for bound in pair], None)
+    if seconds is not None:
+        if bounds is not None:
+            raise node.fail(f"must specify {fixed} or {uniform}, not both")
+        return node.build(FixedDelay, seconds * scale)
     if bounds is None:
         raise node.fail(f"must specify {fixed} or {uniform}, got {node.value!r}")
     if len(bounds) != 2:

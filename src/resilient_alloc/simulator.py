@@ -49,7 +49,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import wire
-from .allocators import AllocatorConfig
+from .allocators import Allocation, AllocatorConfig
 from .catalog import ALGORITHM_NAMES, run_algorithm
 from .flows import FlowSpec, flow_from_dict, validate_flow_set
 from .metrics import json_document, placements_json
@@ -242,7 +242,7 @@ class SimReport:
     per_flow_level: dict[str, dict[int, FlowLevelCounts]]
     per_network: dict[str, NetworkCounts]
     handshakes: list[Handshake]
-    final_allocation: dict[str, tuple[str, int] | None]
+    final_allocation: dict[str, Allocation | None]
 
     def flow_totals(self, flow_id: str) -> FlowLevelCounts:
         return _sum_counts(self.per_flow_level[flow_id].values())
@@ -346,8 +346,8 @@ class _Simulation:
         self.wire_errs: Counter[tuple[str, wire.ErrorReason]] = Counter()
 
         # node state
-        self.active: dict[int, tuple[str, int]] = {}  # flow position -> (network id, level)
-        self.pending_active: dict[int, tuple[str, int]] | None = None
+        self.active: dict[int, Allocation] = {}  # flow position -> its table entry
+        self.pending_active: dict[int, Allocation] | None = None
         self.window_start: Fraction | None = None  # set while a re-allocation window is open
         self.realloc_epoch = 0
 
@@ -388,7 +388,7 @@ class _Simulation:
 
     # -- node ------------------------------------------------------------------
 
-    def _announce_allocation(self) -> dict[int, tuple[str, int]]:
+    def _announce_allocation(self) -> dict[int, Allocation]:
         """Allocate over the networks that are up, announce the table and return it."""
         table = run_algorithm(
             self.scenario.algorithm,
@@ -400,7 +400,7 @@ class _Simulation:
         for i, flow in enumerate(self.flows):
             placed = table.entries.get(flow.id)
             if placed is not None:
-                allocation[i] = (placed.network_id, placed.level)
+                allocation[i] = placed
                 entries.append(wire.mfea_entry(flow, self.networks[placed.network_id].profile.name, placed.level))
         self.pending_active = allocation
         self._send(_TO_HOST, wire.encode_mfea(entries).encode("utf-8"))
@@ -448,10 +448,10 @@ class _Simulation:
     def _node_on_app(self, message: wire.AppMessage) -> None:
         flow_idx = self.index_by_name[message.flow_name]
         placed = self.active.get(flow_idx)
-        if placed is None or not self.networks[placed[0]].up:
+        if placed is None or not self.networks[placed.network_id].up:
             self._refuse(flow_idx, message.level, wire.ErrorReason.NOT_ALLOCATED)
             return
-        runtime = self.networks[placed[0]]
+        runtime = self.networks[placed.network_id]
         size = len(message.payload)
         if not self._admits(runtime, size):
             self._refuse(flow_idx, message.level, wire.ErrorReason.NOT_DELIVERED)

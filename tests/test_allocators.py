@@ -30,6 +30,7 @@ from resilient_alloc.flows import utilization
 from enumeration_oracle import random_instance
 
 CFG8 = AllocatorConfig(l_max=3, factor=8)
+BASELINES = "l-ff, l-ffd, h-ff, h-ffd, l-wf, l-wfd, h-wf, h-wfd, l-bf, l-bfd, h-bf, h-bfd"
 CFG1 = AllocatorConfig(l_max=3, factor=1)
 
 
@@ -253,14 +254,19 @@ class TestBaselines:
         table = run_algorithm("l-ffd", flows, [net], AllocatorConfig(l_max=1, factor=8))
         assert sorted(table.entries) == ["1", "2"]
 
-    @pytest.mark.parametrize("name", ["m-ff", "l-ffx"])
+    @pytest.mark.parametrize("name", ["m-ff", "l-ffx", "bogus"])
     def test_unknown_name_rejected(self, assisted_living, table2_networks, name):
         flows = list(assisted_living.flows)
-        message = f"unknown heuristic {name!r}; known: l-ff, l-ffd, "
-        with pytest.raises(ValueError, match=message):
+        known = f"{BASELINES}, cabf, cabf-inv, exact"
+        with pytest.raises(ValueError, match=rf"^unknown algorithm '{name}'; known: {known}$"):
             run_algorithm(name, flows, table2_networks, CFG8)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rf"^unknown heuristic '{name}'; known: {BASELINES}$"):
             heuristic(name, flows, table2_networks, CFG8)
+
+    @pytest.mark.parametrize("name", ["cabf", "cabf-inv", "exact"])
+    def test_heuristic_lists_only_the_baselines(self, assisted_living, table2_networks, name):
+        with pytest.raises(ValueError, match=rf"^unknown heuristic '{name}'; known: {BASELINES}$"):
+            heuristic(name, list(assisted_living.flows), table2_networks, CFG8)
 
     def test_config_bounds(self):
         with pytest.raises(ValueError, match=r"^l_max must be >= 1, got 0$"):

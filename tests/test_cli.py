@@ -223,6 +223,27 @@ class TestSimulate:
         assert all(line.endswith("\n") and json.loads(line) for line in stopped)
         assert 0 < len(stopped) < len(full) and stopped == full[: len(stopped)]
 
+    @pytest.mark.parametrize("spelling", ["same_path", "relative_path", "symlink"])
+    def test_transcript_naming_the_scenario_is_refused(self, wifi_loss_path, tmp_path, capsys, monkeypatch, spelling):
+        monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: pytest.fail("the simulation started"))
+        (tmp_path / "sub").mkdir()
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(wifi_loss_path.read_bytes())
+        transcript = str(scenario)
+        if spelling == "relative_path":
+            monkeypatch.chdir(tmp_path / "sub")
+            transcript = "../sub/../scenario.json"
+        elif spelling == "symlink":
+            transcript = str(tmp_path / "sub" / "link.json")
+            (tmp_path / "sub" / "link.json").symlink_to(scenario)
+        assert main(["simulate", "--scenario", str(scenario), "--transcript", transcript]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --transcript {transcript} is the scenario file; it would be emptied before it is read\n"
+        )
+        assert scenario.read_bytes() == wifi_loss_path.read_bytes()
+
     def test_unwritable_transcript_fails_before_the_run(self, wifi_loss_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: pytest.fail("the simulation started"))
         transcript = tmp_path / "missing" / "frames.jsonl"
@@ -348,6 +369,19 @@ class TestFramePipes:
         assert code == 0
         assert decoded == b"hello\nworld\n"
 
+    @pytest.mark.parametrize(
+        "tail,err",
+        [
+            pytest.param(b":ML:5:WOR", b"malformed frame: 9 bytes left at the end of the input\n", id="truncated_last_frame"),
+            pytest.param(b"garbage", b"malformed frame: 7 bytes left at the end of the input\n", id="trailing_garbage"),
+            pytest.param(b"", b"", id="nothing_left"),
+        ],
+    )
+    def test_decode_reports_bytes_left_at_the_end(self, monkeypatch, capsysbinary, tail, err):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b":ML:5:HELLO\n" + tail)))
+        assert main(["frame-decode"]) == 0
+        assert capsysbinary.readouterr() == (b"HELLO\n", err)
+
 
 class TestArgumentHandling:
     @pytest.mark.parametrize(
@@ -394,6 +428,13 @@ class TestArgumentHandling:
                 1,
                 "error: flows[0].qos.1.t: expected a number, got [1]\n",
                 id="flow_interval_as_list",
+            ),
+            pytest.param(
+                None,
+                '[{"id": "n", "capacity_bps": 100, "latency": {"fixed_ms": 5, "uniform_ms": [1, 2]}}]',
+                1,
+                "error: networks[0].latency: must specify fixed_ms or uniform_ms, not both\n",
+                id="latency_with_both_keys",
             ),
             pytest.param(
                 None,
@@ -829,6 +870,18 @@ class TestArgumentHandling:
             ),
             pytest.param(
                 "networks",
+                _wifi_latency({"fixed_ms": 5, "uniform_ms": [1, 2]}),
+                "error: networks[0].latency: must specify fixed_ms or uniform_ms, not both\n",
+                id="scenario_latency_with_both_keys",
+            ),
+            pytest.param(
+                "handshake",
+                '{"fixed_seconds": 0, "uniform_seconds": [1.3, 1.5]}',
+                "error: handshake: must specify fixed_seconds or uniform_seconds, not both\n",
+                id="handshake_with_both_keys",
+            ),
+            pytest.param(
+                "networks",
                 _wifi_latency({"uniform_ms": [20, 10]}),
                 "error: networks[0].latency: delay needs 0 <= min <= max seconds, got [0.02, 0.01]\n",
                 id="scenario_latency_bounds_inverted",
@@ -856,6 +909,28 @@ class TestArgumentHandling:
             argv = ["allocate", "--flows", FLOWS, "--networks", TABLE2, option, str(path)]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("option", ["--flows", "--networks", "--scenario"])
+    @pytest.mark.parametrize(
+        "data,reason",
+        [
+            pytest.param(b"\n", "Expecting value: line 2 column 1 (char 1)", id="not_json"),
+            pytest.param(
+                b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", id="not_utf8"
+            ),
+            pytest.param(b"1" * 5000, "Exceeds the limit (4300 digits) for integer string conversion", id="long_int"),
+        ],
+    )
+    def test_unreadable_json_error_names_its_file(self, tmp_path, capsys, option, data, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        if option == "--scenario":
+            argv = ["simulate", "--scenario", str(path)]
+        else:
+            argv = ["allocate", "--flows", FLOWS, "--networks", TABLE2, option, str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_factor_option_beyond_20_digits_is_one_short_line(self, capsys):
         assert main(["compare", "--flows", FLOWS, "--networks", TABLE2, "--factor", "-1" + "0" * 400]) == 1

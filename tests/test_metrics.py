@@ -77,6 +77,18 @@ class TestReport:
         assert rep.avg_criticality == Fraction(1)
         assert rep.objective == 18
 
+    def test_per_flow_holds_the_table_entries(self, assisted_living, table2_networks):
+        flows = list(assisted_living.flows)
+        table = run_algorithm("l-ffd", flows, table2_networks, CFG8)
+        rep = report(table, flows, table2_networks, 3)
+        assert list(rep.per_flow) == [flow.id for flow in flows]
+        assert sum(placed is None for placed in rep.per_flow.values()) == 2
+        for flow in flows:
+            if flow.id in table.entries:
+                assert rep.per_flow[flow.id] is table.entries[flow.id]
+            else:
+                assert rep.per_flow[flow.id] is None
+
     def test_per_network_load_accounts_used_capacity(self, assisted_living, table2_networks):
         table = run_algorithm("h-bf", list(assisted_living.flows), table2_networks, CFG8)
         rep = report(table, list(assisted_living.flows), table2_networks, 3)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from resilient_alloc import (
+    Allocation,
     FixedDelay,
     FlowSpec,
     InvalidScenario,
@@ -21,6 +22,7 @@ from resilient_alloc import (
     builtin_profile,
     load_scenario,
     run,
+    run_algorithm,
 )
 from resilient_alloc import wire
 from resilient_alloc.rng import SplitMix64
@@ -77,8 +79,7 @@ class TestWifiOnly:
             assert totals.sent == totals.delivered
             assert totals.err_not_allocated == 0
             assert totals.err_not_delivered == 0
-            placed = report.final_allocation[flow.id]
-            assert placed == ("wifi", 1)
+            assert report.final_allocation[flow.id] == Allocation(flow.id, "wifi", 1)
         # 600 s of level-1 periods: first emission at T, last at/below 600
         assert report.flow_totals("1").sent == 60
         assert report.flow_totals("2").sent == 120
@@ -142,7 +143,7 @@ class TestSigfoxOnly:
             duration_seconds=Fraction(120),
         )
         report = run(scenario)
-        levels = {fid: placed[1] for fid, placed in report.final_allocation.items()}
+        levels = {fid: placed.level for fid, placed in report.final_allocation.items()}
         assert levels == {"1": 2, "2": 2, "3": 1, "4": 2, "5": 1, "6": 2, "7": 2, "8": 1}
 
 
@@ -173,8 +174,7 @@ class TestAvailabilityChange:
     def test_post_event_allocations_avoid_lost_network(self, assisted_living):
         report = run(self._loss_scenario(assisted_living))
         for flow in assisted_living.flows:
-            placed = report.final_allocation[flow.id]
-            assert placed == ("nbiot", 1)
+            assert report.final_allocation[flow.id] == Allocation(flow.id, "nbiot", 1)
 
     def test_handshake_frames_in_transcript(self, assisted_living):
         transcript: list = []
@@ -219,7 +219,30 @@ class TestAvailabilityChange:
         for flow in assisted_living.flows:
             placed = report.final_allocation[flow.id]
             assert placed is not None
-            assert placed[0] == "lora"
+            assert placed.network_id == "lora"
+
+    def test_final_allocation_is_the_last_table(self, assisted_living, monkeypatch):
+        from resilient_alloc import simulator
+
+        tables = []
+
+        def recording(*args):
+            tables.append(run_algorithm(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(simulator, "run_algorithm", recording)
+        scenario = _scenario(
+            assisted_living.flows,
+            [builtin_profile("wifi_fipy"), builtin_profile("lora_sf7_fipy")],
+            events=(NetworkEvent(time=Fraction(300), network_id="wifi", up=False),),
+        )
+        report = run(scenario)
+        assert len(tables) == 2
+        last = tables[-1].entries
+        assert report.final_allocation == {flow.id: last.get(flow.id) for flow in assisted_living.flows}
+        for flow_id, placed in report.final_allocation.items():
+            assert isinstance(placed, Allocation)
+            assert placed is last[flow_id]
 
     def test_changes_inside_an_open_window_merge_into_one_handshake(self, assisted_living):
         scenario = _scenario(
@@ -258,7 +281,7 @@ class TestAvailabilityChange:
         report = run(scenario)
         assert len(report.handshakes) == 1
         # best fit prefers the tighter bin once it exists
-        assert report.final_allocation["1"] == ("small", 1)
+        assert report.final_allocation["1"] == Allocation("1", "small", 1)
 
 
 class TestDeliveryConstraints:
@@ -343,7 +366,7 @@ class TestDeliveryConstraints:
             _scenario([fits, too_big], [tiny], duration_seconds=Fraction(30)),
             transcript=transcript.append,
         )
-        assert report.final_allocation["1"] == ("tiny", 1)
+        assert report.final_allocation["1"] == Allocation("1", "tiny", 1)
         assert report.final_allocation["2"] is None
         rejected = report.flow_totals("2")
         assert rejected.sent == 30
