@@ -24,7 +24,7 @@ from resilient_alloc import (
     run,
     run_algorithm,
 )
-from resilient_alloc import wire
+from resilient_alloc import simulator, wire
 from resilient_alloc.rng import SplitMix64
 from resilient_alloc.simulator import DEFAULT_HANDSHAKE, NetworkCounts, scenario_from_dict
 
@@ -222,8 +222,6 @@ class TestAvailabilityChange:
             assert placed.network_id == "lora"
 
     def test_final_allocation_is_the_last_table(self, assisted_living, monkeypatch):
-        from resilient_alloc import simulator
-
         tables = []
 
         def recording(*args):
