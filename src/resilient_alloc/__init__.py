@@ -39,7 +39,6 @@ from .networks import (
 from .rng import FixedDelay, UniformDelay
 from .simulator import (
     Handshake,
-    InvalidScenario,
     NetworkEvent,
     Scenario,
     SimReport,
@@ -63,7 +62,6 @@ __all__ = [
     "Handshake",
     "IlpInstance",
     "Infeasible",
-    "InvalidScenario",
     "NetworkEvent",
     "NetworkProfile",
     "QosRequirement",

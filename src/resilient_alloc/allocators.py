@@ -61,7 +61,7 @@ class AllocatorConfig:
     """
 
     l_max: int
-    factor: int = 8
+    factor: int
 
     def __post_init__(self) -> None:
         if self.l_max < 1:

@@ -152,12 +152,13 @@ def _render_sim_table(rep: simulator.SimReport) -> str:
 
 
 def cmd_simulate(args) -> int:
-    # The transcript file is opened first, so an unwritable path fails before
-    # any work, and each frame is written as it is sent. Opening empties it,
-    # so it must not be the scenario file under any spelling.
-    if args.transcript and os.path.exists(args.transcript) and os.path.exists(args.scenario):
-        if os.path.samefile(args.transcript, args.scenario):
-            raise ValueError(f"--transcript {args.transcript} is the scenario file; it would be emptied before it is read")
+    # A scenario that cannot be opened stops the command before any file is
+    # made. The transcript file is opened next, so an unwritable path fails
+    # before any work, and each frame is written as it is sent. Opening empties
+    # it, so it must not be the scenario file under any spelling.
+    open(args.scenario, "rb").close()
+    if args.transcript and os.path.exists(args.transcript) and os.path.samefile(args.transcript, args.scenario):
+        raise ValueError(f"--transcript {args.transcript} is the scenario file; it would be emptied before it is read")
     with open(args.transcript, "w", encoding="utf-8") if args.transcript else nullcontext() as handle:
         scenario = simulator.load_scenario(args.scenario)
         seed_override = os.environ.get(SEED_ENV_VAR)

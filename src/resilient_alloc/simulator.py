@@ -69,18 +69,6 @@ _P_EMIT = 3
 _P_DELIVER = 4
 
 
-class InvalidScenario(ValueError):
-    """The scenario violates a structural rule."""
-
-
-def _quoted(path: str, text: str) -> str:
-    """``text`` as an MFEA record quotes it; ``path`` names the field if it cannot be quoted."""
-    try:
-        return wire.quote(text)
-    except ValueError as exc:
-        raise InvalidScenario(f"{path}: {exc}") from None
-
-
 DEFAULT_HANDSHAKE = UniformDelay(Fraction("1.3"), Fraction("1.5"))
 
 # Reports and transcripts write times and periods as floats.
@@ -114,34 +102,32 @@ class Scenario:
     initially_available: tuple[str, ...] | None = None
 
     def validate(self) -> None:
-        """Apply every scenario rule; the first rule broken raises ``InvalidScenario``."""
-        try:
-            validate_flow_set(self.flows, self.l_max)
-        except ValueError as exc:
-            raise InvalidScenario(str(exc)) from None
+        """Apply every scenario rule; the first rule broken raises ``ValueError`` naming its field."""
+        validate_flow_set(self.flows, self.l_max)
         if self.duration_seconds <= 0:
-            raise InvalidScenario(f"duration_seconds: must be > 0, got {number_text(self.duration_seconds)}")
+            raise ValueError(f"duration_seconds: must be > 0, got {number_text(self.duration_seconds)}")
         # Every simulated time is at most the duration plus one handshake or one latency.
         delays = [self.handshake, *(profile.latency for profile in self.networks)]
         if self.duration_seconds + max(delay.max_seconds for delay in delays) > _FLOAT_MAX:
-            raise InvalidScenario(
+            raise ValueError(
                 "duration_seconds: the duration plus the longest handshake or latency is beyond the float range"
             )
         if float(self.duration_seconds) == 0:
-            raise InvalidScenario("duration_seconds: must be > 0 as a float, got a value that rounds to 0.0")
+            raise ValueError("duration_seconds: must be > 0 as a float, got a value that rounds to 0.0")
         if self.algorithm not in ALGORITHM_NAMES:
-            raise InvalidScenario(f"algorithm: unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"algorithm: unknown algorithm {self.algorithm!r}")
         if self.factor < 1:
-            raise InvalidScenario(f"factor: must be >= 1, got {number_text(self.factor)}")
+            raise ValueError(f"factor: must be >= 1, got {number_text(self.factor)}")
         if not 0 <= self.seed < (1 << 64):
-            raise InvalidScenario(f"seed: must fit in 64 bits, got {number_text(self.seed)}")
+            raise ValueError(f"seed: must fit in 64 bits, got {number_text(self.seed)}")
         ids: set[str] = set()
         widest, width = "", -1  # the network name that encodes longest in an MFEA record
         for index, profile in enumerate(self.networks):
             if profile.id in ids:
-                raise InvalidScenario(f"networks[{index}].id: duplicate network id {profile.id!r}")
+                raise ValueError(f"networks[{index}].id: duplicate network id {profile.id!r}")
             ids.add(profile.id)
-            quoted = len(wire.escape_body(_quoted(f"networks[{index}].name", profile.name).encode("utf-8")))
+            name = Node(profile.name, f"networks[{index}].name").build(wire.quote, profile.name)
+            quoted = len(wire.escape_body(name.encode("utf-8")))
             if quoted > width:
                 widest, width = profile.name, quoted
         names: set[str] = set()
@@ -149,25 +135,25 @@ class Scenario:
         entries = []  # each flow's longest MFEA record on the widest network
         for index, flow in enumerate(self.flows):
             if flow.name in names:
-                raise InvalidScenario(
+                raise ValueError(
                     f"flows[{index}].name: duplicate flow name {flow.name!r}"
                     " (the wire protocol addresses flows by name)"
                 )
             names.add(flow.name)
-            _quoted(f"flows[{index}].name", flow.name)
+            Node(flow.name, f"flows[{index}].name").build(wire.quote, flow.name)
             for level, qos in flow.qos.items():
                 period = qos.min_interval_seconds
                 # MFEA records write a fractional period as a nonzero float.
                 if period.denominator != 1 and (period > _FLOAT_MAX or float(period) == 0):
                     problem = "beyond the float range" if period > _FLOAT_MAX else "rounds to 0.0 as a float"
-                    raise InvalidScenario(
+                    raise ValueError(
                         f"flows[{index}].qos.{level}.t: flow {flow.id!r}: level {level} period is fractional"
                         f" and {problem}"
                     )
                 # The payload needs no escaping, so the frame grows by exactly c.
                 size = len(wire.escape_body(wire.encode_app(wire.AppMessage(flow.name, level, b"")))) + qos.message_size_bytes
                 if size > wire.MAX_BODY:
-                    raise InvalidScenario(
+                    raise ValueError(
                         f"flows[{index}].qos.{level}.c: flow {flow.id!r}: a level {level} message needs a"
                         f" {size}-byte frame body, over the {wire.MAX_BODY}-byte limit"
                     )
@@ -177,22 +163,22 @@ class Scenario:
                 records = (wire.mfea_entry(flow, widest, level) for level in flow.qos)
                 entries.append(max(records, key=lambda entry: len(wire.encode_mfea([entry]))))
         if emissions > _MAX_EMISSIONS:
-            raise InvalidScenario(f"duration_seconds: the run would emit more than {_MAX_EMISSIONS} messages")
+            raise ValueError(f"duration_seconds: the run would emit more than {_MAX_EMISSIONS} messages")
         # The node announces every allocated flow in one frame; ``entries`` is its worst case.
         size = len(wire.escape_body(wire.encode_mfea(entries).encode("utf-8")))
         if entries and size > wire.MAX_BODY:
-            raise InvalidScenario(
+            raise ValueError(
                 f"flows: announcing all {len(entries)} flows can need a {size}-byte frame body,"
                 f" over the {wire.MAX_BODY}-byte limit"
             )
         for index, event in enumerate(self.events):
             if event.network_id not in ids:
-                raise InvalidScenario(f"events[{index}].network: unknown network {event.network_id!r}")
+                raise ValueError(f"events[{index}].network: unknown network {event.network_id!r}")
             if not 0 <= event.time <= self.duration_seconds:
-                raise InvalidScenario(f"events[{index}].t: time {number_text(event.time)} outside [0, duration]")
+                raise ValueError(f"events[{index}].t: time {number_text(event.time)} outside [0, duration]")
         for index, network_id in enumerate(self.initially_available or ()):
             if network_id not in ids:
-                raise InvalidScenario(f"initially_available[{index}]: unknown network {network_id!r}")
+                raise ValueError(f"initially_available[{index}]: unknown network {network_id!r}")
 
 
 @dataclass
@@ -329,14 +315,8 @@ class _Simulation:
         self.flows = scenario.flows
         self.index_by_name = {flow.name: i for i, flow in enumerate(scenario.flows)}
 
-        initially = (
-            set(scenario.initially_available)
-            if scenario.initially_available is not None
-            else {p.id for p in scenario.networks}
-        )
-        self.networks = {
-            p.id: _NetworkRuntime(profile=p, up=p.id in initially) for p in scenario.networks
-        }
+        up = scenario.initially_available
+        self.networks = {p.id: _NetworkRuntime(profile=p, up=up is None or p.id in up) for p in scenario.networks}
 
         # host state
         self.paused = False
@@ -347,7 +327,6 @@ class _Simulation:
 
         # node state
         self.active: dict[int, Allocation] = {}  # flow position -> its table entry
-        self.pending_active: dict[int, Allocation] | None = None
         self.window_start: Fraction | None = None  # set while a re-allocation window is open
         self.realloc_epoch = 0
 
@@ -388,8 +367,12 @@ class _Simulation:
 
     # -- node ------------------------------------------------------------------
 
-    def _announce_allocation(self) -> dict[int, Allocation]:
-        """Allocate over the networks that are up, announce the table and return it."""
+    def _announce_allocation(self) -> None:
+        """Allocate over the networks that are up, make the table active and announce it.
+
+        Frames arrive with no delay, so a paused host accepts inside this
+        ``_send``: no frame reaches the node between the switch and the accept.
+        """
         table = run_algorithm(
             self.scenario.algorithm,
             list(self.flows),
@@ -402,18 +385,15 @@ class _Simulation:
             if placed is not None:
                 allocation[i] = placed
                 entries.append(wire.mfea_entry(flow, self.networks[placed.network_id].profile.name, placed.level))
-        self.pending_active = allocation
+        self.active = allocation
         self._send(_TO_HOST, wire.encode_mfea(entries).encode("utf-8"))
-        return allocation
 
     def _node_on_frame(self, body: bytes) -> None:
         if body.startswith(b"<"):
             message = wire.parse_control(body.decode("utf-8"))
             if isinstance(message, wire.ReallocAccepted):
-                if self.window_start is None or self.pending_active is None:
+                if self.window_start is None:
                     raise AssertionError("node got a re-allocation accept outside an open window")
-                self.active = self.pending_active
-                self.pending_active = None
                 self.handshakes.append(Handshake(start=self.window_start, accepted=self.now))
                 self.window_start = None
             else:
@@ -556,7 +536,7 @@ class _Simulation:
     def run(self) -> SimReport:
         # The first table is active at once: no window is open, so the host
         # applies it without sending an accept.
-        self.active = self._announce_allocation()
+        self._announce_allocation()
 
         for event in self.scenario.events:
             self._push(
@@ -631,21 +611,18 @@ def _event(node: Node) -> NetworkEvent:
 def scenario_from_dict(obj: object) -> Scenario:
     """Parse a scenario document; ``Scenario.validate`` (which ``run`` calls) applies the rules."""
     doc = Node(obj, "scenario", root=True)
-    try:
-        return Scenario(
-            flows=tuple(map(flow_from_dict, doc["flows"])),
-            networks=tuple(map(network_from_dict, doc["networks"])),
-            l_max=doc["l_max"].int(),
-            factor=doc.get("factor", Node.int, 8),
-            algorithm=doc.get("algorithm", Node.text, "cabf-inv"),
-            duration_seconds=doc["duration_seconds"].fraction(),
-            seed=doc["seed"].int(),
-            events=doc.get("events", lambda events: tuple(map(_event, events)), ()),
-            handshake=doc.get("handshake", lambda handshake: delay_from_dict(handshake, "seconds"), DEFAULT_HANDSHAKE),
-            initially_available=doc.get("initially_available", lambda ids: tuple(map(Node.text, ids)), None),
-        )
-    except ValueError as exc:
-        raise InvalidScenario(str(exc)) from None
+    return Scenario(
+        flows=tuple(map(flow_from_dict, doc["flows"])),
+        networks=tuple(map(network_from_dict, doc["networks"])),
+        l_max=doc["l_max"].int(),
+        factor=doc.get("factor", Node.int, 8),
+        algorithm=doc.get("algorithm", Node.text, "cabf-inv"),
+        duration_seconds=doc["duration_seconds"].fraction(),
+        seed=doc["seed"].int(),
+        events=doc.get("events", lambda events: tuple(map(_event, events)), ()),
+        handshake=doc.get("handshake", lambda handshake: delay_from_dict(handshake, "seconds"), DEFAULT_HANDSHAKE),
+        initially_available=doc.get("initially_available", lambda ids: tuple(map(Node.text, ids)), None),
+    )
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -270,11 +270,15 @@ class TestBaselines:
 
     def test_config_bounds(self):
         with pytest.raises(ValueError, match=r"^l_max must be >= 1, got 0$"):
-            AllocatorConfig(l_max=0)
+            AllocatorConfig(l_max=0, factor=8)
         with pytest.raises(ValueError, match=r"^factor must be >= 1, got 0$"):
             AllocatorConfig(l_max=3, factor=0)
         with pytest.raises(ValueError, match=r"^l_max must be >= 1, got -1e\+400$"):
-            AllocatorConfig(l_max=-(10**400))
+            AllocatorConfig(l_max=-(10**400), factor=8)
+
+    def test_config_needs_a_factor(self):
+        with pytest.raises(TypeError, match="factor"):
+            AllocatorConfig(l_max=3)
 
     def test_require_all_rejected_for_heuristics(self, assisted_living, table2_networks):
         from resilient_alloc import run_algorithm
@@ -326,6 +330,11 @@ class TestTableChecks:
         corrupt(table)
         with pytest.raises(ValueError, match=message):
             verify_allocation_table(table, flows, table2_networks, CFG8)
+
+    def test_a_table_equals_no_other_type(self, table2_networks):
+        table = AllocationTable(table2_networks)
+        assert table.__eq__(table.entries) is NotImplemented
+        assert table != table.entries and table == AllocationTable(table2_networks)
 
     def test_place_refuses_a_second_entry_for_a_flow(self, table2_networks):
         table = AllocationTable(table2_networks)

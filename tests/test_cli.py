@@ -244,6 +244,15 @@ class TestSimulate:
         )
         assert scenario.read_bytes() == wifi_loss_path.read_bytes()
 
+    @pytest.mark.parametrize("transcript", ["new.json", "out.jsonl"], ids=["same_name", "other_name"])
+    def test_missing_scenario_creates_no_file(self, tmp_path, capsys, monkeypatch, transcript):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--scenario", "new.json", "--transcript", transcript]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: 'new.json'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_transcript_fails_before_the_run(self, wifi_loss_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: pytest.fail("the simulation started"))
         transcript = tmp_path / "missing" / "frames.jsonl"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,6 @@ from resilient_alloc import (
     Allocation,
     FixedDelay,
     FlowSpec,
-    InvalidScenario,
     NetworkEvent,
     NetworkProfile,
     QosRequirement,
@@ -463,25 +463,26 @@ class TestScenarioValidation:
     def test_non_scalar_field_is_invalid_scenario(self, wifi_loss_path):
         doc = json.loads(wifi_loss_path.read_text())
         doc["duration_seconds"] = [600]
-        with pytest.raises(InvalidScenario, match=r"duration_seconds: expected a number, got \[600\]"):
+        with pytest.raises(ValueError, match=r"^duration_seconds: expected a number, got \[600\]$"):
             scenario_from_dict(doc)
 
     def test_non_object_flow_is_invalid_scenario(self, wifi_loss_path):
         doc = json.loads(wifi_loss_path.read_text())
         doc["flows"] = [1]
-        with pytest.raises(InvalidScenario, match=r"flows\[0\]: must be an object, got int"):
+        with pytest.raises(ValueError, match=r"^flows\[0\]: must be an object, got int$"):
             scenario_from_dict(doc)
 
     def test_duplicate_flow_names_rejected(self):
         flows = [_simple_flow("1", 1, 1, name="same"), _simple_flow("2", 1, 1, name="same")]
         net = NetworkProfile(id="n", name="N", capacity_bps=10)
-        with pytest.raises(InvalidScenario):
+        message = r"^flows\[1\]\.name: duplicate flow name 'same' \(the wire protocol addresses flows by name\)$"
+        with pytest.raises(ValueError, match=message):
             run(_scenario(flows, [net]))
 
     def test_event_time_outside_duration_rejected(self):
         flow = _simple_flow("1", 1, 1)
         net = NetworkProfile(id="n", name="N", capacity_bps=10)
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match=r"^events\[0\]\.t: time 11 outside \[0, duration\]$"):
             run(
                 _scenario(
                     [flow],
@@ -494,13 +495,13 @@ class TestScenarioValidation:
     def test_unknown_event_network_rejected(self):
         flow = _simple_flow("1", 1, 1)
         net = NetworkProfile(id="n", name="N", capacity_bps=10)
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match=r"^events\[0\]\.network: unknown network 'ghost'$"):
             run(_scenario([flow], [net], events=(NetworkEvent(Fraction(1), "ghost", False),)))
 
     def test_unknown_algorithm_rejected(self):
         flow = _simple_flow("1", 1, 1)
         net = NetworkProfile(id="n", name="N", capacity_bps=10)
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match=r"^algorithm: unknown algorithm 'magic'$"):
             run(_scenario([flow], [net], algorithm="magic"))
 
     @pytest.mark.parametrize(
@@ -595,3 +596,49 @@ class TestScenarioValidation:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "raised\n"
+
+
+class TestSelfChecks:
+    """Each check the simulation makes on its own frames and counters raises when broken."""
+
+    @pytest.fixture
+    def sim(self, wifi_loss_path) -> simulator._Simulation:
+        return simulator._Simulation(load_scenario(wifi_loss_path), None)
+
+    def test_accept_outside_a_window(self, sim):
+        with pytest.raises(AssertionError, match=r"^node got a re-allocation accept outside an open window$"):
+            sim._node_on_frame(b"<INFO:RE-ALLOC:ACCEPTED>")
+        assert sim.handshakes == []
+
+    def test_control_message_the_node_cannot_handle(self, sim):
+        with pytest.raises(AssertionError, match=r"^node cannot handle control message Ack\(flow_name='x'\)$"):
+            sim._node_on_frame(b"<ACK:x>")
+
+    def test_control_message_the_host_cannot_handle(self, sim):
+        with pytest.raises(AssertionError, match=r"^host cannot handle control message ReallocAccepted\(\)$"):
+            sim._host_on_frame(b"<INFO:RE-ALLOC:ACCEPTED>")
+
+    def test_malformed_frame_on_the_channel(self, sim, monkeypatch):
+        encode_frame = wire.encode_frame
+        monkeypatch.setattr(wire, "encode_frame", lambda body: encode_frame(body)[:-1] + b"X")
+        message = r"^node->host frame is malformed: MalformedFrame\(reason='bad-terminator', skipped=b''\)$"
+        with pytest.raises(AssertionError, match=message):
+            sim.run()
+
+    def test_mfea_entry_the_host_disagrees_with(self, sim, monkeypatch):
+        encode_mfea = wire.encode_mfea
+
+        def one_byte_more(entries: list[wire.MfeaEntry]) -> str:
+            return encode_mfea([dataclasses.replace(e, payload_size=e.payload_size + 1) for e in entries])
+
+        monkeypatch.setattr(wire, "encode_mfea", one_byte_more)
+        with pytest.raises(AssertionError, match=r"^MFEA entry disagrees for flow 1$"):
+            sim.run()
+
+    @pytest.mark.parametrize("reason", list(wire.ErrorReason), ids=lambda reason: reason.value)
+    def test_err_counts_that_disagree(self, sim, reason):
+        report = sim.run()
+        name = sim.scenario.flows[0].name
+        sim.wire_errs[name, reason] += 1
+        with pytest.raises(AssertionError, match=rf"^wire {reason.value.lower()} ERRs disagree for flow 1$"):
+            sim._check_consistency(report)

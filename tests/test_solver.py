@@ -182,6 +182,17 @@ class TestEdges:
         table = exact_solve(IlpInstance(flows, (net,), 1, 8))
         assert len(table.entries) == 2000
 
+    def test_levels_above_l_max_are_never_placed(self):
+        # Unvalidated: flow 1 declares level 3 with l_max 2. Placed there it
+        # would score 0 and fit beside flow 2, ahead of leaving it out.
+        qos = {1: QosRequirement(1000, Fraction(1)), 3: QosRequirement(1, Fraction(1))}
+        flows = (
+            FlowSpec(id="1", app="A", name="f1", qos=qos),
+            FlowSpec(id="2", app="A", name="f2", qos={1: QosRequirement(1, Fraction(8))}),
+        )
+        instance = IlpInstance(flows, (NetworkProfile(id="n", name="N", capacity_bps=10),), 2, 8)
+        assert solve_or_none(instance) == reference(instance) == {"2": ("n", 1)}
+
     def test_never_errors_without_require_all(self):
         rng = random.Random(0xFEED)
         for _ in range(40):
