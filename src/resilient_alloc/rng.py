@@ -6,11 +6,15 @@ name is recorded in every report so a reader can tell which algorithm
 produced the stream.
 
 The two delay models drawn from it (network latency, re-allocation
-handshake time) are exact rationals in seconds.
+handshake time) are exact rationals in seconds. The simulator draws them as
+whole ticks of ``1/scale`` seconds: ``sampler(scale)`` is exact whenever the
+model's ``tick_denominator`` divides ``scale``.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,9 +39,14 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self, low: Fraction, high: Fraction) -> Fraction:
-        """Exact rational sample in [low, high), uniform over a 2**64 grid."""
-        return low + (high - low) * Fraction(self.next_u64(), 1 << 64)
+
+def ticks(seconds: Fraction, scale: int) -> int:
+    """``seconds`` as a whole number of ticks of ``1/scale`` seconds."""
+    seconds = Fraction(seconds)
+    count, rest = divmod(seconds.numerator * scale, seconds.denominator)
+    if rest:
+        raise ValueError(f"{number_text(seconds)} s is not a whole number of 1/{number_text(scale)} s ticks")
+    return count
 
 
 @dataclass(frozen=True)
@@ -54,8 +63,14 @@ class FixedDelay:
     def max_seconds(self) -> Fraction:
         return self.seconds
 
-    def sample(self, rng: SplitMix64) -> Fraction:
-        return Fraction(self.seconds)
+    @property
+    def tick_denominator(self) -> int:
+        return Fraction(self.seconds).denominator
+
+    def sampler(self, scale: int) -> Callable[[SplitMix64], int]:
+        """The delay in ticks of ``1/scale`` seconds; it draws nothing from the generator."""
+        delay = ticks(self.seconds, scale)
+        return lambda rng: delay
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,19 @@ class UniformDelay:
             low, high = number_text(self.min_seconds), number_text(self.max_seconds)
             raise ValueError(f"delay needs 0 <= min <= max seconds, got [{low}, {high}]")
 
-    def sample(self, rng: SplitMix64) -> Fraction:
-        return rng.uniform(Fraction(self.min_seconds), Fraction(self.max_seconds))
+    @property
+    def _step(self) -> Fraction:
+        """The grid spacing: a sample is ``min_seconds`` plus ``u`` steps, ``0 <= u < 2**64``."""
+        return (Fraction(self.max_seconds) - Fraction(self.min_seconds)) / (1 << 64)
+
+    @property
+    def tick_denominator(self) -> int:
+        return math.lcm(Fraction(self.min_seconds).denominator, self._step.denominator)
+
+    def sampler(self, scale: int) -> Callable[[SplitMix64], int]:
+        """A sample in ticks of ``1/scale`` seconds, uniform over a 2**64 grid of [min, max); one draw each."""
+        low, step = ticks(self.min_seconds, scale), ticks(self._step, scale)
+        return lambda rng: low + step * rng.next_u64()
 
 
 DelayModel = FixedDelay | UniformDelay

@@ -19,6 +19,16 @@ emission < delivery, then flow input order, then insertion order). All
 randomness (latency samples, handshake durations) comes from one named,
 seeded generator, so a scenario replays to a byte-identical report.
 
+Time is an int: a whole number of ticks of 1/scale seconds. Every time a
+run reaches is a sum of input times (event times, periods, fixed delays and
+uniform lower bounds) and of uniform draws, each a whole number of 2**-64
+shares of its delay's span. ``scale`` is the lcm of the denominators of all
+of these and of the duration and the send gaps, so each is a whole number of
+ticks and the int arithmetic is exact: equal times stay equal and events pop
+in the same order as with exact rationals. A time is converted back only
+where it is written: a handshake as a ``Fraction``, a transcript time as the
+correctly rounded float of ``ticks / scale``.
+
 Delivery rules enforced per network, in this order: a message larger than
 the payload cap, over the daily message allowance (which resets at every
 simulated midnight, t mod 86400 = 0), or arriving sooner than the minimum
@@ -41,6 +51,7 @@ recorded.
 from __future__ import annotations
 
 import heapq
+import math
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable
@@ -55,7 +66,7 @@ from .flows import FlowSpec, flow_from_dict, validate_flow_set
 from .metrics import json_document, placements_json
 from .networks import NetworkProfile, network_from_dict
 from .rational import Node, number_text, read_json
-from .rng import RNG_NAME, DelayModel, SplitMix64, UniformDelay, delay_from_dict
+from .rng import RNG_NAME, DelayModel, SplitMix64, UniformDelay, delay_from_dict, ticks
 
 SIM_SCHEMA_VERSION = 1
 
@@ -181,7 +192,7 @@ class Scenario:
                 raise ValueError(f"initially_available[{index}]: unknown network {network_id!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowLevelCounts:
     sent: int = 0
     delivered: int = 0
@@ -189,7 +200,7 @@ class FlowLevelCounts:
     err_not_delivered: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class NetworkCounts:
     messages: int = 0
     bytes: int = 0
@@ -204,7 +215,7 @@ def _delivered_fraction(counts: FlowLevelCounts) -> Fraction | None:
     return None if counts.sent == 0 else Fraction(counts.delivered, counts.sent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Handshake:
     start: Fraction
     accepted: Fraction
@@ -279,7 +290,7 @@ class SimReport:
         return json_document(self.to_json_dict()).encode("utf-8")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _MsgRecord:
     """One message in flight, hashed by identity: each record is its own key in ``pending``."""
 
@@ -288,12 +299,14 @@ class _MsgRecord:
     size: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _NetworkRuntime:
     profile: NetworkProfile
     up: bool
+    gap: int | None  # the profile's send gap in ticks
+    latency: Callable[[SplitMix64], int]  # a latency sample in ticks
     counts: NetworkCounts = field(default_factory=NetworkCounts)
-    last_send: Fraction | None = None
+    last_send: int | None = None
     day_index: int | None = None
     sent_today: int = 0
     pending: dict[_MsgRecord, None] = field(default_factory=dict)  # in send order
@@ -301,6 +314,15 @@ class _NetworkRuntime:
 
 _TO_NODE = "host->node"
 _TO_HOST = "node->host"
+
+
+def _tick_scale(scenario: Scenario) -> int:
+    """Ticks per second: the lcm of every denominator a simulated time is built from."""
+    times = [scenario.duration_seconds, *(event.time for event in scenario.events)]
+    times += (qos.min_interval_seconds for flow in scenario.flows for qos in flow.qos.values())
+    times += (p.min_inter_message_gap_seconds or 0 for p in scenario.networks)
+    delays = [scenario.handshake, *(p.latency for p in scenario.networks)]
+    return math.lcm(*(Fraction(time).denominator for time in times), *(delay.tick_denominator for delay in delays))
 
 
 class _Simulation:
@@ -315,8 +337,20 @@ class _Simulation:
         self.flows = scenario.flows
         self.index_by_name = {flow.name: i for i, flow in enumerate(scenario.flows)}
 
+        # Times are ints in ticks of 1/scale seconds; see the module docstring.
+        self.scale = scale = _tick_scale(scenario)
+        self.end = ticks(scenario.duration_seconds, scale)
+        self.day = _SECONDS_PER_DAY * scale
+        self.periods = [{level: ticks(q.min_interval_seconds, scale) for level, q in f.qos.items()} for f in self.flows]
+        self.handshake = scenario.handshake.sampler(scale)
+
         up = scenario.initially_available
-        self.networks = {p.id: _NetworkRuntime(profile=p, up=up is None or p.id in up) for p in scenario.networks}
+        self.networks: dict[str, _NetworkRuntime] = {}
+        for p in scenario.networks:
+            gap = p.min_inter_message_gap_seconds
+            self.networks[p.id] = _NetworkRuntime(
+                p, up is None or p.id in up, None if gap is None else ticks(gap, scale), p.latency.sampler(scale)
+            )
 
         # host state
         self.paused = False
@@ -327,14 +361,14 @@ class _Simulation:
 
         # node state
         self.active: dict[int, Allocation] = {}  # flow position -> its table entry
-        self.window_start: Fraction | None = None  # set while a re-allocation window is open
+        self.window_start: int | None = None  # set while a re-allocation window is open
         self.realloc_epoch = 0
 
         # accounting
         self.stats: list[dict[int, FlowLevelCounts]] = [{} for _ in scenario.flows]
         self.handshakes: list[Handshake] = []
 
-        self.now = Fraction(0)
+        self.now = 0
         self._heap: list[tuple] = []
         self._seq = 0
 
@@ -345,7 +379,7 @@ class _Simulation:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _push(self, time: Fraction, priority: int, flow_idx: int, action, *payload) -> None:
+    def _push(self, time: int, priority: int, flow_idx: int, action, *payload) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (time, priority, flow_idx, self._seq, action, payload))
 
@@ -355,7 +389,8 @@ class _Simulation:
     def _send(self, direction: str, body: bytes) -> None:
         """Frame ``body``, feed it to the receiver's decoder and dispatch it."""
         if self.transcript is not None:
-            self.transcript({"t": float(self.now), "dir": direction, "body": body.decode("utf-8", "backslashreplace")})
+            text = body.decode("utf-8", "backslashreplace")
+            self.transcript({"t": self.now / self.scale, "dir": direction, "body": text})
         decoder, on_frame = self._links[direction]
         for event in decoder.feed(wire.encode_frame(body)):
             if isinstance(event, wire.MalformedFrame):
@@ -394,7 +429,8 @@ class _Simulation:
             if isinstance(message, wire.ReallocAccepted):
                 if self.window_start is None:
                     raise AssertionError("node got a re-allocation accept outside an open window")
-                self.handshakes.append(Handshake(start=self.window_start, accepted=self.now))
+                start, accepted = Fraction(self.window_start, self.scale), Fraction(self.now, self.scale)
+                self.handshakes.append(Handshake(start, accepted))
                 self.window_start = None
             else:
                 raise AssertionError(f"node cannot handle control message {message!r}")
@@ -415,14 +451,14 @@ class _Simulation:
         profile = runtime.profile
         if profile.max_payload_bytes is not None and size > profile.max_payload_bytes:
             return False
-        day = int(self.now // _SECONDS_PER_DAY)
+        day = self.now // self.day
         if runtime.day_index != day:
             runtime.day_index = day
             runtime.sent_today = 0
         if profile.max_messages_per_day is not None and runtime.sent_today >= profile.max_messages_per_day:
             runtime.counts.budget_violations_avoided += 1
             return False
-        gap = profile.min_inter_message_gap_seconds
+        gap = runtime.gap
         return gap is None or runtime.last_send is None or self.now - runtime.last_send >= gap
 
     def _node_on_app(self, message: wire.AppMessage) -> None:
@@ -440,8 +476,7 @@ class _Simulation:
         runtime.sent_today += 1
         record = _MsgRecord(flow_idx, message.level, size)
         runtime.pending[record] = None
-        latency = runtime.profile.latency.sample(self.rng)
-        self._push(self.now + latency, _P_DELIVER, flow_idx, self._do_deliver, runtime, record)
+        self._push(self.now + runtime.latency(self.rng), _P_DELIVER, flow_idx, self._do_deliver, runtime, record)
 
     def _do_deliver(self, runtime: _NetworkRuntime, record: _MsgRecord) -> None:
         # A record is gone when its network went down while the message was in flight.
@@ -493,8 +528,8 @@ class _Simulation:
 
     def _schedule_emit(self, flow_idx: int) -> None:
         """Schedule the flow's next emission one period on, unless that passes the end of the run."""
-        next_time = self.now + self.flows[flow_idx].qos[self.levels[flow_idx]].min_interval_seconds
-        if next_time <= self.scenario.duration_seconds:
+        next_time = self.now + self.periods[flow_idx][self.levels[flow_idx]]
+        if next_time <= self.end:
             self._push(next_time, _P_EMIT, flow_idx, self._do_emit, flow_idx, self.emit_epoch)
 
     def _do_emit(self, flow_idx: int, epoch: int) -> None:
@@ -524,8 +559,8 @@ class _Simulation:
         if self.window_start is None:
             self.window_start = self.now
             self._send_control(_TO_HOST, wire.ReallocInit())
-        duration = self.scenario.handshake.sample(self.rng)
-        self._push(self.now + duration, _P_REALLOC_COMPLETE, 0, self._do_realloc_complete, self.realloc_epoch)
+        completes = self.now + self.handshake(self.rng)
+        self._push(completes, _P_REALLOC_COMPLETE, 0, self._do_realloc_complete, self.realloc_epoch)
 
     def _do_realloc_complete(self, epoch: int) -> None:
         if epoch == self.realloc_epoch:
@@ -540,7 +575,7 @@ class _Simulation:
 
         for event in self.scenario.events:
             self._push(
-                event.time, _P_NETWORK_CHANGE, 0, self._do_network_change, event.network_id, event.up
+                ticks(event.time, self.scale), _P_NETWORK_CHANGE, 0, self._do_network_change, event.network_id, event.up
             )
 
         while self._heap:

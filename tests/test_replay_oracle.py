@@ -138,10 +138,14 @@ def scenarios(draw, outage: bool = False, second_change: bool = False) -> Scenar
     # Whole days drawn apart, so that allowances roll over in many examples.
     duration = Fraction(draw(st.integers(0, 2)) * _SECONDS_PER_DAY + draw(st.integers(1, 2 * 3600)))
     n_flows = draw(st.integers(0, 6))
-    # Every period and gap is a multiple of one unit, so ties and exact gaps
-    # are common; the unit keeps the emissions under the cap.
+    # Every period and gap is a multiple of one unit, or k/3 or k/7 of it, so
+    # ties and exact gaps are common and the simulator's tick scale is not
+    # only a power of ten; the unit keeps the emissions under the cap, as no
+    # draw is below it.
     unit = Fraction(math.ceil(2 * duration * max(n_flows, 1) / _MAX_EMISSIONS), 2)
-    multiples = st.sampled_from((1, 2, 3, 4, 5, 7, 10)).map(lambda m: m * unit)
+    multiples = st.sampled_from((1, 2, 3, 4, 5, 7, 10)).map(lambda m: m * unit) | st.sampled_from((3, 7)).flatmap(
+        lambda d: st.integers(d, 10 * d).map(lambda k: Fraction(k, d) * unit)
+    )
     l_max = draw(st.integers(1, 3))
     flows = []
     for i in range(n_flows):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -55,19 +56,32 @@ def _simple_flow(fid: str, c: int, t: int, name: str | None = None) -> FlowSpec:
 
 
 class TestHandshakeDuration:
+    # Samples are whole ticks of 1/SCALE seconds.
+    SCALE = DEFAULT_HANDSHAKE.tick_denominator
+
     def test_default_model_stays_in_window(self):
-        rng = SplitMix64(7)
+        sample, rng = DEFAULT_HANDSHAKE.sampler(self.SCALE), SplitMix64(7)
         for _ in range(100):
-            value = DEFAULT_HANDSHAKE.sample(rng)
+            value = Fraction(sample(rng), self.SCALE)
             assert Fraction("1.3") <= value < Fraction("1.5")
 
     def test_fixed_zero_for_unit_tests(self):
-        assert FixedDelay(Fraction(0)).sample(SplitMix64(1)) == 0
+        assert FixedDelay(Fraction(0)).sampler(self.SCALE)(SplitMix64(1)) == 0
 
     def test_same_seed_same_value(self):
-        first = DEFAULT_HANDSHAKE.sample(SplitMix64(99))
-        second = DEFAULT_HANDSHAKE.sample(SplitMix64(99))
-        assert first == second
+        sample = DEFAULT_HANDSHAKE.sampler(self.SCALE)
+        assert sample(SplitMix64(99)) == sample(SplitMix64(99))
+
+    def test_sample_is_the_exact_grid_point(self):
+        # low + (high - low) * u / 2**64 for the generator's next u, at any multiple of the scale.
+        for scale in (self.SCALE, 3 * self.SCALE):
+            draw = SplitMix64(5).next_u64()
+            expected = Fraction("1.3") + Fraction("0.2") * Fraction(draw, 1 << 64)
+            assert Fraction(DEFAULT_HANDSHAKE.sampler(scale)(SplitMix64(5)), scale) == expected
+
+    def test_a_scale_that_splits_a_tick_is_refused(self):
+        with pytest.raises(ValueError, match=r" s is not a whole number of 1/10 s ticks$"):
+            DEFAULT_HANDSHAKE.sampler(10)
 
 
 class TestWifiOnly:
@@ -457,6 +471,67 @@ class TestReportInvariants:
 
         peak_bytes(1)  # warm up one-time caches
         assert peak_bytes(7) <= 1.5 * peak_bytes(1)
+
+
+class TestLargeDenominators:
+    """Times with many large coprime denominators: a huge tick scale, the same bytes as exact rationals."""
+
+    # Ten-digit primes: each period, gap and latency bound has its own denominator.
+    PRIMES = (
+        1000000007, 1000000009, 1000000021, 1000000033, 1000000087, 1000000093, 1000000097, 1000000103,
+        1000000123, 1000000181, 1000000207, 1000000223, 1000000241, 1000000271, 1000000289, 1000000297,
+    )
+    # Recorded with every simulated time held as a Fraction.
+    REPORT_DIGEST = "14faa4e2ef236695b891dc005d46b9371c739bc0d91a998f8beda4a952d09be7"
+    TRANSCRIPT_DIGEST = "fdf2e195e3956ae05edd6644bb6e90258dbb746be92bd6f3b50cf9ad88622f35"
+
+    def scenario(self) -> Scenario:
+        primes = iter(self.PRIMES)
+
+        def just_over(seconds: int) -> Fraction:
+            prime = next(primes)
+            return Fraction(seconds * prime + 1, prime)
+
+        flows = [
+            FlowSpec(
+                id=str(i + 1),
+                app="App",
+                name=f"flow {i + 1}",
+                qos={level: QosRequirement(c, just_over(4 + 6 * level + i)) for level, c in ((1, 40), (2, 20), (3, 8))},
+            )
+            for i in range(4)
+        ]
+        wifi = NetworkProfile(
+            id="wifi",
+            name="Wi-Fi",
+            capacity_bps=1000,
+            min_inter_message_gap_seconds=just_over(3),
+            latency=UniformDelay(Fraction(1, self.PRIMES[-1]), just_over(0)),
+        )
+        lora = NetworkProfile(
+            id="lora",
+            name="LoRa",
+            capacity_bps=6,
+            max_payload_bytes=30,
+            max_messages_per_day=150,
+            latency=UniformDelay(Fraction(1), just_over(2)),
+        )
+        events = (
+            NetworkEvent(time=Fraction(1, 10**400), network_id="wifi", up=False),
+            NetworkEvent(time=just_over(1800), network_id="wifi", up=True),
+        )
+        return _scenario(flows, [wifi, lora], duration_seconds=Fraction(3600), seed=2022, events=events)
+
+    def test_the_scale_is_huge(self):
+        assert simulator._Simulation(self.scenario(), None).scale > 10**400 * 2**64 * 10**(9 * 12)
+
+    def test_report_and_transcript_bytes(self):
+        lines: list[str] = []
+        report = run(self.scenario(), transcript=lambda entry: lines.append(json.dumps(entry, sort_keys=True) + "\n"))
+        # Deliveries on both networks, gap refusals on Wi-Fi, payload and allowance refusals on LoRa.
+        assert report.per_network == {"wifi": NetworkCounts(285, 11400, 0), "lora": NetworkCounts(150, 3000, 260)}
+        assert hashlib.sha256(report.json_bytes()).hexdigest() == self.REPORT_DIGEST
+        assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == self.TRANSCRIPT_DIGEST
 
 
 class TestScenarioValidation:
