@@ -12,26 +12,13 @@ ALGORITHM_NAMES = HEURISTIC_NAMES + ("exact",)
 
 
 def run_algorithm(
-    name: str,
-    flows: list[FlowSpec],
-    networks: list[NetworkProfile],
-    cfg: AllocatorConfig,
-    require_all: bool = False,
+    name: str, flows: list[FlowSpec], networks: list[NetworkProfile], cfg: AllocatorConfig
 ) -> AllocationTable:
     """Run any allocator (heuristic or exact) by its CLI name."""
     if name not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHM_NAMES)}")
     if name == "exact":
-        instance = IlpInstance(
-            flows=tuple(flows),
-            networks=tuple(networks),
-            l_max=cfg.l_max,
-            factor=cfg.factor,
-            require_all=require_all,
-        )
-        return exact_solve(instance)
-    if require_all:
-        raise ValueError("require_all is only supported by the exact solver")
+        return exact_solve(IlpInstance(flows, networks, cfg))
     # Allocators are looked up on their module at call time, so a caller
     # that replaces one (a timing wrapper, say) sees every dispatch.
     if name == "cabf":

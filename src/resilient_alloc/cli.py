@@ -30,7 +30,7 @@ from .metrics import (
 from .networks import BUILTIN_KINDS, builtin_profile, load_networks, networks_from_json
 from .rational import Node
 from .rng import FixedDelay
-from .solver import Infeasible
+from .solver import IlpInstance, Infeasible, exact_solve
 
 SEED_ENV_VAR = "RESILIENT_ALLOC_SEED"
 
@@ -107,17 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_rows(args, names) -> int:
     flow_set = load_flow_set(args.flows)
+    flows = list(flow_set.flows)
     networks = _parse_networks(args.networks)
     cfg = AllocatorConfig(l_max=flow_set.l_max, factor=args.factor)
     rows = []
     for name in names:
-        require_all = getattr(args, "require_all", False)
-        table = run_algorithm(name, list(flow_set.flows), networks, cfg, require_all=require_all)
-        rows.append((name, report(table, list(flow_set.flows), networks, flow_set.l_max)))
+        if getattr(args, "require_all", False):
+            table = exact_solve(IlpInstance(flows, networks, cfg, require_all=True))
+        else:
+            table = run_algorithm(name, flows, networks, cfg)
+        rows.append((name, report(table, flows, networks, flow_set.l_max)))
     if args.fmt == "table":
-        sys.stdout.write(render_comparison_table(rows, list(flow_set.flows), networks, args.factor))
+        sys.stdout.write(render_comparison_table(rows, flows, networks, args.factor))
     elif args.fmt == "csv":
-        sys.stdout.write(render_comparison_csv(rows, list(flow_set.flows), networks))
+        sys.stdout.write(render_comparison_csv(rows, flows, networks))
     else:
         sys.stdout.write(render_comparison_json(rows, args.factor))
     return 0

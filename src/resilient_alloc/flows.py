@@ -134,10 +134,12 @@ def validate_flow_set(flows: list[FlowSpec] | tuple[FlowSpec, ...], l_max: int) 
 
 
 def flow_from_dict(node: Node) -> FlowSpec:
-    qos = {
-        level.int(): entry.build(QosRequirement, entry["c"].int(), entry["t"].fraction())
-        for level, entry in node.get("qos", Node.items, ())
-    }
+    qos: dict[int, QosRequirement] = {}
+    for key, entry in node.get("qos", Node.items, ()):
+        level = key.int()
+        if level in qos:
+            raise key.fail(f"level {number_text(level)} appears more than once")
+        qos[level] = entry.build(QosRequirement, entry["c"].int(), entry["t"].fraction())
     return node.build(FlowSpec, node["id"].text(), node.get("app", Node.text, ""), node["name"].text(), qos)
 
 

@@ -15,7 +15,7 @@ observed min/max windows, because nothing finer than the endpoints is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -143,9 +143,12 @@ def builtin_profile(kind: str) -> NetworkProfile:
 
 
 def network_from_dict(node: Node) -> NetworkProfile:
-    """Build a profile from a JSON object; ``{"builtin": kind}`` names a built-in."""
+    """Build a profile from a JSON object; ``{"builtin": kind}`` names a built-in and nothing else."""
     kind = node.get("builtin", Node.text, None)
     if kind is not None:
+        for field in fields(NetworkProfile):
+            if node.value.get(field.name) is not None:
+                raise node[field.name].fail("not allowed next to builtin")
         return node.build(builtin_profile, kind)
     network_id = node["id"].text()
     return node.build(

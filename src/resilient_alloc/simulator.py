@@ -303,7 +303,7 @@ class _MsgRecord:
 class _NetworkRuntime:
     profile: NetworkProfile
     up: bool
-    gap: int | None  # the profile's send gap in ticks
+    gap: int  # the profile's send gap in ticks, 0 when it has none
     latency: Callable[[SplitMix64], int]  # a latency sample in ticks
     counts: NetworkCounts = field(default_factory=NetworkCounts)
     last_send: int | None = None
@@ -347,10 +347,8 @@ class _Simulation:
         up = scenario.initially_available
         self.networks: dict[str, _NetworkRuntime] = {}
         for p in scenario.networks:
-            gap = p.min_inter_message_gap_seconds
-            self.networks[p.id] = _NetworkRuntime(
-                p, up is None or p.id in up, None if gap is None else ticks(gap, scale), p.latency.sampler(scale)
-            )
+            gap = ticks(p.min_inter_message_gap_seconds or 0, scale)
+            self.networks[p.id] = _NetworkRuntime(p, up is None or p.id in up, gap, p.latency.sampler(scale))
 
         # host state
         self.paused = False
@@ -458,8 +456,7 @@ class _Simulation:
         if profile.max_messages_per_day is not None and runtime.sent_today >= profile.max_messages_per_day:
             runtime.counts.budget_violations_avoided += 1
             return False
-        gap = runtime.gap
-        return gap is None or runtime.last_send is None or self.now - runtime.last_send >= gap
+        return runtime.last_send is None or self.now - runtime.last_send >= runtime.gap
 
     def _node_on_app(self, message: wire.AppMessage) -> None:
         flow_idx = self.index_by_name[message.flow_name]

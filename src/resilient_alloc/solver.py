@@ -53,9 +53,10 @@ A purpose-built search keeps the package dependency-free.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .allocators import Allocation, AllocationTable
+from .allocators import Allocation, AllocationTable, AllocatorConfig
 from .flows import FlowSpec, utilization
 from .networks import NetworkProfile
 
@@ -66,16 +67,15 @@ class Infeasible(Exception):
 
 @dataclass(frozen=True)
 class IlpInstance:
-    """One problem instance for the exact solver.
+    """One problem instance for the exact solver: the heuristics' inputs plus ``require_all``.
 
     With ``require_all`` the optional constraint that every flow must be
     served is enforced; the default leaves flows free to stay unallocated.
     """
 
-    flows: tuple[FlowSpec, ...]
-    networks: tuple[NetworkProfile, ...]
-    l_max: int
-    factor: int
+    flows: Sequence[FlowSpec]
+    networks: Sequence[NetworkProfile]
+    cfg: AllocatorConfig
     require_all: bool = False
 
 
@@ -87,17 +87,18 @@ def level_options(instance: IlpInstance) -> list[list[tuple[int, int, int]]]:
     changes; the bound loses an option it could never use, so it only
     tightens.
     """
+    cfg = instance.cfg
     widest = max((p.capacity_micro_bps for p in instance.networks), default=0)
     options = []
     for flow in instance.flows:
         per_flow = []
         for level in sorted(flow.qos):
-            if level > instance.l_max:
+            if level > cfg.l_max:
                 continue
-            demand = utilization(flow, level, instance.factor)
+            demand = utilization(flow, level, cfg.factor)
             assert demand is not None
             if demand <= widest:
-                per_flow.append((level, 1 + instance.l_max - level, demand))
+                per_flow.append((level, 1 + cfg.l_max - level, demand))
         options.append(per_flow)
     return options
 
@@ -181,7 +182,7 @@ class SurrogateBound:
 
 def exact_solve(instance: IlpInstance) -> AllocationTable:
     """Optimal allocation table for ``instance``: the first optimum in exploration order."""
-    networks = list(instance.networks)
+    networks = instance.networks
     n = len(instance.flows)
     options = level_options(instance)
     bound = SurrogateBound(options, instance.require_all)

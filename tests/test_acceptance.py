@@ -52,7 +52,7 @@ def _aggregates(table, flows, networks):
 def test_criterion_1_exact_solver_on_motivating_example(assisted_living, table2_networks):
     flows = list(assisted_living.flows)
     started = time.perf_counter()
-    table = exact_solve(IlpInstance(assisted_living.flows, tuple(table2_networks), 3, 8))
+    table = exact_solve(IlpInstance(assisted_living.flows, table2_networks, CFG8))
     elapsed = time.perf_counter() - started
     got = _aggregates(table, flows, table2_networks)
     ok = got == (22, Fraction(100), Fraction(5, 4)) and elapsed < 1.0
@@ -126,7 +126,7 @@ def test_criterion_5_oracle_equivalence_on_random_instances():
     checked = 0
     for _ in range(1000):
         flows, networks, cfg = random_instance(rng)
-        instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor)
+        instance = IlpInstance(flows, networks, cfg)
         best = objective(exact_solve(instance), cfg.l_max)
         brute = best_objective_by_enumeration(flows, networks, cfg.l_max, cfg.factor)
         assert best == brute, (flows, networks, cfg)
@@ -150,7 +150,7 @@ def test_criterion_6_allocation_validity_on_random_instances():
         for name in HEURISTIC_NAMES:
             table = run_algorithm(name, flows, networks, cfg)
             verify_allocation_table(table, flows, networks, cfg)
-        instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor)
+        instance = IlpInstance(flows, networks, cfg)
         verify_allocation_table(exact_solve(instance), flows, networks, cfg)
     _announce(6, "1000 instances x 15 algorithms: tables valid", True)
 

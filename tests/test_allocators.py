@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -280,13 +281,11 @@ class TestBaselines:
         with pytest.raises(TypeError, match="factor"):
             AllocatorConfig(l_max=3)
 
-    def test_require_all_rejected_for_heuristics(self, assisted_living, table2_networks):
-        from resilient_alloc import run_algorithm
-
-        with pytest.raises(ValueError):
-            run_algorithm(
-                "cabf", list(assisted_living.flows), table2_networks, CFG8, require_all=True
-            )
+    def test_run_algorithm_takes_one_signature_for_every_name(self, assisted_living, table2_networks):
+        # require_all belongs to the exact solver's IlpInstance alone.
+        assert list(inspect.signature(run_algorithm).parameters) == ["name", "flows", "networks", "cfg"]
+        with pytest.raises(TypeError, match="require_all"):
+            run_algorithm("exact", list(assisted_living.flows), table2_networks, CFG8, require_all=True)
 
 
 # Each edit breaks one invariant of the cabf table on the assisted-living
@@ -413,9 +412,7 @@ class TestProperties:
         for _ in range(120):
             flows, networks, cfg = random_instance(rng, max_flows=6)
             best = objective(
-                exact_solve(
-                    IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor)
-                ),
+                exact_solve(IlpInstance(flows, networks, cfg)),
                 cfg.l_max,
             )
             for name in HEURISTIC_NAMES:

@@ -693,6 +693,20 @@ class TestArgumentHandling:
                 "error: flows[0].qos.3: [bad-level] flow '1': level 3 outside 1..2\n",
                 id="level_above_l_max",
             ),
+            pytest.param(
+                _one_flow({"1": {"c": 10, "t": 10}, "01": {"c": 99999, "t": 1}}),
+                WIFI,
+                1,
+                "error: flows[0].qos.01: level 1 appears more than once\n",
+                id="level_written_twice",
+            ),
+            pytest.param(
+                None,
+                '[{"builtin": "wifi_table2", "id": "w2", "capacity_bps": 5}]',
+                1,
+                "error: networks[0].id: not allowed next to builtin\n",
+                id="builtin_with_profile_fields",
+            ),
         ],
     )
     def test_malformed_json_fields_exit_without_traceback(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,13 @@ class TestJson:
         }
         flow_set = flow_set_from_dict(doc)
         assert flow_set.flows[0].qos[1].min_interval_seconds == Fraction(1, 3)
+
+    @pytest.mark.parametrize("again", ["01", "1.0", "+1", "1e0"])
+    def test_level_written_twice_is_refused(self, again):
+        qos = {"1": {"c": 10, "t": 10}, again: {"c": 99999, "t": 1}}
+        doc = {"l_max": 1, "flows": [{"id": "1", "name": "n", "qos": qos}]}
+        with pytest.raises(ValueError, match=rf"^flows\[0\]\.qos\.{re.escape(again)}: level 1 appears more than once$"):
+            flow_set_from_dict(doc)
 
     def test_loader_rejects_invalid_set(self):
         doc = {"l_max": 2, "flows": [{"id": "1", "app": "A", "name": "n", "qos": {"3": {"c": 1, "t": 1}}}]}

@@ -14,7 +14,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resilient_alloc import FlowSpec, IlpInstance, NetworkProfile, QosRequirement, exact_solve, objective
+from resilient_alloc import (
+    AllocatorConfig,
+    FlowSpec,
+    IlpInstance,
+    NetworkProfile,
+    QosRequirement,
+    exact_solve,
+    objective,
+)
 from resilient_alloc.flows import MICRO, utilization
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
@@ -22,8 +30,7 @@ scipy_optimize = pytest.importorskip("scipy.optimize")
 # A search that never lowers its target fails here instead of hanging the run.
 pytestmark = pytest.mark.usefixtures("time_box")
 
-L_MAX = 3
-FACTOR = 8
+CFG = AllocatorConfig(l_max=3, factor=8)
 
 
 def tight_instance(n: int, gen_seed: int) -> IlpInstance:
@@ -44,10 +51,10 @@ def tight_instance(n: int, gen_seed: int) -> IlpInstance:
                 },
             )
         )
-    total = sum(utilization(flow, 3, FACTOR) for flow in flows)
+    total = sum(utilization(flow, 3, CFG.factor) for flow in flows)
     capacity = -(-total // (3 * MICRO))
     networks = tuple(NetworkProfile(f"n{j}", f"net {j}", capacity) for j in range(3))
-    return IlpInstance(tuple(flows), networks, L_MAX, FACTOR)
+    return IlpInstance(flows, networks, CFG)
 
 
 def milp_optimum(instance: IlpInstance) -> int:
@@ -57,7 +64,7 @@ def milp_optimum(instance: IlpInstance) -> int:
     integers, so solver tolerances cannot overstate the optimum.
     """
     options = [
-        (f, 1 + instance.l_max - level, utilization(flow, level, instance.factor), j)
+        (f, 1 + instance.cfg.l_max - level, utilization(flow, level, instance.cfg.factor), j)
         for f, flow in enumerate(instance.flows)
         for level in sorted(flow.qos)
         for j in range(len(instance.networks))
@@ -93,5 +100,5 @@ def test_exact_matches_milp_on_tight_instances(n):
         started = time.perf_counter()
         table = exact_solve(instance)
         elapsed = time.perf_counter() - started
-        assert objective(table, L_MAX) == milp_optimum(instance), f"seed {100 * n + k}"
+        assert objective(table, CFG.l_max) == milp_optimum(instance), f"seed {100 * n + k}"
         assert elapsed < limit, f"seed {100 * n + k} took {elapsed:.3f} s"

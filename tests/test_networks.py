@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,15 @@ class TestJson:
         assert profile.capacity_bps == 1234
         assert profile.min_inter_message_gap_seconds == Fraction(1, 4)
         assert profile.latency == UniformDelay(Fraction("0.01"), Fraction("0.02"))
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NetworkProfile)])
+    def test_builtin_refuses_every_profile_field(self, field):
+        with pytest.raises(ValueError, match=rf"^{field}: not allowed next to builtin$"):
+            _profile({"builtin": "wifi_table2", field: 5})
+
+    def test_builtin_ignores_unknown_and_null_keys(self):
+        profile = _profile({"builtin": "wifi_table2", "capacity_bps": None, "time_on_air_ms": 3})
+        assert profile == builtin_profile("wifi_table2")
 
     def test_time_on_air_key_is_ignored(self):
         # The profile has no airtime field; the key is ignored like any unknown key.

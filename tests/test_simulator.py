@@ -710,6 +710,12 @@ class TestSelfChecks:
         with pytest.raises(AssertionError, match=r"^MFEA entry disagrees for flow 1$"):
             sim.run()
 
+    def test_ack_count_that_disagrees(self, sim):
+        report = sim.run()
+        sim.wire_acks[sim.scenario.flows[0].name] += 1
+        with pytest.raises(AssertionError, match=r"^wire ACKs disagree with deliveries for flow 1$"):
+            sim._check_consistency(report)
+
     @pytest.mark.parametrize("reason", list(wire.ErrorReason), ids=lambda reason: reason.value)
     def test_err_counts_that_disagree(self, sim, reason):
         report = sim.run()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from resilient_alloc import (
+    AllocatorConfig,
     FlowSpec,
     IlpInstance,
     Infeasible,
@@ -20,6 +21,9 @@ from resilient_alloc import (
 from resilient_alloc.solver import SurrogateBound, level_options
 
 from enumeration_oracle import best_objective_by_enumeration, first_optimum, random_instance
+
+CFG8 = AllocatorConfig(l_max=3, factor=8)
+CFG1_8 = AllocatorConfig(l_max=1, factor=8)
 
 # A search that never lowers its target fails here instead of hanging the run.
 pytestmark = pytest.mark.usefixtures("time_box")
@@ -35,14 +39,13 @@ def solve_or_none(instance: IlpInstance) -> dict[str, tuple[str, int]] | None:
 
 
 def reference(instance: IlpInstance) -> dict[str, tuple[str, int]] | None:
-    return first_optimum(
-        list(instance.flows), list(instance.networks), instance.l_max, instance.factor, instance.require_all
-    )
+    cfg = instance.cfg
+    return first_optimum(list(instance.flows), list(instance.networks), cfg.l_max, cfg.factor, instance.require_all)
 
 
 class TestMotivatingExample:
     def test_optimum_objective_and_aggregates(self, assisted_living, table2_networks):
-        instance = IlpInstance(assisted_living.flows, tuple(table2_networks), 3, 8)
+        instance = IlpInstance(assisted_living.flows, table2_networks, CFG8)
         started = time.perf_counter()
         table = exact_solve(instance)
         assert time.perf_counter() - started < 1.0
@@ -54,7 +57,7 @@ class TestMotivatingExample:
     def test_first_optimum_serves_two_flows_degraded(self, assisted_living, table2_networks):
         # lexicographically first optimum: the two bulky sensors drop to
         # level 2, everything else runs at level 1, all on the widest network
-        instance = IlpInstance(assisted_living.flows, tuple(table2_networks), 3, 8)
+        instance = IlpInstance(assisted_living.flows, table2_networks, CFG8)
         table = exact_solve(instance)
         levels = {fid: entry.level for fid, entry in table.entries.items()}
         assert levels == {"1": 1, "2": 1, "3": 1, "4": 1, "5": 1, "6": 2, "7": 2, "8": 1}
@@ -66,7 +69,7 @@ class TestUpperBound:
         rng = random.Random(0xB0D7)
         for _ in range(60):
             flows, networks, cfg = random_instance(rng, max_flows=4)
-            instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor)
+            instance = IlpInstance(flows, networks, cfg)
             assert solve_or_none(instance) == reference(instance)
 
     def test_pruning_keeps_the_first_optimum(self):
@@ -80,14 +83,14 @@ class TestUpperBound:
                 capacity = networks[0].capacity_bps
                 networks = [NetworkProfile(id=p.id, name=p.name, capacity_bps=capacity) for p in networks]
             for require_all in (False, True):
-                instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor, require_all)
+                instance = IlpInstance(flows, networks, cfg, require_all)
                 assert solve_or_none(instance) == reference(instance)
 
     def test_root_bound_is_at_least_the_optimum(self):
         rng = random.Random(0xB0B0)
         for _ in range(200):
             flows, networks, cfg = random_instance(rng)
-            instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor)
+            instance = IlpInstance(flows, networks, cfg)
             bound = SurrogateBound(level_options(instance), require_all=False)
             free = sum(p.capacity_micro_bps for p in networks)
             assert bound(0, 0, free) >= best_objective_by_enumeration(flows, networks, cfg.l_max, cfg.factor)
@@ -107,7 +110,7 @@ def fragmented_instance(rng: random.Random, n: int, require_all: bool) -> IlpIns
         flows.append(FlowSpec(id=str(i + 1), app="App", name=f"flow {i + 1}", qos=qos))
     capacity = 8 * 75 * 2  # twice the mean level-3 demand, in bps
     networks = tuple(NetworkProfile(f"n{j}", f"net {j}", capacity) for j in range(rng.randint(3, 5)))
-    return IlpInstance(tuple(flows), networks, 3, 8, require_all)
+    return IlpInstance(flows, networks, CFG8, require_all)
 
 
 class TestDescent:
@@ -143,7 +146,7 @@ class TestDescent:
             ),
         )
         networks = (NetworkProfile("n0", "net 0", 203), NetworkProfile("n1", "net 1", 37))
-        instance = IlpInstance(flows, networks, 2, 8, require_all=True)
+        instance = IlpInstance(flows, networks, AllocatorConfig(l_max=2, factor=8), require_all=True)
         assert solve_or_none(instance) == reference(instance) == {"1": ("n0", 1), "2": ("n0", 2)}
 
 
@@ -151,35 +154,35 @@ class TestEdges:
     def test_single_flow_too_big_for_any_level(self):
         flow = FlowSpec(id="1", app="A", name="big", qos={1: QosRequirement(1000, Fraction(1))})
         net = NetworkProfile(id="n", name="N", capacity_bps=10)
-        table = exact_solve(IlpInstance((flow,), (net,), 1, 8))
+        table = exact_solve(IlpInstance((flow,), (net,), CFG1_8))
         assert table.entries == {}
         assert objective(table, 1) == 0
 
     def test_no_flows(self):
         net = NetworkProfile(id="n", name="N", capacity_bps=10)
-        table = exact_solve(IlpInstance((), (net,), 3, 8))
+        table = exact_solve(IlpInstance((), (net,), CFG8))
         assert table.entries == {}
 
     def test_no_networks(self):
         flow = FlowSpec(id="1", app="A", name="f", qos={1: QosRequirement(1, Fraction(1))})
-        table = exact_solve(IlpInstance((flow,), (), 3, 8))
+        table = exact_solve(IlpInstance((flow,), (), CFG8))
         assert table.entries == {}
 
     def test_require_all_infeasible(self):
         flow = FlowSpec(id="1", app="A", name="big", qos={1: QosRequirement(1000, Fraction(1))})
         net = NetworkProfile(id="n", name="N", capacity_bps=10)
         with pytest.raises(Infeasible):
-            exact_solve(IlpInstance((flow,), (net,), 1, 8, require_all=True))
+            exact_solve(IlpInstance((flow,), (net,), CFG1_8, require_all=True))
 
     def test_require_all_feasible_matches_unconstrained_here(self, assisted_living, table2_networks):
-        instance = IlpInstance(assisted_living.flows, tuple(table2_networks), 3, 8, require_all=True)
+        instance = IlpInstance(assisted_living.flows, table2_networks, CFG8, require_all=True)
         assert objective(exact_solve(instance), 3) == 22
 
     def test_thousands_of_flows_do_not_hit_the_recursion_limit(self):
         qos = {1: QosRequirement(1, Fraction(1))}
         flows = tuple(FlowSpec(id=str(i), app="A", name=f"f{i}", qos=qos) for i in range(2000))
         net = NetworkProfile(id="n", name="N", capacity_bps=10**6)
-        table = exact_solve(IlpInstance(flows, (net,), 1, 8))
+        table = exact_solve(IlpInstance(flows, (net,), CFG1_8))
         assert len(table.entries) == 2000
 
     def test_levels_above_l_max_are_never_placed(self):
@@ -190,14 +193,23 @@ class TestEdges:
             FlowSpec(id="1", app="A", name="f1", qos=qos),
             FlowSpec(id="2", app="A", name="f2", qos={1: QosRequirement(1, Fraction(8))}),
         )
-        instance = IlpInstance(flows, (NetworkProfile(id="n", name="N", capacity_bps=10),), 2, 8)
+        net = NetworkProfile(id="n", name="N", capacity_bps=10)
+        instance = IlpInstance(flows, (net,), AllocatorConfig(l_max=2, factor=8))
         assert solve_or_none(instance) == reference(instance) == {"2": ("n", 1)}
+
+    def test_the_instance_holds_the_heuristics_config(self):
+        # l_max and factor come only from an AllocatorConfig, which refuses a
+        # zero factor, so no instance serves flows at zero demand.
+        with pytest.raises(TypeError):
+            IlpInstance((), (), l_max=3, factor=0)
+        with pytest.raises(ValueError, match=r"^factor must be >= 1, got 0$"):
+            IlpInstance((), (), AllocatorConfig(l_max=3, factor=0))
 
     def test_never_errors_without_require_all(self):
         rng = random.Random(0xFEED)
         for _ in range(40):
             flows, networks, cfg = random_instance(rng)
-            instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor)
+            instance = IlpInstance(flows, networks, cfg)
             exact_solve(instance)  # must not raise
 
 
@@ -206,7 +218,7 @@ class TestOracle:
         rng = random.Random(0x0AC1E)
         for _ in range(120):
             flows, networks, cfg = random_instance(rng)
-            instance = IlpInstance(tuple(flows), tuple(networks), cfg.l_max, cfg.factor)
+            instance = IlpInstance(flows, networks, cfg)
             table = exact_solve(instance)
             verify_allocation_table(table, flows, networks, cfg)
             assert objective(table, cfg.l_max) == best_objective_by_enumeration(

@@ -394,6 +394,11 @@ class TestControl:
         with pytest.raises(ParseError, match=r"^unknown control message '<FOO:x>' \(at byte 1\)$"):
             parse_control("<FOO:x>")
 
+    def test_encode_refuses_a_value_that_is_not_a_control_message(self):
+        # Already-encoded text is not a message: encoding it again would lose it.
+        with pytest.raises(TypeError, match=r"^not a control message: '<ACK:x>'$"):
+            encode_control("<ACK:x>")
+
     @given(name=flow_names, reason=st.sampled_from(list(ErrorReason)))
     def test_roundtrip_random(self, name, reason):
         for message in (Ack(name), Err(name, reason)):
