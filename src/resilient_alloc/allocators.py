@@ -75,13 +75,16 @@ class AllocationTable:
 
     At most one entry exists per flow, and the residual of every network
     stays non-negative; ``place`` refuses an entry that would overload its
-    network.
+    network. Network ids must be distinct.
     """
 
     def __init__(self, networks: list[NetworkProfile]) -> None:
         self.entries: dict[str, Allocation] = {}
-        self.residual: dict[str, int] = {p.id: p.capacity_micro_bps for p in networks}
-        self._load: dict[str, int] = {}
+        self.residual: dict[str, int] = {}
+        for profile in networks:
+            if profile.id in self.residual:
+                raise ValueError(f"duplicate network id {profile.id!r}")
+            self.residual[profile.id] = profile.capacity_micro_bps
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AllocationTable):
@@ -101,43 +104,32 @@ class AllocationTable:
             )
         self.entries[allocation.flow_id] = allocation
         self.residual[allocation.network_id] = remaining
-        self._load[allocation.flow_id] = demand_micro_bps
-
-    def remove(self, flow_id: str) -> tuple[Allocation, int]:
-        """Drop the entry for ``flow_id``, returning it with its demand."""
-        allocation = self.entries.pop(flow_id)
-        demand = self._load.pop(flow_id)
-        self.residual[allocation.network_id] += demand
-        return allocation, demand
 
 
-def _pick_network(
-    fit: str, demand: int, networks: list[NetworkProfile], residual: dict[str, int]
-) -> str | None:
-    """Network id chosen by the fit rule ("ff", "bf" or "wf"), or None when nothing fits."""
-    best_id: str | None = None
-    best_after = 0
-    for profile in networks:
-        after = residual[profile.id] - demand
+def _pick_network(fit: str, demand: int, residual: list[int]) -> int:
+    """Position chosen by the fit rule ("ff", "bf" or "wf"), or -1 when nothing fits."""
+    best, best_after = -1, 0
+    for j, left in enumerate(residual):
+        after = left - demand
         if after < 0:
             continue
         if fit == "ff":
-            return profile.id
-        if best_id is None:
-            best_id, best_after = profile.id, after
+            return j
+        if best < 0:
+            best, best_after = j, after
         elif fit == "bf" and after < best_after:
-            best_id, best_after = profile.id, after
+            best, best_after = j, after
         elif fit == "wf" and after > best_after:
-            best_id, best_after = profile.id, after
-    return best_id
+            best, best_after = j, after
+    return best
 
 
-def _flows_by_level(flows: list[FlowSpec]) -> dict[int, list[FlowSpec]]:
-    """Declared levels, highest first, each with its flows in input order."""
-    by_level: dict[int, list[FlowSpec]] = {}
+def _flows_by_level(flows: list[FlowSpec], factor: int) -> dict[int, list[tuple[str, int]]]:
+    """Declared levels, highest first, each with its ``(flow id, demand)`` pairs in input order."""
+    by_level: dict[int, list[tuple[str, int]]] = {}
     for flow in flows:
-        for level in flow.qos:
-            by_level.setdefault(level, []).append(flow)
+        for level, qos in flow.qos.items():
+            by_level.setdefault(level, []).append((flow.id, factor * qos.demand_micro_bps))
     return dict(sorted(by_level.items(), reverse=True))
 
 
@@ -148,27 +140,34 @@ def _criticality_aware(
     admit_first: bool,
 ) -> AllocationTable:
     table = AllocationTable(networks)
+    residual = [p.capacity_micro_bps for p in networks]
+    # flow id -> (network position, level, demand), in the order the table takes them.
+    held: dict[str, tuple[int, int, int]] = {}
     # Levels no flow declares change nothing; skipping them keeps a huge l_max cheap.
-    for level, declared_here in _flows_by_level(flows).items():
+    for level, declared_here in _flows_by_level(flows, cfg.factor).items():
         # The admit pass takes flows with no entry; the relax pass takes flows
         # held at a stricter level and puts the entry back if nothing fits.
+        # Either way a flow it tries ends up last in ``held``.
         for admitting in (admit_first, not admit_first):
-            for flow in declared_here:
+            for flow_id, demand in declared_here:
+                current = held.get(flow_id)
                 if admitting:
-                    if flow.id in table.entries:
+                    if current is not None:
                         continue
-                    held = None
                 else:
-                    current = table.entries.get(flow.id)
-                    if current is None or current.level <= level:
+                    if current is None or current[1] <= level:
                         continue
-                    held = table.remove(flow.id)
-                demand = utilization(flow, level, cfg.factor)
-                target = _pick_network("bf", demand, networks, table.residual)
-                if target is not None:
-                    table.place(Allocation(flow.id, target, level), demand)
-                elif held is not None:
-                    table.place(*held)
+                    del held[flow_id]
+                    residual[current[0]] += current[2]
+                j = _pick_network("bf", demand, residual)
+                if j >= 0:
+                    residual[j] -= demand
+                    held[flow_id] = (j, level, demand)
+                elif current is not None:
+                    residual[current[0]] -= current[2]
+                    held[flow_id] = current
+    for flow_id, (j, level, demand) in held.items():
+        table.place(Allocation(flow_id, networks[j].id, level), demand)
     return table
 
 
@@ -195,22 +194,22 @@ def heuristic(
     """Run the baseline ``name`` (one of BASELINE_NAMES); flows that fit nowhere are skipped."""
     if name not in BASELINE_NAMES:
         raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(BASELINE_NAMES)}")
+    table = AllocationTable(networks)
     pick_level = max if name[0] == "h" else min
-    chosen: list[tuple[FlowSpec, int, int]] = []
+    chosen: list[tuple[str, int, int]] = []
     for flow in flows:
         level = pick_level(flow.qos)
-        demand = utilization(flow, level, cfg.factor)
-        assert demand is not None
-        chosen.append((flow, level, demand))
+        chosen.append((flow.id, level, cfg.factor * flow.qos[level].demand_micro_bps))
     if name.endswith("d"):
         chosen.sort(key=lambda item: item[2], reverse=True)
 
     fit = name[2:4]
-    table = AllocationTable(networks)
-    for flow, level, demand in chosen:
-        target = _pick_network(fit, demand, networks, table.residual)
-        if target is not None:
-            table.place(Allocation(flow.id, target, level), demand)
+    residual = [p.capacity_micro_bps for p in networks]
+    for flow_id, level, demand in chosen:
+        j = _pick_network(fit, demand, residual)
+        if j >= 0:
+            residual[j] -= demand
+            table.place(Allocation(flow_id, networks[j].id, level), demand)
     return table
 
 

@@ -28,7 +28,7 @@ from .metrics import (
     report,
 )
 from .networks import BUILTIN_KINDS, builtin_profile, load_networks, networks_from_json
-from .rational import Node
+from .rational import Node, number_text
 from .rng import FixedDelay
 from .solver import IlpInstance, Infeasible, exact_solve
 
@@ -41,8 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_networks(spec: str):
+    # Path("") is the working directory, so only a regular file counts as one.
     path = Path(spec)
-    if path.exists():
+    if path.is_file():
         return load_networks(path)
     networks = networks_from_json([{"builtin": kind.strip()} for kind in spec.split(",") if kind.strip()])
     if not networks:
@@ -155,18 +156,24 @@ def _render_sim_table(rep: simulator.SimReport) -> str:
 
 
 def cmd_simulate(args) -> int:
-    # A scenario that cannot be opened stops the command before any file is
-    # made. The transcript file is opened next, so an unwritable path fails
-    # before any work, and each frame is written as it is sent. Opening empties
-    # it, so it must not be the scenario file under any spelling.
+    # A scenario that cannot be opened, or a seed override that is not a
+    # 64-bit seed, stops the command before any file is made. The transcript
+    # file is opened next, so an unwritable path fails before any work, and
+    # each frame is written as it is sent. Opening empties it, so it must not
+    # be the scenario file under any spelling.
     open(args.scenario, "rb").close()
     if args.transcript and os.path.exists(args.transcript) and os.path.samefile(args.transcript, args.scenario):
         raise ValueError(f"--transcript {args.transcript} is the scenario file; it would be emptied before it is read")
+    seed = None
+    if (override := os.environ.get(SEED_ENV_VAR)) is not None:
+        node = Node(override, SEED_ENV_VAR)
+        seed = node.int()
+        if not 0 <= seed < 1 << 64:
+            raise node.fail(f"must fit in 64 bits, got {number_text(seed)}")
     with open(args.transcript, "w", encoding="utf-8") if args.transcript else nullcontext() as handle:
         scenario = simulator.load_scenario(args.scenario)
-        seed_override = os.environ.get(SEED_ENV_VAR)
-        if seed_override is not None:
-            scenario = replace(scenario, seed=Node(seed_override, SEED_ENV_VAR).int())
+        if seed is not None:
+            scenario = replace(scenario, seed=seed)
         write = None if handle is None else lambda entry: handle.write(json.dumps(entry, sort_keys=True) + "\n")
         rep = simulator.run(scenario, transcript=write)
     if args.fmt == "json":

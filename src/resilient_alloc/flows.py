@@ -12,6 +12,9 @@ keep capacity comparisons and tie-breaking reproducible across runs and
 platforms. ``factor`` converts the byte-based C/T quotient into the unit the
 network capacities are quoted in: 8 treats capacities as bits per second,
 1 compares the raw quotient directly.
+
+Each ``QosRequirement`` computes its factor-1 demand once, when it is built,
+as ``demand_micro_bps``; ``utilization`` multiplies it by ``factor``.
 """
 
 from __future__ import annotations
@@ -57,17 +60,23 @@ class QosRequirement:
     """Service requirement of one flow at one criticality level.
 
     message_size_bytes is the maximum message size C; min_interval_seconds
-    is the minimum spacing T between consecutive messages.
+    is the minimum spacing T between consecutive messages. demand_micro_bps,
+    C/T in micro-bps rounded half-up, is no part of ``repr``, ``==`` or ``hash``.
     """
 
     message_size_bytes: int
     min_interval_seconds: Fraction
+    demand_micro_bps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.message_size_bytes < 1:
             raise ValueError(f"message size must be >= 1, got {number_text(self.message_size_bytes)}")
-        if self.min_interval_seconds <= 0:
-            raise ValueError(f"interval must be > 0, got {number_text(self.min_interval_seconds)}")
+        t = self.min_interval_seconds
+        if t <= 0:
+            raise ValueError(f"interval must be > 0, got {number_text(t)}")
+        # floor(C * MICRO / T + 1/2)
+        num = 2 * self.message_size_bytes * MICRO * t.denominator
+        object.__setattr__(self, "demand_micro_bps", (num + t.numerator) // (2 * t.numerator))
 
 
 @dataclass(frozen=True)
@@ -95,25 +104,17 @@ class FlowSet:
     l_max: int
 
 
-def _round_half_up(num: int, den: int) -> int:
-    # floor(num/den + 1/2) for positive den
-    return (2 * num + den) // (2 * den)
-
-
 def utilization(flow: FlowSpec, level: int, factor: int) -> int | None:
     """Bandwidth demand of ``flow`` at ``level`` in integer micro-bps.
 
     Returns None when the flow declares no service at that level. The C/T
-    quotient is rounded half-up at micro-bps resolution and then multiplied
-    by ``factor``, so ``utilization(f, L, 8) == 8 * utilization(f, L, 1)``
-    holds exactly for every input.
+    quotient is rounded half-up at micro-bps resolution (the requirement's
+    ``demand_micro_bps``) and then multiplied by ``factor``, so
+    ``utilization(f, L, 8) == 8 * utilization(f, L, 1)`` holds exactly for
+    every input.
     """
     qos = flow.qos.get(level)
-    if qos is None:
-        return None
-    t = qos.min_interval_seconds
-    num = qos.message_size_bytes * MICRO * t.denominator
-    return factor * _round_half_up(num, t.numerator)
+    return None if qos is None else factor * qos.demand_micro_bps
 
 
 def validate_flow_set(flows: list[FlowSpec] | tuple[FlowSpec, ...], l_max: int) -> None:

@@ -183,6 +183,7 @@ class SurrogateBound:
 def exact_solve(instance: IlpInstance) -> AllocationTable:
     """Optimal allocation table for ``instance``: the first optimum in exploration order."""
     networks = instance.networks
+    table = AllocationTable(networks)
     n = len(instance.flows)
     options = level_options(instance)
     bound = SurrogateBound(options, instance.require_all)
@@ -241,7 +242,6 @@ def exact_solve(instance: IlpInstance) -> AllocationTable:
     if best_choice is None:
         raise Infeasible("no assignment serves every flow")
 
-    table = AllocationTable(networks)
     for flow, picked in zip(instance.flows, best_choice):
         if picked is not None:
             level, j, demand = picked

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import inspect
 import random
 from fractions import Fraction
@@ -335,6 +336,23 @@ class TestTableChecks:
         assert table.__eq__(table.entries) is NotImplemented
         assert table != table.entries and table == AllocationTable(table2_networks)
 
+    @pytest.mark.parametrize(
+        "allocate",
+        [
+            pytest.param(cabf, id="cabf"),
+            pytest.param(cabf_inv, id="cabf_inv"),
+            pytest.param(lambda *args: heuristic("l-ff", *args), id="heuristic"),
+            pytest.param(lambda *args: run_algorithm("exact", *args), id="exact"),
+        ],
+    )
+    def test_duplicate_network_id_is_refused(self, assisted_living, table2_networks, allocate):
+        # A second "lora" would otherwise replace the first one's capacity.
+        lora = NetworkProfile(id="lora", name="Second LoRa", capacity_bps=99)
+        with pytest.raises(ValueError, match=r"^duplicate network id 'lora'$"):
+            allocate(list(assisted_living.flows), [*table2_networks, lora], CFG8)
+        with pytest.raises(ValueError, match=r"^duplicate network id 'lora'$"):
+            AllocationTable([*table2_networks, lora])
+
     def test_place_refuses_a_second_entry_for_a_flow(self, table2_networks):
         table = AllocationTable(table2_networks)
         table.place(Allocation("1", "wifi", 1), 10)
@@ -471,3 +489,48 @@ class TestProperties:
             for allocation in table.entries.values():
                 flow = next(f for f in flows if f.id == allocation.flow_id)
                 assert utilization(flow, allocation.level, 8) is not None
+
+
+def _pinned_instance(rng: random.Random):
+    """One seeded instance for the table digest.
+
+    It has 0-40 flows and 1-5 networks. Each flow declares a random subset
+    of the levels, some intervals have denominators 2, 3 or 7, and about one
+    flow in twenty is too large for any network. Capacities come from a pool
+    of two values, so equal residuals are common.
+    """
+    l_max = rng.randint(1, 4)
+    pool = (rng.randint(20, 400), rng.randint(20, 400))
+    networks = [
+        NetworkProfile(id=f"n{j}", name=f"net {j}", capacity_bps=rng.choice(pool))
+        for j in range(rng.randint(1, 5))
+    ]
+    flows = []
+    for i in range(rng.randint(0, 40)):
+        qos = {}
+        for level in rng.sample(range(1, l_max + 1), k=rng.randint(1, l_max)):
+            size = 10_000 if rng.random() < 0.05 else rng.randint(1, 60)
+            qos[level] = QosRequirement(size, Fraction(rng.randint(1, 10), rng.choice((1, 1, 2, 3, 7))))
+        flows.append(FlowSpec(id=str(i + 1), app="App", name=f"flow {i + 1}", qos=qos))
+    return flows, networks, AllocatorConfig(l_max=l_max, factor=rng.choice((1, 8)))
+
+
+class TestPinnedTables:
+    """The fourteen heuristics' tables on seeded random instances, entry by entry."""
+
+    INSTANCES = 2000
+    # Recorded with the criticality-aware pair relaxing through
+    # AllocationTable.remove and place, and every demand computed per call.
+    DIGEST = "e6996ae0f826930c4265b1a50931befdc7975625e3290721636355e590246e3b"
+
+    def test_tables_digest(self):
+        rng = random.Random(0x7AB1E5)
+        digest = hashlib.sha256()
+        for _ in range(self.INSTANCES):
+            flows, networks, cfg = _pinned_instance(rng)
+            for name in HEURISTIC_NAMES:
+                table = run_algorithm(name, flows, networks, cfg)
+                entries = ";".join(f"{a.flow_id},{a.network_id},{a.level}" for a in table.entries.values())
+                residuals = ",".join(f"{key}={left}" for key, left in table.residual.items())
+                digest.update(f"{name}:{entries}|{residuals}\n".encode())
+        assert digest.hexdigest() == self.DIGEST

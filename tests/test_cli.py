@@ -330,6 +330,28 @@ class TestSimulate:
         if code == 0:
             assert json.loads(captured.out)["seed"] == 1000
 
+    @pytest.mark.parametrize(
+        "value,code",
+        [
+            pytest.param("-1", 1, id="below"),
+            pytest.param("0", 0, id="lowest"),
+            pytest.param(str(2**64 - 1), 0, id="highest"),
+            pytest.param(str(2**64), 1, id="above"),
+        ],
+    )
+    def test_seed_env_override_must_fit_in_64_bits(self, wifi_loss_path, tmp_path, capsys, monkeypatch, value, code):
+        monkeypatch.setenv(SEED_ENV_VAR, value)
+        transcript = tmp_path / "frames.jsonl"
+        argv = ["simulate", "--scenario", str(wifi_loss_path), "--transcript", str(transcript), "--format", "json"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert json.loads(captured.out)["seed"] == int(value)
+        else:
+            # Refused before the transcript file is made.
+            assert captured.err == f"error: RESILIENT_ALLOC_SEED: must fit in 64 bits, got {value}\n"
+            assert not transcript.exists()
+
     @pytest.mark.parametrize("seed", [None, "7"], ids=["scenario_seed", "env_seed"])
     def test_scenario_is_validated_once(self, wifi_loss_path, monkeypatch, seed):
         if seed is None:
@@ -963,9 +985,12 @@ class TestArgumentHandling:
         assert main(["compare", "--flows", FLOWS, "--networks", TABLE2, "--bogus"]) == 1
         assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
 
-    def test_empty_network_spec_is_exit_one(self, capsys):
-        assert main(["compare", "--flows", FLOWS, "--networks", ","]) == 1
-        assert capsys.readouterr().err == "error: no networks in spec ','\n"
+    @pytest.mark.parametrize("command", ["compare", "allocate", "solve"])
+    @pytest.mark.parametrize("spec", [",", "", " "], ids=["comma", "empty", "blank"])
+    def test_empty_network_spec_is_exit_one(self, capsys, command, spec):
+        # The empty spec names the working directory as a path; it is no file.
+        assert main([command, "--flows", FLOWS, "--networks", spec]) == 1
+        assert capsys.readouterr().err == f"error: no networks in spec {spec!r}\n"
 
     def test_unknown_algorithm_is_exit_one(self, capsys):
         assert main(["allocate", "--flows", FLOWS, "--networks", TABLE2, "--algo", "magic"]) == 1

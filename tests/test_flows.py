@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -70,6 +72,53 @@ class TestUtilization:
             levels = sorted(flow.qos)
             for lower, higher in zip(levels, levels[1:]):
                 assert utilization(flow, higher, 8) <= utilization(flow, lower, 8)
+
+
+def _half_up_micro(c: int, t: Fraction) -> int:
+    """C/T in micro-bps, rounded half-up, computed in exact rationals."""
+    return math.floor(Fraction(c * 10**6) / t + Fraction(1, 2))
+
+
+class TestDemand:
+    """``QosRequirement.demand_micro_bps``: the factor-1 demand, computed once."""
+
+    @pytest.mark.parametrize(
+        "c,t",
+        [
+            pytest.param(10**400, Fraction(3), id="huge_c"),
+            pytest.param(10**400 + 1, Fraction(10**400, 7), id="huge_c_and_t"),
+            pytest.param(7, Fraction(1000000007 * 3 + 1, 1000000007), id="prime_denominator"),
+            pytest.param(123456789, Fraction(2**61 - 1, 1000000009 * 1000000021), id="two_prime_denominators"),
+            pytest.param(1, Fraction(2_000_000), id="exact_half_rounds_up"),
+            pytest.param(1, Fraction(2_000_001), id="just_below_a_half"),
+        ],
+    )
+    def test_matches_half_up_rounding(self, c, t):
+        qos = QosRequirement(c, t)
+        assert qos.demand_micro_bps == _half_up_micro(c, t)
+        flow = FlowSpec(id="1", app="A", name="f", qos={2: qos})
+        assert utilization(flow, 2, 1) == qos.demand_micro_bps
+        assert utilization(flow, 2, 8) == 8 * qos.demand_micro_bps
+
+    @given(c=st.integers(1, 10**30), t_num=st.integers(1, 10**30), t_den=st.integers(1, 10**12))
+    def test_matches_half_up_rounding_anywhere(self, c, t_num, t_den):
+        t = Fraction(t_num, t_den)
+        assert QosRequirement(c, t).demand_micro_bps == _half_up_micro(c, t)
+
+    def test_not_in_repr_eq_or_hash(self):
+        qos = QosRequirement(30, Fraction(7, 3))
+        assert repr(qos) == "QosRequirement(message_size_bytes=30, min_interval_seconds=Fraction(7, 3))"
+        altered = QosRequirement(30, Fraction(7, 3))
+        object.__setattr__(altered, "demand_micro_bps", 0)
+        assert altered == qos and hash(altered) == hash(qos)
+        with pytest.raises(TypeError, match="demand_micro_bps"):
+            QosRequirement(30, Fraction(7, 3), demand_micro_bps=12_857_143)
+
+    def test_replace_recomputes_it(self):
+        qos = QosRequirement(30, Fraction(7, 3))
+        assert qos.demand_micro_bps == 12_857_143
+        assert dataclasses.replace(qos, message_size_bytes=60).demand_micro_bps == 25_714_286
+        assert dataclasses.replace(qos, min_interval_seconds=Fraction(1, 2)).demand_micro_bps == 60_000_000
 
 
 class TestValidation:
