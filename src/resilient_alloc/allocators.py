@@ -191,13 +191,15 @@ def heuristic(
     networks: list[NetworkProfile],
     cfg: AllocatorConfig,
 ) -> AllocationTable:
-    """Run the baseline ``name`` (one of BASELINE_NAMES); flows that fit nowhere are skipped."""
+    """Run the baseline ``name`` (one of BASELINE_NAMES); a flow with no level or that fits nowhere is skipped."""
     if name not in BASELINE_NAMES:
         raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(BASELINE_NAMES)}")
     table = AllocationTable(networks)
     pick_level = max if name[0] == "h" else min
     chosen: list[tuple[str, int, int]] = []
     for flow in flows:
+        if not flow.qos:
+            continue
         level = pick_level(flow.qos)
         chosen.append((flow.id, level, cfg.factor * flow.qos[level].demand_micro_bps))
     if name.endswith("d"):

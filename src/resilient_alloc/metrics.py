@@ -8,7 +8,10 @@ decimals (17/8 prints as 2.12).
 
 Every JSON report, the comparison here and the simulation report, is written
 by ``json_document``, whose text is byte-identical to what ``json.dumps``
-writes with ``sort_keys=True`` and an indent of 2.
+writes with ``sort_keys=True`` and an indent of 2. A placement stays an
+``Allocation`` up to the writer, which writes it as the object
+``{"level": L, "network": "id"}``; any other value that is not JSON is a
+TypeError.
 """
 
 from __future__ import annotations
@@ -149,21 +152,14 @@ def render_comparison_csv(
     return buffer.getvalue()
 
 
-def placements_json(placements: dict[str, Allocation | None]) -> dict[str, dict | None]:
-    """Flow id -> its ``{"network", "level"}`` object, or None for a flow left unplaced."""
-    return {
-        flow_id: None if placed is None else {"network": placed.network_id, "level": placed.level}
-        for flow_id, placed in placements.items()
-    }
-
-
 def report_to_json_dict(rep: AllocationReport) -> dict:
+    """One comparison row for ``json_document``; ``per_flow`` maps a flow id to its ``Allocation`` or None."""
     return {
         "objective": rep.objective,
         "percent_served": float(rep.percent_served),
         "avg_criticality": None if rep.avg_criticality is None else float(rep.avg_criticality),
         "avg_criticality_display": format_quantity(rep.avg_criticality),
-        "per_flow": placements_json(rep.per_flow),
+        "per_flow": rep.per_flow,
         "per_network_load": {
             network_id: {"used_micro_bps": used, "capacity_micro_bps": capacity}
             for network_id, (used, capacity) in rep.per_network_load.items()
@@ -187,17 +183,30 @@ def json_document(value: object) -> str:
 
     Up to CPython 3.13, any indent makes ``json.dumps`` fall back to its pure-Python,
     generator-based encoder; this writer appends to one list and joins once.
+    An ``Allocation`` is written as the object ``{"level": L, "network": "id"}``;
+    its text is built once per network, level and depth in this call.
     Dict keys must be ``str``; a key or value of any other type is a TypeError.
     """
     parts: list[str] = []
-    _write_json(value, parts, "\n")
+    _write_json(value, parts, "\n", {})
     return "".join(parts)
 
 
-def _write_json(value: object, parts: list[str], newline: str) -> None:
-    """Append ``value``'s text to ``parts``; ``newline`` starts a line at its depth."""
+def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[str, int, str], str]) -> None:
+    """Append ``value``'s text to ``parts``; ``newline`` starts a line at its depth.
+
+    ``memo`` maps ``(network id, level, newline)`` to the text of an ``Allocation``.
+    """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, Allocation):
+        key = (value.network_id, value.level, newline)
+        text = memo.get(key)
+        if text is None:
+            placed: list[str] = []
+            _write_json({"level": value.level, "network": value.network_id}, placed, newline, memo)
+            text = memo[key] = "".join(placed)
+        parts.append(text)
     elif value is None:
         parts.append("null")
     elif value is True:
@@ -218,7 +227,7 @@ def _write_json(value: object, parts: list[str], newline: str) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             parts.append(lead + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], parts, inner)
+            _write_json(value[key], parts, inner, memo)
             lead = separator
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -229,7 +238,7 @@ def _write_json(value: object, parts: list[str], newline: str) -> None:
         lead, separator = "[" + inner, "," + inner
         for item in value:
             parts.append(lead)
-            _write_json(item, parts, inner)
+            _write_json(item, parts, inner, memo)
             lead = separator
         parts.append(newline + "]")
     else:

@@ -63,7 +63,7 @@ from . import wire
 from .allocators import Allocation, AllocatorConfig
 from .catalog import ALGORITHM_NAMES, run_algorithm
 from .flows import FlowSpec, flow_from_dict, validate_flow_set
-from .metrics import json_document, placements_json
+from .metrics import json_document
 from .networks import NetworkProfile, network_from_dict
 from .rational import Node, number_text, read_json
 from .rng import RNG_NAME, DelayModel, SplitMix64, UniformDelay, delay_from_dict, ticks
@@ -252,6 +252,7 @@ class SimReport:
         return _delivered_fraction(_sum_counts(rows))
 
     def to_json_dict(self) -> dict:
+        """The report for ``json_document``; ``final_allocation`` maps a flow id to its ``Allocation`` or None."""
         per_flow = {}
         for flow_id, levels in self.per_flow_level.items():
             fraction = self.delivered_fraction(flow_id)
@@ -283,7 +284,7 @@ class SimReport:
                 for shake in self.handshakes
             ],
             "delivered_fraction_by_level": by_level,
-            "final_allocation": placements_json(self.final_allocation),
+            "final_allocation": self.final_allocation,
         }
 
     def json_bytes(self) -> bytes:

@@ -27,6 +27,7 @@ from resilient_alloc import (
     verify_allocation_table,
 )
 from resilient_alloc.allocators import HEURISTIC_NAMES
+from resilient_alloc.catalog import ALGORITHM_NAMES
 from resilient_alloc.flows import utilization
 
 from enumeration_oracle import random_instance
@@ -319,6 +320,14 @@ TABLE_CORRUPTIONS = {
         r"^residual mismatch on 'lora': 896000001 != 896000000$",
     ),
 }
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_a_flow_with_no_level_is_left_out(name, assisted_living, table2_networks):
+    flows = list(assisted_living.flows)
+    no_level = FlowSpec("no-level", "App", "declares nothing", {})
+    with_it = run_algorithm(name, flows[:4] + [no_level] + flows[4:], table2_networks, CFG8)
+    assert with_it == run_algorithm(name, flows, table2_networks, CFG8)
 
 
 class TestTableChecks:

@@ -48,6 +48,10 @@ GOLDEN = {
         CLI + ["compare", "--flows", FLOWS, "--networks", FIPY, "--format", "json"],
         "acd92789fe91570846af8d59e5f18aa37f963af7acb5e169dfd439f67cbe90a9",
     ),
+    "allocate-json-fipy": (
+        CLI + ["allocate", "--algo", "cabf-inv", "--flows", FLOWS, "--networks", FIPY, "--format", "json"],
+        "3e6298654816cd42be5d8e85054e62a991843db02d50ccadf59be7bf7c469d3c",
+    ),
     "simulate-json": (
         CLI + ["simulate", "--scenario", str(DEMOS / "wifi_loss.json"), "--format", "json"],
         "582e4f896b9c85820a43d7952533a691e1c6e3a717c268919935d1ae2765ea37",

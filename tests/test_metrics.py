@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resilient_alloc import (
+    Allocation,
     AllocationTable,
     AllocatorConfig,
     FlowSpec,
@@ -158,9 +159,16 @@ class TestRendering:
         assert row["per_flow"]["6"]["level"] == 2
 
 
+def placement_object(value) -> dict:
+    """The stdlib encoder's fallback: an ``Allocation`` as its ``{"level", "network"}`` object."""
+    if isinstance(value, Allocation):
+        return {"level": value.level, "network": value.network_id}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def stdlib_document(value) -> str:
     """The reference ``json_document`` must match: the stdlib's indented encoder."""
-    return json.dumps(value, sort_keys=True, indent=2)
+    return json.dumps(value, sort_keys=True, indent=2, default=placement_object)
 
 
 def stdlib_comparison(rows, factor: int) -> str:
@@ -183,6 +191,7 @@ def comparison_rows(flows, networks, cfg):
 JSON_TEXT = st.text(
     st.one_of(st.characters(), st.characters(categories=["Cs"]), st.characters(max_codepoint=0x1F))
 )
+# The JSON scalars, plus the ``Allocation`` leaf that the writer turns into an object.
 JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -191,6 +200,7 @@ JSON_SCALARS = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf]),
     JSON_TEXT,
+    st.builds(Allocation, JSON_TEXT, JSON_TEXT, st.integers()),
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
@@ -203,12 +213,16 @@ JSON_VALUES = st.recursive(
 )
 
 
+PLACED = Allocation("1", "wi\"fi", 2)
+
+
 class TestJsonDocument:
     @settings(max_examples=300)
     @given(JSON_VALUES)
     @example({"": {}, "a": [], "b": [[], {}, ()], "c": ({"d": [{}]},)})
     @example([2**64, -(2**70), -0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf, True, False, None])
     @example({"\ud800": "\udfff\x00\x1f\x7f", "é": "😀\u2028", "\"": "\\"})
+    @example({"a": PLACED, "b": {"c": PLACED}, "d": [PLACED, [PLACED]]})
     def test_matches_the_stdlib_encoder(self, value):
         assert json_document(value) == stdlib_document(value)
 
