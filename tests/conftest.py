@@ -10,6 +10,38 @@ from resilient_alloc import builtin_profile, load_flow_set
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMOS = REPO_ROOT / "demos"
 
+# A scenario whose wire traffic holds every per-message frame kind: APP frames
+# at levels 1 and 2 (the alarm steps down while "fast" is down), ACKs,
+# NOT-ALLOCATED ERRs (bulk has no home without "fast") and NOT-DELIVERED ERRs
+# (meter's period is shorter than the send gap on "slow"). The alarm's name
+# holds a backslash, so its frames are escaped on the wire.
+MIXED_TRAFFIC = {
+    "l_max": 2,
+    "factor": 8,
+    "algorithm": "cabf-inv",
+    "duration_seconds": 240,
+    "seed": 11,
+    "networks": [
+        {"id": "fast", "capacity_bps": 100000, "latency": {"fixed_ms": 5}},
+        {
+            "id": "slow",
+            "capacity_bps": 100,
+            "max_payload_bytes": 12,
+            "min_inter_message_gap_seconds": 15,
+            "latency": {"uniform_ms": [1000, 4000]},
+        },
+    ],
+    "events": [
+        {"kind": "down", "network": "fast", "t": 80},
+        {"kind": "up", "network": "fast", "t": 160},
+    ],
+    "flows": [
+        {"id": "a", "app": "App", "name": "door\\alarm", "qos": {"1": {"c": 400, "t": 20}, "2": {"c": 10, "t": 30}}},
+        {"id": "m", "app": "App", "name": "meter", "qos": {"1": {"c": 12, "t": 10}}},
+        {"id": "b", "app": "App", "name": "bulk", "qos": {"1": {"c": 200, "t": 2}}},
+    ],
+}
+
 
 @pytest.fixture()
 def time_box():

@@ -10,13 +10,14 @@ a digest only for an intended change of output.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import DEMOS, REPO_ROOT
+from conftest import DEMOS, MIXED_TRAFFIC, REPO_ROOT
 
 FLOWS = str(DEMOS / "assisted_living.json")
 TABLE2 = "wifi_table2,lora_sf9_table2,sigfox_table2"
@@ -88,6 +89,9 @@ GOLDEN = {
 
 
 TRANSCRIPT_DIGEST = "9d5cc4c478f4dd85a64ad78843dae62a69e2a5417593c4f00a5e06087f4b8e83"
+# conftest.MIXED_TRAFFIC: APP frames at two levels, ACKs and both ERR reasons.
+MIXED_TRANSCRIPT_DIGEST = "7cd147ac2de1f15b39022977fbb1fb47a4db933db8808f68af76765e04d8547c"
+MIXED_REPORT_DIGEST = "137438c4f72ae66aaa56aaba1c2515d4d0490e69e898b2513c76133ed21a2a35"
 
 
 def _run(argv: list[str]) -> bytes:
@@ -112,3 +116,15 @@ def test_simulate_transcript_digest(tmp_path):
     path = tmp_path / "transcript.jsonl"
     _run(CLI + ["simulate", "--scenario", str(DEMOS / "wifi_loss.json"), "--transcript", str(path)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRANSCRIPT_DIGEST
+
+
+def test_mixed_traffic_transcript_and_report_digests(tmp_path):
+    scenario = tmp_path / "mixed.json"
+    scenario.write_text(json.dumps(MIXED_TRAFFIC), encoding="utf-8")
+    transcript = tmp_path / "transcript.jsonl"
+    report = _run(CLI + ["simulate", "--scenario", str(scenario), "--transcript", str(transcript), "--format", "json"])
+    frames = transcript.read_bytes()
+    for kind in (b"door\\\\alarm,1,", b"door\\\\alarm,2,", b"<ACK:", b":NOT-ALLOCATED>", b":NOT-DELIVERED>"):
+        assert kind in frames
+    assert hashlib.sha256(frames).hexdigest() == MIXED_TRANSCRIPT_DIGEST
+    assert hashlib.sha256(report).hexdigest() == MIXED_REPORT_DIGEST
