@@ -192,15 +192,16 @@ def json_document(value: object) -> str:
     return "".join(parts)
 
 
-def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[str, int, str], str]) -> None:
+def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[str, type, int, str], str]) -> None:
     """Append ``value``'s text to ``parts``; ``newline`` starts a line at its depth.
 
-    ``memo`` maps ``(network id, level, newline)`` to the text of an ``Allocation``.
+    ``memo`` maps ``(network id, level type, level, newline)`` to the text of an
+    ``Allocation``; the type keeps a ``True`` level apart from the equal ``1``.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif isinstance(value, Allocation):
-        key = (value.network_id, value.level, newline)
+        key = (value.network_id, type(value.level), value.level, newline)
         text = memo.get(key)
         if text is None:
             placed: list[str] = []

@@ -12,6 +12,13 @@ frame is the only host-to-node channel: the node learns a message's flow,
 level and size only from the decoded frame, and keeps only the messages
 still in flight, so memory does not grow with simulated time.
 
+A flow's messages at one level, its ACKs and its ERRs for one reason are
+the same bytes every time, so each distinct such frame is built once per
+run, through the ``wire`` encoders, and its bytes are reused for every later
+send. Re-allocation control frames and MFEA announcements are encoded at
+each send. Every frame sent is still fed to the receiver's decoder and
+decoded there.
+
 Virtual time replaces a thread-and-sleep implementation style: events are
 processed in non-decreasing time order with deterministic tie-breaking
 (network change < re-allocation start < re-allocation complete < message
@@ -326,6 +333,23 @@ def _tick_scale(scenario: Scenario) -> int:
     return math.lcm(*(Fraction(time).denominator for time in times), *(delay.tick_denominator for delay in delays))
 
 
+def _control_body(message: wire.ControlMessage) -> bytes:
+    return wire.encode_control(message).encode("utf-8")
+
+
+def _app_body(flow: FlowSpec, level: int) -> bytes:
+    """The body of every message ``flow`` emits at ``level``."""
+    return wire.encode_app(wire.AppMessage(flow.name, level, b"x" * flow.qos[level].message_size_bytes))
+
+
+def _ack_body(flow: FlowSpec) -> bytes:
+    return _control_body(wire.Ack(flow.name))
+
+
+def _err_body(flow: FlowSpec, reason: wire.ErrorReason) -> bytes:
+    return _control_body(wire.Err(flow.name, reason))
+
+
 class _Simulation:
     """Single-run state; see module docstring for the rules implemented."""
 
@@ -375,6 +399,10 @@ class _Simulation:
             _TO_NODE: (wire.FrameDecoder(), self._node_on_frame),
             _TO_HOST: (wire.FrameDecoder(), self._host_on_frame),
         }
+        # (body, frame) of each per-message frame sent so far, keyed by
+        # (flow position, level) for an APP frame, flow position for an ACK
+        # and (flow position, reason) for an ERR.
+        self._frames: dict[object, tuple[bytes, bytes]] = {}
 
     # -- plumbing -------------------------------------------------------------
 
@@ -383,21 +411,34 @@ class _Simulation:
         heapq.heappush(self._heap, (time, priority, flow_idx, self._seq, action, payload))
 
     def _counts(self, flow_idx: int, level: int) -> FlowLevelCounts:
-        return self.stats[flow_idx].setdefault(level, FlowLevelCounts())
+        levels = self.stats[flow_idx]
+        counts = levels.get(level)
+        if counts is None:
+            counts = levels[level] = FlowLevelCounts()
+        return counts
 
-    def _send(self, direction: str, body: bytes) -> None:
-        """Frame ``body``, feed it to the receiver's decoder and dispatch it."""
+    def _send(self, direction: str, body: bytes, frame: bytes) -> None:
+        """Feed ``frame``, the encoded ``body``, to the receiver's decoder and dispatch it."""
         if self.transcript is not None:
             text = body.decode("utf-8", "backslashreplace")
             self.transcript({"t": self.now / self.scale, "dir": direction, "body": text})
         decoder, on_frame = self._links[direction]
-        for event in decoder.feed(wire.encode_frame(body)):
+        for event in decoder.feed(frame):
             if isinstance(event, wire.MalformedFrame):
                 raise AssertionError(f"{direction} frame is malformed: {event}")
             on_frame(event.body)
 
+    def _send_memo(self, direction: str, key: object, build: Callable[..., bytes], *args) -> None:
+        """Send the frame kept under ``key``; on its first send, frame the body ``build(*args)``."""
+        entry = self._frames.get(key)
+        if entry is None:
+            body = build(*args)
+            entry = self._frames[key] = (body, wire.encode_frame(body))
+        self._send(direction, *entry)
+
     def _send_control(self, direction: str, message: wire.ControlMessage) -> None:
-        self._send(direction, wire.encode_control(message).encode("utf-8"))
+        body = _control_body(message)
+        self._send(direction, body, wire.encode_frame(body))
 
     # -- node ------------------------------------------------------------------
 
@@ -420,7 +461,8 @@ class _Simulation:
                 allocation[i] = placed
                 entries.append(wire.mfea_entry(flow, self.networks[placed.network_id].profile.name, placed.level))
         self.active = allocation
-        self._send(_TO_HOST, wire.encode_mfea(entries).encode("utf-8"))
+        body = wire.encode_mfea(entries).encode("utf-8")
+        self._send(_TO_HOST, body, wire.encode_frame(body))
 
     def _node_on_frame(self, body: bytes) -> None:
         if body.startswith(b"<"):
@@ -443,7 +485,7 @@ class _Simulation:
             counts.err_not_allocated += 1
         else:
             counts.err_not_delivered += 1
-        self._send_control(_TO_HOST, wire.Err(self.flows[flow_idx].name, reason))
+        self._send_memo(_TO_HOST, (flow_idx, reason), _err_body, self.flows[flow_idx], reason)
 
     def _admits(self, runtime: _NetworkRuntime, size: int) -> bool:
         """Apply the send-time rules in the module docstring's order; count a budget refusal."""
@@ -484,7 +526,7 @@ class _Simulation:
         self._counts(record.flow_idx, record.level).delivered += 1
         runtime.counts.messages += 1
         runtime.counts.bytes += record.size
-        self._send_control(_TO_HOST, wire.Ack(self.flows[record.flow_idx].name))
+        self._send_memo(_TO_HOST, record.flow_idx, _ack_body, self.flows[record.flow_idx])
 
     # -- host -------------------------------------------------------------------
 
@@ -533,11 +575,9 @@ class _Simulation:
     def _do_emit(self, flow_idx: int, epoch: int) -> None:
         if epoch != self.emit_epoch or self.paused:
             return
-        flow = self.flows[flow_idx]
         level = self.levels[flow_idx]
         self._counts(flow_idx, level).sent += 1
-        size = flow.qos[level].message_size_bytes
-        self._send(_TO_NODE, wire.encode_app(wire.AppMessage(flow.name, level, b"x" * size)))
+        self._send_memo(_TO_NODE, (flow_idx, level), _app_body, self.flows[flow_idx], level)
         self._schedule_emit(flow_idx)
 
     # -- availability and re-allocation ------------------------------------------

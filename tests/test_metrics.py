@@ -200,7 +200,7 @@ JSON_SCALARS = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf]),
     JSON_TEXT,
-    st.builds(Allocation, JSON_TEXT, JSON_TEXT, st.integers()),
+    st.builds(Allocation, JSON_TEXT, JSON_TEXT, st.one_of(st.integers(), st.booleans())),
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
@@ -225,6 +225,12 @@ class TestJsonDocument:
     @example({"a": PLACED, "b": {"c": PLACED}, "d": [PLACED, [PLACED]]})
     def test_matches_the_stdlib_encoder(self, value):
         assert json_document(value) == stdlib_document(value)
+
+    def test_bool_and_int_levels_are_written_apart(self):
+        # True == 1 and hash(True) == hash(1), but json.dumps writes them as true and 1.
+        value = {"a": Allocation("1", "x", True), "b": Allocation("2", "x", 1), "c": Allocation("3", "x", False)}
+        assert json_document(value) == stdlib_document(value)
+        assert '"level": true' in json_document(value) and '"level": 1' in json_document(value)
 
     @pytest.mark.parametrize(
         "value", [Fraction(1, 3), {1, 2}, {"k": [Fraction(1)]}, [{"k": frozenset()}], {1: "int key"}]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from resilient_alloc import simulator, wire
 from resilient_alloc.rng import SplitMix64
 from resilient_alloc.simulator import DEFAULT_HANDSHAKE, NetworkCounts, scenario_from_dict
 
-from conftest import REPO_ROOT
+from conftest import MIXED_TRAFFIC, REPO_ROOT
 
 
 def _scenario(flows, networks, **overrides) -> Scenario:
@@ -471,6 +472,36 @@ class TestReportInvariants:
 
         peak_bytes(1)  # warm up one-time caches
         assert peak_bytes(7) <= 1.5 * peak_bytes(1)
+
+
+class TestFrameMemo:
+    def test_each_distinct_message_frame_is_encoded_once_and_every_frame_decoded(self, monkeypatch):
+        calls: Counter[str] = Counter()
+        for name in ("encode_frame", "encode_app", "encode_control", "decode_app", "parse_control"):
+
+            def counted(arg, _name=name, _original=getattr(wire, name)):
+                calls[_name] += 1
+                return _original(arg)
+
+            monkeypatch.setattr(wire, name, counted)
+        frames: list[dict] = []
+        scenario = scenario_from_dict(MIXED_TRAFFIC)
+        run(scenario, frames.append)
+        sent = Counter(frame["body"] for frame in frames)
+        # MFEA and re-allocation frames are encoded at every send, the rest once per run.
+        each_send = {body: n for body, n in sent.items() if body.startswith(("MFEA:", "<INFO:"))}
+        once = [body for body in sent if body not in each_send]
+        controls = [body for body in sent if body.startswith("<")]
+        apps = [body for body in once if body not in controls]
+        assert calls == {
+            "encode_frame": len(once) + sum(each_send.values()),
+            # Scenario.validate encodes one empty APP body per declared level.
+            "encode_app": len(apps) + sum(len(flow.qos) for flow in scenario.flows),
+            "encode_control": len(once) - len(apps) + sum(n for body, n in each_send.items() if body.startswith("<")),
+            "decode_app": sum(sent[body] for body in apps),
+            "parse_control": sum(sent[body] for body in controls),
+        }
+        assert max(sent[body] for body in once) > 1
 
 
 class TestLargeDenominators:

@@ -41,6 +41,42 @@ flow_names = st.text(alphabet=_name_alphabet, min_size=1, max_size=30).filter(
 )
 
 
+def reference_unescape(data: bytes) -> bytes:
+    """The codec's byte-at-a-time unescape loop, kept as the oracle for ``wire.unescape_body``."""
+    out = bytearray()
+    i = 0
+    length = len(data)
+    while i < length:
+        byte = data[i]
+        if byte == 0x5C:  # backslash
+            if i + 1 >= length:
+                raise ValueError("dangling escape")
+            nxt = data[i + 1]
+            if nxt == 0x6E:  # n
+                out.append(0x0A)
+            elif nxt == 0x5C:
+                out.append(0x5C)
+            else:
+                raise ValueError(f"bad escape \\{chr(nxt)!r}")
+            i += 2
+        else:
+            out.append(byte)
+            i += 1
+    return bytes(out)
+
+
+# Arbitrary bytes, and bytes made mostly of the ones escaping treats specially.
+_escape_pieces = st.one_of(st.sampled_from([b"\\", b"n", b"\n", b"\\\\", b"\\n"]), st.binary(max_size=2))
+escape_heavy_bytes = st.one_of(st.binary(max_size=64), st.lists(_escape_pieces, max_size=24).map(b"".join))
+
+
+def _outcome(unescape, data: bytes) -> tuple[str, bytes | str]:
+    try:
+        return "ok", unescape(data)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
 class TestFrames:
     def test_plain_body(self):
         assert encode_frame(b"HELLO") == b":ML:5:HELLO\n"
@@ -102,6 +138,11 @@ class TestFrames:
     def test_unescape_error_names_the_escape(self, data, message):
         with pytest.raises(ValueError, match=message):
             wire.unescape_body(data)
+
+    @settings(max_examples=500)
+    @given(escape_heavy_bytes)
+    def test_unescape_matches_the_reference_loop(self, data):
+        assert _outcome(wire.unescape_body, data) == _outcome(reference_unescape, data)
 
     def test_trailing_partial_is_retained(self):
         decoder = FrameDecoder()
