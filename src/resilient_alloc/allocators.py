@@ -12,6 +12,11 @@ Twelve classic baselines are provided for comparison: first/best/worst fit,
 each in a plain and a decreasing variant, each run with every flow pinned to
 either its lowest or its highest defined criticality level.
 
+Every algorithm refuses two flows with one id, and two networks with one id,
+before it places anything. A table maps each served flow's id to an
+``Allocation(network_id, level)``; within one call, flows placed on the same
+network at the same level share one ``Allocation`` object.
+
 Determinism rules used throughout (ties are never broken randomly):
 
 * flows are visited in their input order;
@@ -45,9 +50,8 @@ HEURISTIC_NAMES = BASELINE_NAMES + ("cabf", "cabf-inv")
 
 @dataclass(frozen=True)
 class Allocation:
-    """A flow served by one network at one criticality level."""
+    """Service on one network at one criticality level; the table key names the flow."""
 
-    flow_id: str
     network_id: str
     level: int
 
@@ -71,7 +75,7 @@ class AllocatorConfig:
 
 
 class AllocationTable:
-    """Set of allocations plus residual capacity per network.
+    """Flow id -> ``Allocation``, plus residual capacity per network.
 
     At most one entry exists per flow, and the residual of every network
     stays non-negative; ``place`` refuses an entry that would overload its
@@ -94,34 +98,71 @@ class AllocationTable:
     def __repr__(self) -> str:
         return f"AllocationTable(entries={self.entries!r})"
 
-    def place(self, allocation: Allocation, demand_micro_bps: int) -> None:
-        if allocation.flow_id in self.entries:
-            raise ValueError(f"flow {allocation.flow_id!r} is already allocated")
+    def place(self, flow_id: str, allocation: Allocation, demand_micro_bps: int) -> None:
+        if flow_id in self.entries:
+            raise ValueError(f"flow {flow_id!r} is already allocated")
         remaining = self.residual[allocation.network_id] - demand_micro_bps
         if remaining < 0:
             raise ValueError(
                 f"network {allocation.network_id!r} cannot take {number_text(demand_micro_bps)} micro-bps"
             )
-        self.entries[allocation.flow_id] = allocation
+        self.entries[flow_id] = allocation
         self.residual[allocation.network_id] = remaining
 
 
-def _pick_network(fit: str, demand: int, residual: list[int]) -> int:
-    """Position chosen by the fit rule ("ff", "bf" or "wf"), or -1 when nothing fits."""
-    best, best_after = -1, 0
+class Placements(dict):
+    """``(network position, level, type of level)`` -> its one ``Allocation``, built on first use.
+
+    An allocator keeps one for a single call, so its table holds at most one
+    placement object per network and level. The type keeps a ``True`` level
+    apart from the equal ``1``, as the report writer does.
+    """
+
+    def __init__(self, networks: list[NetworkProfile]) -> None:
+        super().__init__()
+        self.network_ids = [p.id for p in networks]
+
+    def __missing__(self, key: tuple[int, int, type]) -> Allocation:
+        placed = self[key] = Allocation(self.network_ids[key[0]], key[1])
+        return placed
+
+
+def check_flow_ids(flows: list[FlowSpec]) -> None:
+    """Raise ValueError naming the first flow id that appears twice."""
+    seen: set[str] = set()
+    for flow in flows:
+        if flow.id in seen:
+            raise ValueError(f"duplicate flow id {flow.id!r}")
+        seen.add(flow.id)
+
+
+def _first_fit(demand: int, residual: list[int]) -> int:
+    """Position of the first network that fits ``demand``, or -1."""
     for j, left in enumerate(residual):
-        after = left - demand
-        if after < 0:
-            continue
-        if fit == "ff":
+        if left >= demand:
             return j
-        if best < 0:
-            best, best_after = j, after
-        elif fit == "bf" and after < best_after:
-            best, best_after = j, after
-        elif fit == "wf" and after > best_after:
-            best, best_after = j, after
+    return -1
+
+
+def _best_fit(demand: int, residual: list[int]) -> int:
+    """Position of the fitting network with the least residual (the earlier on a tie), or -1."""
+    best, best_left = -1, 0
+    for j, left in enumerate(residual):
+        if left >= demand and (best < 0 or left < best_left):
+            best, best_left = j, left
     return best
+
+
+def _worst_fit(demand: int, residual: list[int]) -> int:
+    """Position of the fitting network with the most residual (the earlier on a tie), or -1."""
+    best, best_left = -1, -1
+    for j, left in enumerate(residual):
+        if left >= demand and left > best_left:
+            best, best_left = j, left
+    return best
+
+
+_FITS = {"ff": _first_fit, "bf": _best_fit, "wf": _worst_fit}
 
 
 def _flows_by_level(flows: list[FlowSpec], factor: int) -> dict[int, list[tuple[str, int]]]:
@@ -140,6 +181,7 @@ def _criticality_aware(
     admit_first: bool,
 ) -> AllocationTable:
     table = AllocationTable(networks)
+    check_flow_ids(flows)
     residual = [p.capacity_micro_bps for p in networks]
     # flow id -> (network position, level, demand), in the order the table takes them.
     held: dict[str, tuple[int, int, int]] = {}
@@ -159,15 +201,16 @@ def _criticality_aware(
                         continue
                     del held[flow_id]
                     residual[current[0]] += current[2]
-                j = _pick_network("bf", demand, residual)
+                j = _best_fit(demand, residual)
                 if j >= 0:
                     residual[j] -= demand
                     held[flow_id] = (j, level, demand)
                 elif current is not None:
                     residual[current[0]] -= current[2]
                     held[flow_id] = current
+    placements = Placements(networks)
     for flow_id, (j, level, demand) in held.items():
-        table.place(Allocation(flow_id, networks[j].id, level), demand)
+        table.place(flow_id, placements[j, level, type(level)], demand)
     return table
 
 
@@ -195,6 +238,7 @@ def heuristic(
     if name not in BASELINE_NAMES:
         raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(BASELINE_NAMES)}")
     table = AllocationTable(networks)
+    check_flow_ids(flows)
     pick_level = max if name[0] == "h" else min
     chosen: list[tuple[str, int, int]] = []
     for flow in flows:
@@ -205,13 +249,14 @@ def heuristic(
     if name.endswith("d"):
         chosen.sort(key=lambda item: item[2], reverse=True)
 
-    fit = name[2:4]
+    fit = _FITS[name[2:4]]
     residual = [p.capacity_micro_bps for p in networks]
+    placements = Placements(networks)
     for flow_id, level, demand in chosen:
-        j = _pick_network(fit, demand, residual)
+        j = fit(demand, residual)
         if j >= 0:
             residual[j] -= demand
-            table.place(Allocation(flow_id, networks[j].id, level), demand)
+            table.place(flow_id, placements[j, level, type(level)], demand)
     return table
 
 
@@ -225,8 +270,6 @@ def verify_allocation_table(
     flows_by_id = {flow.id: flow for flow in flows}
     load: dict[str, int] = {p.id: 0 for p in networks}
     for flow_id, allocation in table.entries.items():
-        if flow_id != allocation.flow_id:
-            raise ValueError(f"entry key {flow_id!r} does not match {allocation!r}")
         flow = flows_by_id.get(flow_id)
         if flow is None:
             raise ValueError(f"allocation for unknown flow {flow_id!r}")

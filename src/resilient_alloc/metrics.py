@@ -11,7 +11,8 @@ by ``json_document``, whose text is byte-identical to what ``json.dumps``
 writes with ``sort_keys=True`` and an indent of 2. A placement stays an
 ``Allocation`` up to the writer, which writes it as the object
 ``{"level": L, "network": "id"}``; any other value that is not JSON is a
-TypeError.
+TypeError. An ``Allocation`` names no flow: the key it is written under
+does, and one ``Allocation`` may sit under many flow ids.
 """
 
 from __future__ import annotations

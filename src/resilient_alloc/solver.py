@@ -56,7 +56,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .allocators import Allocation, AllocationTable, AllocatorConfig
+from .allocators import AllocationTable, AllocatorConfig, Placements, check_flow_ids
 from .flows import FlowSpec, utilization
 from .networks import NetworkProfile
 
@@ -184,6 +184,7 @@ def exact_solve(instance: IlpInstance) -> AllocationTable:
     """Optimal allocation table for ``instance``: the first optimum in exploration order."""
     networks = instance.networks
     table = AllocationTable(networks)
+    check_flow_ids(instance.flows)
     n = len(instance.flows)
     options = level_options(instance)
     bound = SurrogateBound(options, instance.require_all)
@@ -242,8 +243,9 @@ def exact_solve(instance: IlpInstance) -> AllocationTable:
     if best_choice is None:
         raise Infeasible("no assignment serves every flow")
 
+    placements = Placements(networks)
     for flow, picked in zip(instance.flows, best_choice):
         if picked is not None:
             level, j, demand = picked
-            table.place(Allocation(flow.id, networks[j].id, level), demand)
+            table.place(flow.id, placements[j, level, type(level)], demand)
     return table

@@ -358,6 +358,10 @@ class ErrorReason(Enum):
     NOT_DELIVERED = "NOT-DELIVERED"
 
 
+#: Wire text -> reason, looked up directly rather than through ``Enum.__call__``.
+_REASONS = {reason.value: reason for reason in ErrorReason}
+
+
 @dataclass(frozen=True)
 class ReallocInit:
     """Node announcement that re-allocation starts; the host must pause."""
@@ -415,8 +419,11 @@ def parse_control(text: str) -> ControlMessage:
         if kind == "ACK":
             return Ack(rest)
         if kind == "ERR":
-            name, _, reason = rest.rpartition(":")
-            return Err(name, ErrorReason(reason))
+            name, _, value = rest.rpartition(":")
+            reason = _REASONS.get(value)
+            if reason is None:
+                raise ValueError(f"{value!r} is not a valid ErrorReason")
+            return Err(name, reason)
     except ValueError as exc:
         raise ParseError(str(exc), 1) from None
     raise ParseError(f"unknown control message {text!r}", 1)

@@ -54,7 +54,7 @@ class TestBestFit:
         # flow 2 at its strictest level needs 4 bps; empty Sigfox (48) is tightest
         flow = assisted_living.flows[1]
         table = heuristic("h-bf", [flow], table2_networks, CFG8)
-        assert table.entries[flow.id] == Allocation(flow.id, "sigfox", 3)
+        assert table.entries[flow.id] == Allocation("sigfox", 3)
 
     def test_none_when_nothing_fits(self, assisted_living):
         # flow 4 needs 32000 bps at level 1; Wi-Fi offers only 30000 bps
@@ -100,20 +100,20 @@ class TestCriticalityAware:
         flow = FlowSpec(id="1", app="A", name="alarm", qos={3: QosRequirement(10, Fraction(20))})
         sigfox = NetworkProfile(id="sigfox", name="Sigfox", capacity_bps=48)
         table = cabf([flow], [sigfox], CFG8)
-        assert table.entries["1"] == Allocation("1", "sigfox", 3)
+        assert table.entries["1"] == Allocation("sigfox", 3)
 
     def test_placements_under_documented_iteration_order(self, assisted_living, table2_networks):
         # Regression pin for the deterministic input-order walk; the two
         # variants happen to coincide on this instance.
         expected = {
-            "1": Allocation("1", "lora", 1),
-            "2": Allocation("2", "wifi", 1),
-            "3": Allocation("3", "sigfox", 1),
-            "4": Allocation("4", "wifi", 1),
-            "5": Allocation("5", "lora", 1),
-            "6": Allocation("6", "sigfox", 2),
-            "7": Allocation("7", "sigfox", 2),
-            "8": Allocation("8", "sigfox", 1),
+            "1": Allocation("lora", 1),
+            "2": Allocation("wifi", 1),
+            "3": Allocation("sigfox", 1),
+            "4": Allocation("wifi", 1),
+            "5": Allocation("lora", 1),
+            "6": Allocation("sigfox", 2),
+            "7": Allocation("sigfox", 2),
+            "8": Allocation("sigfox", 1),
         }
         flows = list(assisted_living.flows)
         assert cabf(flows, table2_networks, CFG8).entries == expected
@@ -155,13 +155,13 @@ class TestCriticalityAware:
         cfg = AllocatorConfig(l_max=2, factor=1)
 
         relax_first = cabf([flow_a, flow_b], [net], cfg)
-        assert relax_first.entries == {"a": Allocation("a", "n", 1)}
+        assert relax_first.entries == {"a": Allocation("n", 1)}
         assert objective(relax_first, 2) == 2
 
         admit_first = cabf_inv([flow_a, flow_b], [net], cfg)
         assert admit_first.entries == {
-            "a": Allocation("a", "n", 2),
-            "b": Allocation("b", "n", 1),
+            "a": Allocation("n", 2),
+            "b": Allocation("n", 1),
         }
         assert objective(admit_first, 2) == 3
 
@@ -179,7 +179,7 @@ class TestCriticalityAware:
         cfg = AllocatorConfig(l_max=2, factor=1)
         for algorithm in (cabf, cabf_inv):
             table = algorithm([flow], [big, small], cfg)
-            assert table.entries["1"] == Allocation("1", "small", 1)
+            assert table.entries["1"] == Allocation("small", 1)
 
 
 class TestBaselines:
@@ -294,25 +294,21 @@ class TestBaselines:
 # flows, whose placements TestCriticalityAware pins: flows 2 and 4 on Wi-Fi at
 # level 1, flow 6 on Sigfox at level 2, flow 8 (level 1 only) on Sigfox.
 TABLE_CORRUPTIONS = {
-    "key_is_not_flow_id": (
-        lambda table: table.entries.update({"9": Allocation("8", "sigfox", 1)}),
-        r"^entry key '9' does not match Allocation\(flow_id='8', network_id='sigfox', level=1\)$",
-    ),
     "unknown_flow": (
-        lambda table: table.entries.update({"9": Allocation("9", "sigfox", 1)}),
+        lambda table: table.entries.update({"9": Allocation("sigfox", 1)}),
         r"^allocation for unknown flow '9'$",
     ),
     "unknown_network": (
-        lambda table: table.entries.update({"8": Allocation("8", "zigbee", 1)}),
+        lambda table: table.entries.update({"8": Allocation("zigbee", 1)}),
         r"^allocation on unknown network 'zigbee'$",
     ),
     "undeclared_level": (
-        lambda table: table.entries.update({"8": Allocation("8", "sigfox", 2)}),
+        lambda table: table.entries.update({"8": Allocation("sigfox", 2)}),
         r"^flow '8' has no QoS at level 2$",
     ),
     # 1.6 + 32 + 32 kbps on the 64 kbps Wi-Fi, checked before Wi-Fi's residual.
     "overloaded_network": (
-        lambda table: table.entries.update({"6": Allocation("6", "wifi", 1)}),
+        lambda table: table.entries.update({"6": Allocation("wifi", 1)}),
         r"^network 'wifi' overloaded: 65600000000 micro-bps$",
     ),
     "residual_mismatch": (
@@ -362,25 +358,37 @@ class TestTableChecks:
         with pytest.raises(ValueError, match=r"^duplicate network id 'lora'$"):
             AllocationTable([*table2_networks, lora])
 
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_duplicate_flow_id_is_refused_before_any_placement(self, name, assisted_living, table2_networks, monkeypatch):
+        # Two flows named "1": cabf would otherwise serve only one of them,
+        # and l-ff or exact stop halfway with "flow '1' is already allocated".
+        flows = list(assisted_living.flows)
+        twin = FlowSpec("1", "App", "second flow one", {1: QosRequirement(1, Fraction(60))})
+        placed = []
+        monkeypatch.setattr(AllocationTable, "place", lambda table, *args: placed.append(args))
+        with pytest.raises(ValueError, match=r"^duplicate flow id '1'$"):
+            run_algorithm(name, [*flows, twin], table2_networks, CFG8)
+        assert placed == []
+
     def test_place_refuses_a_second_entry_for_a_flow(self, table2_networks):
         table = AllocationTable(table2_networks)
-        table.place(Allocation("1", "wifi", 1), 10)
+        table.place("1", Allocation("wifi", 1), 10)
         with pytest.raises(ValueError, match=r"^flow '1' is already allocated$"):
-            table.place(Allocation("1", "lora", 1), 10)
-        assert table.entries == {"1": Allocation("1", "wifi", 1)}
+            table.place("1", Allocation("lora", 1), 10)
+        assert table.entries == {"1": Allocation("wifi", 1)}
         assert table.residual["lora"] == 1_760_000_000
 
     def test_place_refuses_an_overload(self, table2_networks):
         table = AllocationTable(table2_networks)
         with pytest.raises(ValueError, match=r"^network 'sigfox' cannot take 48000001 micro-bps$"):
-            table.place(Allocation("1", "sigfox", 1), 48_000_001)
+            table.place("1", Allocation("sigfox", 1), 48_000_001)
         assert table.entries == {}
         assert table.residual["sigfox"] == 48_000_000
 
     def test_place_prints_a_huge_demand_in_short(self, table2_networks):
         table = AllocationTable(table2_networks)
         with pytest.raises(ValueError, match=r"^network 'sigfox' cannot take 1e\+50 micro-bps$"):
-            table.place(Allocation("1", "sigfox", 1), 10**50)
+            table.place("1", Allocation("sigfox", 1), 10**50)
 
 
 @st.composite
@@ -414,12 +422,16 @@ def small_instances(draw):
 
 
 class TestProperties:
-    @given(instance=small_instances(), name=st.sampled_from(HEURISTIC_NAMES))
+    @given(instance=small_instances(), name=st.sampled_from(ALGORITHM_NAMES))
     @settings(max_examples=300)
     def test_every_table_satisfies_the_structural_invariants(self, instance, name):
         flows, networks, cfg = instance
         table = run_algorithm(name, flows, networks, cfg)
         verify_allocation_table(table, flows, networks, cfg)
+        # Flows placed on one network at one level share one Allocation.
+        shared: dict[tuple[str, int], Allocation] = {}
+        for allocation in table.entries.values():
+            assert shared.setdefault((allocation.network_id, allocation.level), allocation) is allocation
 
     def test_all_algorithms_deterministic_and_valid_on_random_inputs(self):
         rng = random.Random(0xA110C)
@@ -430,8 +442,8 @@ class TestProperties:
                 again = run_algorithm(name, flows, networks, cfg)
                 assert table == again
                 verify_allocation_table(table, flows, networks, cfg)
-                for allocation in table.entries.values():
-                    flow = next(f for f in flows if f.id == allocation.flow_id)
+                for flow_id, allocation in table.entries.items():
+                    flow = next(f for f in flows if f.id == flow_id)
                     assert allocation.level in flow.qos
 
     def test_heuristics_never_beat_exact(self):
@@ -495,8 +507,8 @@ class TestProperties:
         flows = list(assisted_living.flows)
         for name in HEURISTIC_NAMES:
             table = run_algorithm(name, flows, table2_networks, CFG8)
-            for allocation in table.entries.values():
-                flow = next(f for f in flows if f.id == allocation.flow_id)
+            for flow_id, allocation in table.entries.items():
+                flow = next(f for f in flows if f.id == flow_id)
                 assert utilization(flow, allocation.level, 8) is not None
 
 
@@ -539,7 +551,7 @@ class TestPinnedTables:
             flows, networks, cfg = _pinned_instance(rng)
             for name in HEURISTIC_NAMES:
                 table = run_algorithm(name, flows, networks, cfg)
-                entries = ";".join(f"{a.flow_id},{a.network_id},{a.level}" for a in table.entries.values())
+                entries = ";".join(f"{fid},{a.network_id},{a.level}" for fid, a in table.entries.items())
                 residuals = ",".join(f"{key}={left}" for key, left in table.residual.items())
                 digest.update(f"{name}:{entries}|{residuals}\n".encode())
         assert digest.hexdigest() == self.DIGEST

@@ -200,7 +200,7 @@ JSON_SCALARS = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf]),
     JSON_TEXT,
-    st.builds(Allocation, JSON_TEXT, JSON_TEXT, st.one_of(st.integers(), st.booleans())),
+    st.builds(Allocation, JSON_TEXT, st.one_of(st.integers(), st.booleans())),
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
@@ -213,7 +213,7 @@ JSON_VALUES = st.recursive(
 )
 
 
-PLACED = Allocation("1", "wi\"fi", 2)
+PLACED = Allocation("wi\"fi", 2)
 
 
 class TestJsonDocument:
@@ -228,7 +228,7 @@ class TestJsonDocument:
 
     def test_bool_and_int_levels_are_written_apart(self):
         # True == 1 and hash(True) == hash(1), but json.dumps writes them as true and 1.
-        value = {"a": Allocation("1", "x", True), "b": Allocation("2", "x", 1), "c": Allocation("3", "x", False)}
+        value = {"a": Allocation("x", True), "b": Allocation("x", 1), "c": Allocation("x", False)}
         assert json_document(value) == stdlib_document(value)
         assert '"level": true' in json_document(value) and '"level": 1' in json_document(value)
 

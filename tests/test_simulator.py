@@ -94,7 +94,7 @@ class TestWifiOnly:
             assert totals.sent == totals.delivered
             assert totals.err_not_allocated == 0
             assert totals.err_not_delivered == 0
-            assert report.final_allocation[flow.id] == Allocation(flow.id, "wifi", 1)
+            assert report.final_allocation[flow.id] == Allocation("wifi", 1)
         # 600 s of level-1 periods: first emission at T, last at/below 600
         assert report.flow_totals("1").sent == 60
         assert report.flow_totals("2").sent == 120
@@ -189,7 +189,7 @@ class TestAvailabilityChange:
     def test_post_event_allocations_avoid_lost_network(self, assisted_living):
         report = run(self._loss_scenario(assisted_living))
         for flow in assisted_living.flows:
-            assert report.final_allocation[flow.id] == Allocation(flow.id, "nbiot", 1)
+            assert report.final_allocation[flow.id] == Allocation("nbiot", 1)
 
     def test_handshake_frames_in_transcript(self, assisted_living):
         transcript: list = []
@@ -294,7 +294,7 @@ class TestAvailabilityChange:
         report = run(scenario)
         assert len(report.handshakes) == 1
         # best fit prefers the tighter bin once it exists
-        assert report.final_allocation["1"] == Allocation("1", "small", 1)
+        assert report.final_allocation["1"] == Allocation("small", 1)
 
 
 class TestDeliveryConstraints:
@@ -379,7 +379,7 @@ class TestDeliveryConstraints:
             _scenario([fits, too_big], [tiny], duration_seconds=Fraction(30)),
             transcript=transcript.append,
         )
-        assert report.final_allocation["1"] == Allocation("1", "tiny", 1)
+        assert report.final_allocation["1"] == Allocation("tiny", 1)
         assert report.final_allocation["2"] is None
         rejected = report.flow_totals("2")
         assert rejected.sent == 30

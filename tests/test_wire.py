@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -424,7 +425,7 @@ class TestControl:
         assert encode_control(message) == text
 
     def test_unknown_reason(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^'NOT-SENT' is not a valid ErrorReason \(at byte 1\)$"):
             parse_control("<ERR:f:NOT-SENT>")
 
     def test_unwrapped_text(self):
@@ -439,6 +440,16 @@ class TestControl:
         # Already-encoded text is not a message: encoding it again would lose it.
         with pytest.raises(TypeError, match=r"^not a control message: '<ACK:x>'$"):
             encode_control("<ACK:x>")
+
+    @given(text=st.one_of(st.sampled_from([r.value for r in ErrorReason]), st.text().filter(lambda t: ":" not in t)))
+    def test_reason_lookup_matches_the_enum(self, text):
+        try:
+            expected = Err("f", ErrorReason(text))
+        except ValueError as exc:
+            with pytest.raises(ParseError, match=rf"^{re.escape(str(exc))} \(at byte 1\)$"):
+                parse_control(f"<ERR:f:{text}>")
+        else:
+            assert parse_control(f"<ERR:f:{text}>") == expected
 
     @given(name=flow_names, reason=st.sampled_from(list(ErrorReason)))
     def test_roundtrip_random(self, name, reason):
