@@ -26,6 +26,7 @@ from resilient_alloc import (
     run_algorithm,
     verify_allocation_table,
 )
+from resilient_alloc import allocators
 from resilient_alloc.allocators import HEURISTIC_NAMES
 from resilient_alloc.catalog import ALGORITHM_NAMES
 from resilient_alloc.flows import utilization
@@ -555,3 +556,121 @@ class TestPinnedTables:
                 residuals = ",".join(f"{key}={left}" for key, left in table.residual.items())
                 digest.update(f"{name}:{entries}|{residuals}\n".encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+def _order_instance(rng: random.Random):
+    """One seeded instance that ``_pinned_instance`` never draws.
+
+    About one flow in eight declares no level, and about half of the flows
+    key their level 1 as ``True``, so ``True`` and ``1`` sit side by side.
+    """
+    l_max = rng.randint(1, 3)
+    pool = (rng.randint(20, 300), rng.randint(20, 300))
+    networks = [
+        NetworkProfile(id=f"n{j}", name=f"net {j}", capacity_bps=rng.choice(pool))
+        for j in range(rng.randint(1, 4))
+    ]
+    flows = []
+    for i in range(rng.randint(0, 30)):
+        qos = {}
+        if rng.random() >= 0.125:
+            for level in rng.sample(range(1, l_max + 1), k=rng.randint(1, l_max)):
+                key = True if level == 1 and rng.random() < 0.5 else level
+                qos[key] = QosRequirement(rng.randint(1, 60), Fraction(rng.randint(1, 10), rng.choice((1, 2, 3))))
+        flows.append(FlowSpec(id=str(i + 1), app="App", name=f"flow {i + 1}", qos=qos))
+    return flows, networks, AllocatorConfig(l_max=l_max, factor=rng.choice((1, 8)))
+
+
+def _relaxing_instance(rng: random.Random, fipy_networks):
+    """128 flows on LoRa, Sigfox and NB-IoT (the FiPy set without Wi-Fi), each declaring levels 1, 2 and 3.
+
+    The criticality-aware pair places each flow at level 3 and relaxes it
+    through 2 to 1. Payloads up to 200 B leave room for every relaxation;
+    up to 2 000 B make many of them fail.
+    """
+    networks = [fipy_networks[kind] for kind in ("lora", "sigfox", "nbiot")]
+    largest = rng.choice((200, 2000))
+    flows = []
+    for i in range(128):
+        size, period = rng.randint(4, largest), rng.randint(1, 30)
+        qos = {
+            1: QosRequirement(size, Fraction(period)),
+            2: QosRequirement(max(4, size // 4), Fraction(2 * period)),
+            3: QosRequirement(4, Fraction(4 * period)),
+        }
+        flows.append(FlowSpec(id=str(i + 1), app=f"App{i % 4}", name=f"flow {i + 1}", qos=qos))
+    return flows, networks, AllocatorConfig(l_max=3, factor=8)
+
+
+class TestPinnedTableOrder:
+    """The fourteen heuristics' tables, entry order and level type included, on inputs TestPinnedTables never draws."""
+
+    SMALL, RELAXING = 600, 40
+    DIGEST = "d2ec156e27d0c13e3f140ec5084817651f8acf0313ae38f6b1a83b439e107ef6"
+
+    def test_tables_digest(self, fipy_networks):
+        rng = random.Random(0x0DE5)
+        instances = [_order_instance(rng) for _ in range(self.SMALL)]
+        instances += [_relaxing_instance(rng, fipy_networks) for _ in range(self.RELAXING)]
+        digest = hashlib.sha256()
+        for flows, networks, cfg in instances:
+            for name in HEURISTIC_NAMES:
+                table = run_algorithm(name, flows, networks, cfg)
+                entries = ";".join(f"{fid},{a.network_id},{a.level!r}" for fid, a in table.entries.items())
+                residuals = ",".join(f"{key}={left}" for key, left in table.residual.items())
+                digest.update(f"{name}:{entries}|{residuals}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+def reference_first_fit(demand: int, residual: list[int]) -> int:
+    for j, left in enumerate(residual):
+        if left >= demand:
+            return j
+    return -1
+
+
+def reference_best_fit(demand: int, residual: list[int]) -> int:
+    best, best_left = -1, 0
+    for j, left in enumerate(residual):
+        if left >= demand and (best < 0 or left < best_left):
+            best, best_left = j, left
+    return best
+
+
+def reference_worst_fit(demand: int, residual: list[int]) -> int:
+    best, best_left = -1, -1
+    for j, left in enumerate(residual):
+        if left >= demand and left > best_left:
+            best, best_left = j, left
+    return best
+
+
+@st.composite
+def fit_inputs(draw):
+    """A demand and 0-6 residuals drawn from a pool of at most four values, zero among them.
+
+    The small pool makes equal residuals common, and the demand is often
+    one of the residuals.
+    """
+    pool = [0, *draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))]
+    residual = draw(st.lists(st.sampled_from(pool), max_size=6))
+    demand = draw(st.one_of(st.sampled_from(pool), st.integers(0, 13)))
+    return demand, residual
+
+
+@pytest.mark.parametrize(
+    "kernel,reference",
+    [
+        (allocators._first_fit, reference_first_fit),
+        (allocators._best_fit, reference_best_fit),
+        (allocators._worst_fit, reference_worst_fit),
+    ],
+    ids=["first", "best", "worst"],
+)
+@given(case=fit_inputs())
+@settings(max_examples=400)
+def test_fit_kernels_pick_the_reference_position(kernel, reference, case):
+    demand, residual = case
+    before = list(residual)
+    assert kernel(demand, residual) == reference(demand, residual)
+    assert residual == before
