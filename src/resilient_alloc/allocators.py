@@ -8,14 +8,18 @@ level but hold no allocation yet. Running relaxation first favours the flows
 that declared high-criticality service; running new allocations first (the
 inverted variant) favours serving as many flows as possible.
 
-Twelve classic baselines are provided for comparison: first/best/worst fit,
-each in a plain and a decreasing variant, each run with every flow pinned to
-either its lowest or its highest defined criticality level.
+Twelve classic baselines are provided for comparison: first/best/worst fit
+(Johnson et al., SIAM J. Comput. 3(4), 1974), each in a plain and a
+decreasing variant, each run with every flow pinned to either its lowest or
+its highest defined criticality level.
 
 Every algorithm refuses two flows with one id, and two networks with one id,
-before it places anything. A table maps each served flow's id to an
-``Allocation(network_id, level)``; within one call, flows placed on the same
-network at the same level share one ``Allocation`` object.
+before it places anything. Like the exact solver, every algorithm ignores a
+declared level above ``l_max`` and skips a flow that declares no other.
+``verify_allocation_table`` and ``metrics.report`` refuse a repeated flow id
+too. A table maps each served flow's id to an ``Allocation(network_id,
+level)``; within one call, flows placed on the same network at the same
+level share one ``Allocation`` object.
 
 Determinism rules used throughout (ties are never broken randomly):
 
@@ -27,6 +31,7 @@ Determinism rules used throughout (ties are never broken randomly):
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .flows import FlowSpec, utilization
@@ -129,6 +134,8 @@ class Placements(dict):
 
 def check_flow_ids(flows: list[FlowSpec]) -> None:
     """Raise ValueError naming the first flow id that appears twice."""
+    if len({flow.id for flow in flows}) == len(flows):
+        return
     seen: set[str] = set()
     for flow in flows:
         if flow.id in seen:
@@ -138,40 +145,48 @@ def check_flow_ids(flows: list[FlowSpec]) -> None:
 
 def _first_fit(demand: int, residual: list[int]) -> int:
     """Position of the first network that fits ``demand``, or -1."""
-    for j, left in enumerate(residual):
+    for left in residual:
         if left >= demand:
-            return j
+            return residual.index(left)
     return -1
 
 
 def _best_fit(demand: int, residual: list[int]) -> int:
-    """Position of the fitting network with the least residual (the earlier on a tie), or -1."""
-    best, best_left = -1, 0
-    for j, left in enumerate(residual):
-        if left >= demand and (best < 0 or left < best_left):
-            best, best_left = j, left
-    return best
+    """Position of the fitting network with the least residual (the earlier on a tie), or -1.
+
+    Residuals are never negative, so -1 marks "no fit yet"; ``index`` returns
+    the first of equal residuals.
+    """
+    least = -1
+    for left in residual:
+        if left >= demand and (least < 0 or left < least):
+            least = left
+    return -1 if least < 0 else residual.index(least)
 
 
 def _worst_fit(demand: int, residual: list[int]) -> int:
     """Position of the fitting network with the most residual (the earlier on a tie), or -1."""
-    best, best_left = -1, -1
-    for j, left in enumerate(residual):
-        if left >= demand and left > best_left:
-            best, best_left = j, left
-    return best
+    if residual:
+        most = max(residual)
+        if most >= demand:
+            return residual.index(most)
+    return -1
 
 
 _FITS = {"ff": _first_fit, "bf": _best_fit, "wf": _worst_fit}
 
 
-def _flows_by_level(flows: list[FlowSpec], factor: int) -> dict[int, list[tuple[str, int]]]:
-    """Declared levels, highest first, each with its ``(flow id, demand)`` pairs in input order."""
-    by_level: dict[int, list[tuple[str, int]]] = {}
-    for flow in flows:
+def _flows_by_level(flows: list[FlowSpec], cfg: AllocatorConfig) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Declared levels up to ``l_max``, highest first, each with its flows' ``(position, demand)`` pairs.
+
+    A level's pairs are in input order.
+    """
+    factor = cfg.factor
+    by_level: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for i, flow in enumerate(flows):
         for level, qos in flow.qos.items():
-            by_level.setdefault(level, []).append((flow.id, factor * qos.demand_micro_bps))
-    return dict(sorted(by_level.items(), reverse=True))
+            by_level[level].append((i, factor * qos.demand_micro_bps))
+    return sorted((item for item in by_level.items() if item[0] <= cfg.l_max), reverse=True)
 
 
 def _criticality_aware(
@@ -183,34 +198,46 @@ def _criticality_aware(
     table = AllocationTable(networks)
     check_flow_ids(flows)
     residual = [p.capacity_micro_bps for p in networks]
-    # flow id -> (network position, level, demand), in the order the table takes them.
-    held: dict[str, tuple[int, int, int]] = {}
+    # By flow position: the network position it holds (-1 for none), its
+    # level and demand there, and the pass that last tried it.
+    where = [-1] * len(flows)
+    held_level = [0] * len(flows)
+    held_demand = [0] * len(flows)
+    last_try = [0] * len(flows)
+    step = 0
     # Levels no flow declares change nothing; skipping them keeps a huge l_max cheap.
-    for level, declared_here in _flows_by_level(flows, cfg.factor).items():
-        # The admit pass takes flows with no entry; the relax pass takes flows
-        # held at a stricter level and puts the entry back if nothing fits.
-        # Either way a flow it tries ends up last in ``held``.
+    for level, declared_here in _flows_by_level(flows, cfg):
         for admitting in (admit_first, not admit_first):
-            for flow_id, demand in declared_here:
-                current = held.get(flow_id)
-                if admitting:
-                    if current is not None:
-                        continue
-                else:
-                    if current is None or current[1] <= level:
-                        continue
-                    del held[flow_id]
-                    residual[current[0]] += current[2]
-                j = _best_fit(demand, residual)
-                if j >= 0:
-                    residual[j] -= demand
-                    held[flow_id] = (j, level, demand)
-                elif current is not None:
-                    residual[current[0]] -= current[2]
-                    held[flow_id] = current
+            step += 1
+            if admitting:
+                # Flows that hold nothing.
+                for i, demand in declared_here:
+                    if where[i] < 0:
+                        j = _best_fit(demand, residual)
+                        if j >= 0:
+                            residual[j] -= demand
+                            where[i], held_level[i], held_demand[i] = j, level, demand
+                            last_try[i] = step
+            else:
+                # Flows held at a stricter level; each keeps its hold if nothing fits.
+                for i, demand in declared_here:
+                    held = where[i]
+                    if held >= 0 and held_level[i] > level:
+                        residual[held] += held_demand[i]
+                        j = _best_fit(demand, residual)
+                        if j >= 0:
+                            residual[j] -= demand
+                            where[i], held_level[i], held_demand[i] = j, level, demand
+                        else:
+                            residual[held] -= held_demand[i]
+                        last_try[i] = step
+    # A flow's entry goes in at its last try: by pass, then by input order.
     placements = Placements(networks)
-    for flow_id, (j, level, demand) in held.items():
-        table.place(flow_id, placements[j, level, type(level)], demand)
+    for i in sorted(range(len(flows)), key=last_try.__getitem__):
+        j = where[i]
+        if j >= 0:
+            level = held_level[i]
+            table.place(flows[i].id, placements[j, level, type(level)], held_demand[i])
     return table
 
 
@@ -234,7 +261,10 @@ def heuristic(
     networks: list[NetworkProfile],
     cfg: AllocatorConfig,
 ) -> AllocationTable:
-    """Run the baseline ``name`` (one of BASELINE_NAMES); a flow with no level or that fits nowhere is skipped."""
+    """Run the baseline ``name`` (one of BASELINE_NAMES).
+
+    A flow that declares no level up to ``l_max``, or that fits nowhere, is skipped.
+    """
     if name not in BASELINE_NAMES:
         raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(BASELINE_NAMES)}")
     table = AllocationTable(networks)
@@ -245,6 +275,11 @@ def heuristic(
         if not flow.qos:
             continue
         level = pick_level(flow.qos)
+        if level > cfg.l_max:
+            usable = [declared for declared in flow.qos if declared <= cfg.l_max]
+            if not usable:
+                continue
+            level = pick_level(usable)
         chosen.append((flow.id, level, cfg.factor * flow.qos[level].demand_micro_bps))
     if name.endswith("d"):
         chosen.sort(key=lambda item: item[2], reverse=True)
@@ -266,8 +301,10 @@ def verify_allocation_table(
     networks: list[NetworkProfile],
     cfg: AllocatorConfig,
 ) -> None:
-    """Raise ValueError unless the table satisfies all structural invariants."""
+    """Raise ValueError unless the flow ids are distinct and the table satisfies all structural invariants."""
     flows_by_id = {flow.id: flow for flow in flows}
+    if len(flows_by_id) != len(flows):
+        check_flow_ids(flows)
     load: dict[str, int] = {p.id: 0 for p in networks}
     for flow_id, allocation in table.entries.items():
         flow = flows_by_id.get(flow_id)
@@ -275,6 +312,11 @@ def verify_allocation_table(
             raise ValueError(f"allocation for unknown flow {flow_id!r}")
         if allocation.network_id not in load:
             raise ValueError(f"allocation on unknown network {allocation.network_id!r}")
+        if allocation.level > cfg.l_max:
+            raise ValueError(
+                f"flow {flow_id!r} is placed at level {number_text(allocation.level)}"
+                f" above l_max {number_text(cfg.l_max)}"
+            )
         demand = utilization(flow, allocation.level, cfg.factor)
         if demand is None:
             raise ValueError(f"flow {flow_id!r} has no QoS at level {allocation.level}")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from string import ascii_lowercase
 
-from .allocators import Allocation, AllocationTable
+from .allocators import Allocation, AllocationTable, check_flow_ids
 from .flows import FlowSpec
 from .networks import NetworkProfile
 
@@ -56,7 +56,10 @@ def report(
     networks: list[NetworkProfile],
     l_max: int,
 ) -> AllocationReport:
+    """Score ``table`` over ``flows``; a flow id given twice is a ValueError."""
     per_flow = {flow.id: table.entries.get(flow.id) for flow in flows}
+    if len(per_flow) != len(flows):
+        check_flow_ids(flows)
     served_levels = [placed.level for placed in per_flow.values() if placed is not None]
 
     per_network_load: dict[str, tuple[int, int]] = {}

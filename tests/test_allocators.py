@@ -316,6 +316,11 @@ TABLE_CORRUPTIONS = {
         lambda table: table.residual.update(lora=table.residual["lora"] + 1),
         r"^residual mismatch on 'lora': 896000001 != 896000000$",
     ),
+    # Checked before the level's demand, which flow 8 does not declare either.
+    "level_above_l_max": (
+        lambda table: table.entries.update({"8": Allocation("sigfox", 4)}),
+        r"^flow '8' is placed at level 4 above l_max 3$",
+    ),
 }
 
 
@@ -325,6 +330,23 @@ def test_a_flow_with_no_level_is_left_out(name, assisted_living, table2_networks
     no_level = FlowSpec("no-level", "App", "declares nothing", {})
     with_it = run_algorithm(name, flows[:4] + [no_level] + flows[4:], table2_networks, CFG8)
     assert with_it == run_algorithm(name, flows, table2_networks, CFG8)
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_levels_above_l_max_are_ignored(name):
+    # Unvalidated flows with l_max 3: flow 1 declares only level 5, flow 3
+    # levels 1 and 4. Placed at 5, flow 1 would score -1 and still fit.
+    small = QosRequirement(1, Fraction(1))
+    flows = [
+        FlowSpec("1", "App", "above only", {5: small}),
+        FlowSpec("2", "App", "level one", {1: small}),
+        FlowSpec("3", "App", "four and one", {4: small, 1: small}),
+    ]
+    wifi = NetworkProfile(id="wifi", name="Wi-Fi", capacity_bps=64_000)
+    table = run_algorithm(name, flows, [wifi], CFG8)
+    assert table.entries == {"2": Allocation("wifi", 1), "3": Allocation("wifi", 1)}
+    assert objective(table, CFG8.l_max) == 6
+    verify_allocation_table(table, flows, [wifi], CFG8)
 
 
 class TestTableChecks:
@@ -370,6 +392,19 @@ class TestTableChecks:
         with pytest.raises(ValueError, match=r"^duplicate flow id '1'$"):
             run_algorithm(name, [*flows, twin], table2_networks, CFG8)
         assert placed == []
+
+    @pytest.mark.parametrize("twin_size", [10, 20], ids=["equal", "unequal"])
+    def test_report_and_verify_refuse_a_repeated_flow_id(self, table2_networks, twin_size):
+        # Keyed by flow id, the twin would replace flow 1: report would give
+        # 50% served, and verify would pass equal twins and blame a residual
+        # for unequal ones.
+        flow = FlowSpec("1", "App", "one", {1: QosRequirement(10, Fraction(1))})
+        twin = FlowSpec("1", "App", "twin", {1: QosRequirement(twin_size, Fraction(1))})
+        table = run_algorithm("cabf", [flow], table2_networks, CFG8)
+        with pytest.raises(ValueError, match=r"^duplicate flow id '1'$"):
+            report(table, [flow, twin], table2_networks, CFG8.l_max)
+        with pytest.raises(ValueError, match=r"^duplicate flow id '1'$"):
+            verify_allocation_table(table, [flow, twin], table2_networks, CFG8)
 
     def test_place_refuses_a_second_entry_for_a_flow(self, table2_networks):
         table = AllocationTable(table2_networks)
