@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from resilient_alloc import FlowSpec, QosRequirement, ValidationError, utilization, validate_flow_set
-from resilient_alloc.flows import flow_set_from_dict
+from resilient_alloc.flows import FORBIDDEN_NAME_CHARS, check_flow_name, flow_set_from_dict
 
 
 def _flow(fid: str, qos: dict[int, tuple[int, object]], name: str | None = None) -> FlowSpec:
@@ -148,6 +148,23 @@ class TestValidation:
             _flow("1", {1: (10, 1)}, name="a,b")
         with pytest.raises(ValueError):
             _flow("1", {1: (10, 1)}, name="a:b")
+
+    @given(st.one_of(st.just(""), st.text(), st.text(alphabet=",:<>\nab\u00e9", max_size=6)))
+    def test_name_check_matches_the_intersection_form(self, name):
+        def reference(name: str) -> None:
+            if not name:
+                raise ValueError("flow name must be non-empty")
+            bad = FORBIDDEN_NAME_CHARS.intersection(name)
+            if bad:
+                raise ValueError(f"flow name {name!r} contains forbidden characters {sorted(bad)}")
+
+        outcomes = []
+        for check in (check_flow_name, reference):
+            try:
+                outcomes.append(("ok", check(name)))
+            except ValueError as exc:
+                outcomes.append(("error", str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_qos_requirement_bounds(self):
         with pytest.raises(ValueError):

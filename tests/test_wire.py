@@ -71,6 +71,35 @@ _escape_pieces = st.one_of(st.sampled_from([b"\\", b"n", b"\n", b"\\\\", b"\\n"]
 escape_heavy_bytes = st.one_of(st.binary(max_size=64), st.lists(_escape_pieces, max_size=24).map(b"".join))
 
 
+# One piece of a fed chunk: a good frame (often empty, or holding the escapes
+# of newline and backslash), a frame with a bad or dangling escape, a bad
+# length field or terminator, or a few bytes of garbage.
+_feed_pieces = st.one_of(
+    st.lists(st.sampled_from([b"", b"\n", b"\\", b"x", b":ML:"]), max_size=5).map(b"".join).map(encode_frame),
+    st.binary(max_size=20).map(encode_frame),
+    st.sampled_from(
+        [
+            b":ML:2:\\x\n",
+            b":ML:1:\\\n",
+            b":ML:3:a\\\n",
+            b":ML::",
+            b":ML::\n",
+            b":ML:12345678:x\n",
+            b":ML:00000001:x\n",
+            b":ML:0000001:x\n",
+            b":ML:%d:x\n" % (wire.MAX_BODY + 1),
+            b":ML:2:ABX",
+            b":ML:2:AB",
+            b":ML:0:\r",
+            b":ML:x:AB\n",
+            b":ML",
+            b":ML:5:HE",
+        ]
+    ),
+    st.binary(max_size=6),
+)
+
+
 def _outcome(unescape, data: bytes) -> tuple[str, bytes | str]:
     try:
         return "ok", unescape(data)
@@ -243,6 +272,33 @@ class TestFrames:
             previous = cut
         assert events == whole
         assert decoder.pending == whole_rest
+
+    @settings(max_examples=400)
+    @given(pieces=st.lists(_feed_pieces, min_size=1, max_size=3), kind=st.sampled_from([bytes, bytearray, memoryview]))
+    def test_whole_feed_matches_byte_at_a_time(self, pieces, kind):
+        # The simulator feeds each frame whole to an empty decoder; that must
+        # give what the same bytes give one at a time, whatever they hold.
+        # So must a whole frame fed after bytes the decoder still holds.
+        stream = b"".join(pieces)
+        outcomes = []
+        for chunks in ([stream], pieces, [stream[i : i + 1] for i in range(len(stream))]):
+            decoder = FrameDecoder()
+            events = [event for chunk in chunks for event in decoder.feed(kind(chunk))]
+            outcomes.append((events, decoder.pending))
+        assert outcomes[0] == outcomes[2] and outcomes[1] == outcomes[2]
+
+    def test_whole_frame_above_max_body_is_a_bad_length(self):
+        data = b":ML:%d:" % (wire.MAX_BODY + 1) + b"x" * (wire.MAX_BODY + 1) + b"\n"
+        decoder = FrameDecoder()
+        split = decoder.feed(data[:1]) + decoder.feed(data[1:])
+        assert decode_all(data) == (split, decoder.pending)
+        assert split[0] == MalformedFrame("bad-length")
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_whole_frame_events_hold_bytes(self, kind):
+        good, bad = FrameDecoder().feed(kind(b":ML:4:a\\nb\n")), FrameDecoder().feed(kind(b":ML:2:\\x\n"))
+        assert (good, bad) == ([Frame(b"a\nb")], [MalformedFrame("bad-escape", b"\\x")])
+        assert type(good[0].body) is bytes and type(bad[0].skipped) is bytes
 
 
 class TestAppMessages:
