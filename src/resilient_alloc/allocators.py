@@ -15,7 +15,7 @@ its highest defined criticality level.
 
 Every algorithm refuses two flows with one id, and two networks with one id,
 before it places anything. Like the exact solver, every algorithm ignores a
-declared level above ``l_max`` and skips a flow that declares no other.
+declared level outside ``1..l_max`` and skips a flow that declares no other.
 ``verify_allocation_table`` and ``metrics.report`` refuse a repeated flow id
 too. A table maps each served flow's id to an ``Allocation(network_id,
 level)``; within one call, flows placed on the same network at the same
@@ -177,7 +177,7 @@ _FITS = {"ff": _first_fit, "bf": _best_fit, "wf": _worst_fit}
 
 
 def _flows_by_level(flows: list[FlowSpec], cfg: AllocatorConfig) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Declared levels up to ``l_max``, highest first, each with its flows' ``(position, demand)`` pairs.
+    """Declared levels in ``1..l_max``, highest first, each with its flows' ``(position, demand)`` pairs.
 
     A level's pairs are in input order.
     """
@@ -186,7 +186,7 @@ def _flows_by_level(flows: list[FlowSpec], cfg: AllocatorConfig) -> list[tuple[i
     for i, flow in enumerate(flows):
         for level, qos in flow.qos.items():
             by_level[level].append((i, factor * qos.demand_micro_bps))
-    return sorted((item for item in by_level.items() if item[0] <= cfg.l_max), reverse=True)
+    return sorted((item for item in by_level.items() if 1 <= item[0] <= cfg.l_max), reverse=True)
 
 
 def _criticality_aware(
@@ -263,7 +263,7 @@ def heuristic(
 ) -> AllocationTable:
     """Run the baseline ``name`` (one of BASELINE_NAMES).
 
-    A flow that declares no level up to ``l_max``, or that fits nowhere, is skipped.
+    A flow that declares no level in ``1..l_max``, or that fits nowhere, is skipped.
     """
     if name not in BASELINE_NAMES:
         raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(BASELINE_NAMES)}")
@@ -275,8 +275,8 @@ def heuristic(
         if not flow.qos:
             continue
         level = pick_level(flow.qos)
-        if level > cfg.l_max:
-            usable = [declared for declared in flow.qos if declared <= cfg.l_max]
+        if not 1 <= level <= cfg.l_max:
+            usable = [declared for declared in flow.qos if 1 <= declared <= cfg.l_max]
             if not usable:
                 continue
             level = pick_level(usable)
@@ -312,6 +312,8 @@ def verify_allocation_table(
             raise ValueError(f"allocation for unknown flow {flow_id!r}")
         if allocation.network_id not in load:
             raise ValueError(f"allocation on unknown network {allocation.network_id!r}")
+        if allocation.level < 1:
+            raise ValueError(f"flow {flow_id!r} is placed at level {number_text(allocation.level)} below 1")
         if allocation.level > cfg.l_max:
             raise ValueError(
                 f"flow {flow_id!r} is placed at level {number_text(allocation.level)}"

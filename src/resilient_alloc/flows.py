@@ -34,11 +34,12 @@ FORBIDDEN_NAME_CHARS = frozenset(",:<>\n")
 
 def check_flow_name(name: str) -> None:
     """Raise ValueError if ``name`` is empty or holds a wire delimiter."""
+    if name and FORBIDDEN_NAME_CHARS.isdisjoint(name):
+        return
     if not name:
         raise ValueError("flow name must be non-empty")
     bad = FORBIDDEN_NAME_CHARS.intersection(name)
-    if bad:
-        raise ValueError(f"flow name {name!r} contains forbidden characters {sorted(bad)}")
+    raise ValueError(f"flow name {name!r} contains forbidden characters {sorted(bad)}")
 
 
 class ValidationError(ValueError):

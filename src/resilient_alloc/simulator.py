@@ -536,14 +536,15 @@ class _Simulation:
             self._host_apply_mfea(wire.decode_mfea(text))
             return
         message = wire.parse_control(text)
-        if isinstance(message, wire.ReallocInit):
-            self.paused = True
+        # The frequent kinds first: every refusal is an ERR, every delivery an ACK.
+        if isinstance(message, wire.Err):
+            self.wire_errs[message.flow_name, message.reason] += 1
             return
         if isinstance(message, wire.Ack):
             self.wire_acks[message.flow_name] += 1
             return
-        if isinstance(message, wire.Err):
-            self.wire_errs[message.flow_name, message.reason] += 1
+        if isinstance(message, wire.ReallocInit):
+            self.paused = True
             return
         raise AssertionError(f"host cannot handle control message {message!r}")
 

@@ -82,7 +82,8 @@ class IlpInstance:
 def level_options(instance: IlpInstance) -> list[list[tuple[int, int, int]]]:
     """Per flow, its ``(level, score, demand)`` options in ascending level order.
 
-    An option whose demand is above every network's capacity is left out.
+    A level outside ``1..l_max`` is no option. An option whose demand is
+    above every network's capacity is left out.
     No network can hold it, so the search never places it and no leaf
     changes; the bound loses an option it could never use, so it only
     tightens.
@@ -93,7 +94,7 @@ def level_options(instance: IlpInstance) -> list[list[tuple[int, int, int]]]:
     for flow in instance.flows:
         per_flow = []
         for level in sorted(flow.qos):
-            if level > cfg.l_max:
+            if not 1 <= level <= cfg.l_max:
                 continue
             demand = utilization(flow, level, cfg.factor)
             assert demand is not None

@@ -45,6 +45,7 @@ HEADER = b":ML:"
 # corrupted length field cannot hold back the frames after it.
 MAX_BODY = 2**20
 _LENGTH_DIGITS = re.compile(rb"\d{0,%d}" % len(str(MAX_BODY)))
+_FRAME_HEAD = re.compile(rb":ML:(\d{1,%d}):" % len(str(MAX_BODY)))
 
 
 class ParseError(ValueError):
@@ -114,6 +115,10 @@ class FrameDecoder:
     once the next header proves the run has ended, and trailing partial
     input stays buffered.
 
+    A chunk that is exactly one whole frame, fed to an empty buffer, is
+    decoded in place without passing through the buffer; it gives the same
+    events, and every frame is still decoded once.
+
     Invariant: no header starts in ``_buf[:_scan]``. Those bytes are
     garbage, reported together in one ``bad-header`` event when the next
     header is found; the header scan resumes at ``_scan``.
@@ -129,6 +134,19 @@ class FrameDecoder:
         return bytes(self._buf)
 
     def feed(self, data: bytes) -> list[Frame | MalformedFrame]:
+        if not self._buf:
+            # One whole frame into an empty buffer: decode it in place.
+            head = _FRAME_HEAD.match(data)
+            if head is not None:
+                length = int(head[1])
+                body_start = head.end()
+                body_end = body_start + length
+                if len(data) == body_end + 1 and data[body_end] == 0x0A and length <= MAX_BODY:
+                    raw = bytes(data[body_start:body_end])
+                    try:
+                        return [Frame(unescape_body(raw))]
+                    except ValueError:
+                        return [MalformedFrame("bad-escape", raw)]
         buf = self._buf
         buf.extend(data)
         out: list[Frame | MalformedFrame] = []
@@ -210,7 +228,7 @@ def decode_app(data: bytes) -> AppMessage:
     if not level_raw.isdigit():
         raise ParseError("criticality level is not a number", len(name_raw) + 1)
     try:
-        return AppMessage(flow_name=name, level=int(level_raw), payload=payload)
+        return AppMessage(name, int(level_raw), payload)
     except ValueError as exc:
         raise ParseError(str(exc), 0) from None
 

@@ -321,6 +321,10 @@ TABLE_CORRUPTIONS = {
         lambda table: table.entries.update({"8": Allocation("sigfox", 4)}),
         r"^flow '8' is placed at level 4 above l_max 3$",
     ),
+    "level_below_1": (
+        lambda table: table.entries.update({"8": Allocation("sigfox", 0)}),
+        r"^flow '8' is placed at level 0 below 1$",
+    ),
 }
 
 
@@ -341,6 +345,24 @@ def test_levels_above_l_max_are_ignored(name):
         FlowSpec("1", "App", "above only", {5: small}),
         FlowSpec("2", "App", "level one", {1: small}),
         FlowSpec("3", "App", "four and one", {4: small, 1: small}),
+    ]
+    wifi = NetworkProfile(id="wifi", name="Wi-Fi", capacity_bps=64_000)
+    table = run_algorithm(name, flows, [wifi], CFG8)
+    assert table.entries == {"2": Allocation("wifi", 1), "3": Allocation("wifi", 1)}
+    assert objective(table, CFG8.l_max) == 6
+    verify_allocation_table(table, flows, [wifi], CFG8)
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_levels_below_1_are_ignored(name):
+    # Unvalidated flows with l_max 3: flow 1 declares only level 0, flow 3
+    # levels -2 and 1. Placed at 0 or -2, a flow would score 4 or 6, above
+    # the 3 that level 1 scores.
+    small = QosRequirement(1, Fraction(1))
+    flows = [
+        FlowSpec("1", "App", "zero only", {0: small}),
+        FlowSpec("2", "App", "level one", {1: small}),
+        FlowSpec("3", "App", "minus two and one", {-2: small, 1: small}),
     ]
     wifi = NetworkProfile(id="wifi", name="Wi-Fi", capacity_bps=64_000)
     table = run_algorithm(name, flows, [wifi], CFG8)
