@@ -45,7 +45,7 @@ HEADER = b":ML:"
 # corrupted length field cannot hold back the frames after it.
 MAX_BODY = 2**20
 _LENGTH_DIGITS = re.compile(rb"\d{0,%d}" % len(str(MAX_BODY)))
-_FRAME_HEAD = re.compile(rb":ML:(\d{1,%d}):" % len(str(MAX_BODY)))
+_FRAME_HEAD = re.compile(re.escape(HEADER) + rb"(\d{1,%d}):" % len(str(MAX_BODY)))
 
 
 class ParseError(ValueError):
@@ -105,6 +105,14 @@ def encode_frame(body: bytes) -> bytes:
     return HEADER + str(len(escaped)).encode("ascii") + b":" + escaped + b"\n"
 
 
+def _frame_event(raw: bytes) -> Frame | MalformedFrame:
+    """The event for a complete frame whose escaped body is ``raw``."""
+    try:
+        return Frame(unescape_body(raw))
+    except ValueError:
+        return MalformedFrame("bad-escape", raw)
+
+
 class FrameDecoder:
     """Incremental frame decoder, invariant under input chunking.
 
@@ -142,11 +150,7 @@ class FrameDecoder:
                 body_start = head.end()
                 body_end = body_start + length
                 if len(data) == body_end + 1 and data[body_end] == 0x0A and length <= MAX_BODY:
-                    raw = bytes(data[body_start:body_end])
-                    try:
-                        return [Frame(unescape_body(raw))]
-                    except ValueError:
-                        return [MalformedFrame("bad-escape", raw)]
+                    return [_frame_event(bytes(data[body_start:body_end]))]
         buf = self._buf
         buf.extend(data)
         out: list[Frame | MalformedFrame] = []
@@ -177,10 +181,7 @@ class FrameDecoder:
                 if buf[body_end] == 0x0A:
                     raw = bytes(buf[body_start:body_end])
                     del buf[: body_end + 1]
-                    try:
-                        out.append(Frame(unescape_body(raw)))
-                    except ValueError:
-                        out.append(MalformedFrame("bad-escape", raw))
+                    out.append(_frame_event(raw))
                     continue
             # Resync: drop the leading ':' so the scan can find a header nested
             # in the bytes of the abandoned frame.
