@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter, OrderedDict
+from enum import Enum, IntEnum
 from fractions import Fraction
 
 import pytest
@@ -216,6 +218,23 @@ JSON_VALUES = st.recursive(
 PLACED = Allocation("wi\"fi", 2)
 
 
+# Subclasses of the JSON leaf and container types: each must be written as its base type is.
+class Rank(IntEnum):
+    LOW = 3
+
+
+class Tech(str, Enum):
+    WIFI = "wi-fi"
+
+
+class Ratio(float):
+    pass
+
+
+class Rows(list):
+    pass
+
+
 class TestJsonDocument:
     @settings(max_examples=300)
     @given(JSON_VALUES)
@@ -223,6 +242,25 @@ class TestJsonDocument:
     @example([2**64, -(2**70), -0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf, True, False, None])
     @example({"\ud800": "\udfff\x00\x1f\x7f", "é": "😀\u2028", "\"": "\\"})
     @example({"a": PLACED, "b": {"c": PLACED}, "d": [PLACED, [PLACED]]})
+    @example(
+        {
+            "int_enum": Rank.LOW,
+            "str_enum": Tech.WIFI,
+            "float_subclass": Ratio(0.5),
+            "ordered": OrderedDict([("b", Ratio(-0.0)), ("a", Rank.LOW)]),
+            "counter": Counter("abca"),
+            "list_subclass": Rows([Rank.LOW, Tech.WIFI, Rows()]),
+        }
+    )
+    @example([Rank.LOW, Tech.WIFI, Ratio(1e300), OrderedDict(), Counter(), Rows(), {"k": Counter()}])
+    @example(
+        {
+            "a": PLACED,
+            "b": {"c": Allocation(PLACED.network_id, 2), "d": Allocation(PLACED.network_id, True)},
+            "e": Allocation(PLACED.network_id, 1),
+            "f": [Allocation(PLACED.network_id, True)],
+        }
+    )
     def test_matches_the_stdlib_encoder(self, value):
         assert json_document(value) == stdlib_document(value)
 
