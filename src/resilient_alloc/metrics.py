@@ -83,12 +83,12 @@ def format_quantity(value: Fraction | None) -> str:
     """Truncate toward zero at two decimals and trim trailing zeros."""
     if value is None:
         return "-"
-    hundredths = (100 * value.numerator) // value.denominator
-    whole, frac = divmod(hundredths, 100)
+    numerator = value.numerator
+    whole, frac = divmod(abs(100 * numerator) // value.denominator, 100)
+    sign = "-" if numerator < 0 and (whole or frac) else ""
     if frac == 0:
-        return str(whole)
-    text = f"{whole}.{frac:02d}"
-    return text.rstrip("0")
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{frac:02d}".rstrip("0")
 
 
 def glyph_map(networks: list[NetworkProfile]) -> dict[str, str]:
@@ -158,11 +158,12 @@ def render_comparison_csv(
 
 def report_to_json_dict(rep: AllocationReport) -> dict:
     """One comparison row for ``json_document``; ``per_flow`` maps a flow id to its ``Allocation`` or None."""
-    return {
+    served, crit = rep.percent_served, rep.avg_criticality
+    return {  # an int division is correctly rounded, as float() of the Fraction is
         "objective": rep.objective,
-        "percent_served": float(rep.percent_served),
-        "avg_criticality": None if rep.avg_criticality is None else float(rep.avg_criticality),
-        "avg_criticality_display": format_quantity(rep.avg_criticality),
+        "percent_served": served.numerator / served.denominator,
+        "avg_criticality": None if crit is None else crit.numerator / crit.denominator,
+        "avg_criticality_display": format_quantity(crit),
         "per_flow": rep.per_flow,
         "per_network_load": {
             network_id: {"used_micro_bps": used, "capacity_micro_bps": capacity}
@@ -199,19 +200,14 @@ def json_document(value: object) -> str:
 def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[str, type, int, str], str]) -> None:
     """Append ``value``'s text to ``parts``; ``newline`` starts a line at its depth.
 
-    ``memo`` maps ``(network id, level type, level, newline)`` to the text of an
-    ``Allocation``; the type keeps a ``True`` level apart from the equal ``1``.
+    A dict entry whose value's type is exactly ``str``, ``int``, ``float``,
+    ``NoneType`` or ``Allocation`` is written in the dict's own loop; any other
+    value, a ``bool`` or a subclass included, takes the tests below.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif isinstance(value, Allocation):
-        key = (value.network_id, type(value.level), value.level, newline)
-        text = memo.get(key)
-        if text is None:
-            placed: list[str] = []
-            _write_json({"level": value.level, "network": value.network_id}, placed, newline, memo)
-            text = memo[key] = "".join(placed)
-        parts.append(text)
+        parts.append(_placement_text(value, newline, memo))
     elif value is None:
         parts.append("null")
     elif value is True:
@@ -231,8 +227,24 @@ def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(lead + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], parts, inner, memo)
+            item = value[key]
+            kind = type(item)
+            if kind is Allocation:
+                text = memo.get((item.network_id, type(item.level), item.level, inner)) or _placement_text(item, inner, memo)
+            elif kind is int:
+                text = int.__repr__(item)
+            elif kind is str:
+                text = encode_basestring_ascii(item)
+            elif item is None:
+                text = "null"
+            elif kind is float:
+                text = _float_text(item)
+            else:
+                parts += (lead, encode_basestring_ascii(key), ": ")
+                _write_json(item, parts, inner, memo)
+                lead = separator
+                continue
+            parts += (lead, encode_basestring_ascii(key), ": ", text)
             lead = separator
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -248,6 +260,21 @@ def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[
         parts.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _placement_text(placed: Allocation, newline: str, memo: dict[tuple[str, type, int, str], str]) -> str:
+    """``placed`` as the object ``{"level": L, "network": "id"}`` at the depth of ``newline``.
+
+    ``memo`` maps ``(network id, level type, level, newline)`` to that text; the
+    type keeps a ``True`` level apart from the equal ``1``.
+    """
+    key = (placed.network_id, type(placed.level), placed.level, newline)
+    text = memo.get(key)
+    if text is None:
+        parts: list[str] = []
+        _write_json({"level": placed.level, "network": placed.network_id}, parts, newline, memo)
+        text = memo[key] = "".join(parts)
+    return text
 
 
 def _float_text(value: float) -> str:

@@ -125,6 +125,9 @@ class TestRendering:
         assert format_quantity(Fraction(1)) == "1"
         assert format_quantity(Fraction(100)) == "100"
         assert format_quantity(None) == "-"
+        assert format_quantity(Fraction(-17, 8)) == "-2.12"  # toward zero, not down to -2.13
+        assert format_quantity(Fraction(-1, 2)) == "-0.5"
+        assert format_quantity(Fraction(-1, 200)) == "0"  # no sign on a value that truncates to zero
 
     def test_glyphs_follow_technology_names(self, table2_networks, fipy_networks):
         glyphs = glyph_map(table2_networks)
