@@ -229,7 +229,11 @@ def decode_app(data: bytes) -> AppMessage:
     if not level_raw.isdigit():
         raise ParseError("criticality level is not a number", len(name_raw) + 1)
     try:
-        return AppMessage(name, int(level_raw), payload)
+        level = int(level_raw)
+    except ValueError:  # more digits than int() converts
+        raise ParseError("criticality level has too many digits", len(name_raw) + 1) from None
+    try:
+        return AppMessage(name, level, payload)
     except ValueError as exc:
         raise ParseError(str(exc), 0) from None
 
@@ -317,10 +321,16 @@ def _start(match: re.Match) -> int:
     return match.end() - len(match[1] or "")
 
 
-def _literal(match: re.Match) -> str | int | float:
+def _literal(name: str, match: re.Match) -> str | int | float:
+    """The value of field ``name``; an int literal longer than int() converts is a ParseError."""
     if match[2] is None:
         return match[1][1:-1]
-    return float(match[1]) if match[2] else int(match[1])
+    if match[2]:
+        return float(match[1])
+    try:
+        return int(match[1])
+    except ValueError:
+        raise ParseError(f"{name} has too many digits", _start(match)) from None
 
 
 def decode_mfea(text: str) -> list[MfeaEntry]:
@@ -360,12 +370,12 @@ def _decode_record(text: str, pos: int) -> tuple[MfeaEntry, int]:
     missing = set(_KEYS).difference(fields)
     if missing:
         raise ParseError(f"record is missing keys {sorted(missing)}", pos)
+    payload_size, network, period, flow_name, level = (_literal(key, fields[key]) for key in _KEYS)
+    if not isinstance(payload_size, int) or not isinstance(level, int):
+        raise ParseError("PS and CL must be integers", pos)
     try:
-        payload_size, network, period, flow_name, level = (_literal(fields[key]) for key in _KEYS)
-        if not isinstance(payload_size, int) or not isinstance(level, int):
-            raise ValueError("PS and CL must be integers")
         return MfeaEntry(payload_size, network, period, flow_name, level), pos
-    except ValueError as exc:  # also an int literal longer than int() converts
+    except ValueError as exc:
         raise ParseError(str(exc), pos) from None
 
 

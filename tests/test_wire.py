@@ -319,8 +319,9 @@ class TestAppMessages:
             (b"f,abc,payload", r"^criticality level is not a number \(at byte 2\)$"),
             (b"f,0,x", r"^level must be >= 1, got 0 \(at byte 0\)$"),
             (b"\xff,1,x", r"^flow name is not valid UTF-8 \(at byte 0\)$"),
+            (b"f," + b"9" * 5000 + b",x", r"^criticality level has too many digits \(at byte 2\)$"),
         ],
-        ids=["level_not_a_number", "level_zero", "name_not_utf8"],
+        ids=["level_not_a_number", "level_zero", "name_not_utf8", "level_beyond_int_digits"],
     )
     def test_bad_name_or_level(self, data, message):
         with pytest.raises(ParseError, match=message):
@@ -408,13 +409,32 @@ class TestMfea:
             ("MFEA:[{'PS': 'x'}]", 13),
             ("MFEA:x", 5),
             ("MFEA:[{'PS' 1}]", 12),
+            ("MFEA:[{'PS': " + "9" * 5000 + ", 'N': 'A', 'PE': 1, 'MF': 'x', 'CL': 1}]", 13),
+            ("MFEA:[{'PS': 1, 'N': 'A', 'PE': " + "9" * 5000 + ", 'MF': 'x', 'CL': 1}]", 32),
+            ("MFEA:[{'PS': 1, 'N': 'A', 'PE': 1, 'MF': 'x', 'CL': " + "9" * 5000 + "}]", 52),
         ],
-        ids=["numeric_key", "unknown_key", "string_for_number", "missing_bracket", "missing_colon"],
+        ids=[
+            "numeric_key",
+            "unknown_key",
+            "string_for_number",
+            "missing_bracket",
+            "missing_colon",
+            "size_beyond_int_digits",
+            "period_beyond_int_digits",
+            "level_beyond_int_digits",
+        ],
     )
     def test_offset_points_at_the_bad_token(self, text, offset):
         with pytest.raises(ParseError) as excinfo:
             decode_mfea(text)
         assert excinfo.value.offset == offset
+
+    @pytest.mark.parametrize("key", ["PS", "PE", "CL"])
+    def test_number_beyond_int_digits_names_its_field(self, key):
+        fields = {"PS": "1", "N": "'A'", "PE": "1", "MF": "'x'", "CL": "1", key: "9" * 5000}
+        text = "MFEA:[{" + ", ".join(f"'{name}': {value}" for name, value in fields.items()) + "}]"
+        with pytest.raises(ParseError, match=rf"^{key} has too many digits \(at byte \d+\)$"):
+            decode_mfea(text)
 
     @pytest.mark.parametrize("key,number", [("PS", "1.5"), ("CL", "2.0")])
     def test_float_size_or_level_rejected(self, key, number):
