@@ -4,7 +4,7 @@ The three aggregate columns reported for every algorithm are the objective
 (sum of ``1 + l_max - level`` over served flows), the percentage of flows
 served, and the average assigned criticality level. Averages are exact
 fractions internally; tables render them truncated toward zero at two
-decimals (17/8 prints as 2.12).
+decimals (17/8 prints as 2.12, and -17/8 as -2.12).
 
 Every JSON report, the comparison here and the simulation report, is written
 by ``json_document``, whose text is byte-identical to what ``json.dumps``
@@ -12,7 +12,11 @@ writes with ``sort_keys=True`` and an indent of 2. A placement stays an
 ``Allocation`` up to the writer, which writes it as the object
 ``{"level": L, "network": "id"}``; any other value that is not JSON is a
 TypeError. An ``Allocation`` names no flow: the key it is written under
-does, and one ``Allocation`` may sit under many flow ids.
+does, and one ``Allocation`` may sit under many flow ids. A dict entry whose
+value's type is exactly ``str``, ``int``, ``float``, ``NoneType`` or
+``Allocation`` (most of a comparison report) is written inside the dict's
+loop, not by a recursive call; containers, bools and subclasses take the
+general path.
 """
 
 from __future__ import annotations
