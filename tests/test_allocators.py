@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resilient_alloc import (
@@ -731,3 +731,114 @@ def test_fit_kernels_pick_the_reference_position(kernel, reference, case):
     before = list(residual)
     assert kernel(demand, residual) == reference(demand, residual)
     assert residual == before
+
+
+def reference_criticality_aware(flows, networks, cfg, admit_first):
+    """The criticality-aware pair as it was before any pass was skipped.
+
+    Every level runs both its passes, and each entry goes in through
+    ``AllocationTable.place``, one flow at a time. The level a flow holds is
+    the key under which ``_flows_by_level`` grouped it, so a flow that
+    declared ``1`` can hold an earlier flow's ``True`` (and the reverse).
+    """
+    table = AllocationTable(networks)
+    allocators.check_flow_ids(flows)
+    residual = [p.capacity_micro_bps for p in networks]
+    by_level: dict = {}
+    for i, flow in enumerate(flows):
+        for level, qos in flow.qos.items():
+            by_level.setdefault(level, []).append((i, cfg.factor * qos.demand_micro_bps))
+    passes = sorted((item for item in by_level.items() if 1 <= item[0] <= cfg.l_max), reverse=True)
+    where = [-1] * len(flows)
+    held_level = [0] * len(flows)
+    held_demand = [0] * len(flows)
+    last_try = [0] * len(flows)
+    step = 0
+    for level, declared_here in passes:
+        for admitting in (admit_first, not admit_first):
+            step += 1
+            for i, demand in declared_here:
+                held = where[i]
+                if admitting and held < 0:
+                    j = reference_best_fit(demand, residual)
+                    if j >= 0:
+                        residual[j] -= demand
+                        where[i], held_level[i], held_demand[i] = j, level, demand
+                        last_try[i] = step
+                elif not admitting and held >= 0 and held_level[i] > level:
+                    residual[held] += held_demand[i]
+                    j = reference_best_fit(demand, residual)
+                    if j >= 0:
+                        residual[j] -= demand
+                        where[i], held_level[i], held_demand[i] = j, level, demand
+                    else:
+                        residual[held] -= held_demand[i]
+                    last_try[i] = step
+    shared: dict = {}
+    for i in sorted(range(len(flows)), key=last_try.__getitem__):
+        j = where[i]
+        if j >= 0:
+            level = held_level[i]
+            placed = shared.setdefault((j, level, type(level)), Allocation(networks[j].id, level))
+            table.place(flows[i].id, placed, held_demand[i])
+    return table
+
+
+@st.composite
+def criticality_instances(draw):
+    """0-6 flows on 0-4 networks for the criticality-aware pair.
+
+    Levels are drawn from ``True``, ``0``, ``-1``, ``1..3`` and ``l_max + 1``,
+    so a flow may declare no usable level, ``True`` may stand beside another
+    flow's ``1``, and a level may lie outside ``1..l_max``. Capacities come
+    from a pool of two values, so twin networks are common, and one pool
+    value may be large enough to hold every flow at its top level. About one
+    demand in eight fits no network.
+    """
+    l_max = draw(st.integers(1, 3))
+    levels = st.sampled_from([True, 0, -1, 1, 2, 3, l_max + 1])
+    size = st.one_of(st.integers(1, 60), st.just(10_000))
+    qos = st.dictionaries(levels, st.tuples(size, st.integers(1, 10)), max_size=4)
+    raw_flows = draw(st.lists(qos, max_size=6))
+    flows = [
+        FlowSpec(str(i), "A", f"flow {i}", {level: QosRequirement(c, Fraction(t)) for level, (c, t) in raw.items()})
+        for i, raw in enumerate(raw_flows)
+    ]
+    pool = draw(st.lists(st.sampled_from([1, 8, 40, 120, 250, 100_000]), min_size=2, max_size=2))
+    capacities = draw(st.lists(st.sampled_from(pool), max_size=4))
+    networks = [NetworkProfile(f"n{j}", f"net {j}", capacity) for j, capacity in enumerate(capacities)]
+    return flows, networks, AllocatorConfig(l_max=l_max, factor=draw(st.sampled_from((1, 8))))
+
+
+def _entries_in_order(table: AllocationTable) -> list:
+    return [(fid, a, type(a.level)) for fid, a in table.entries.items()]
+
+
+_Q = QosRequirement(4, Fraction(1))
+_WIFI = NetworkProfile("wifi", "Wi-Fi", 64_000)
+_CFG = AllocatorConfig(l_max=3, factor=8)
+
+
+@pytest.mark.parametrize(
+    "allocate,admit_first", [(cabf, False), (cabf_inv, True)], ids=["cabf", "cabf_inv"]
+)
+@given(instance=criticality_instances())
+# Every flow placed at its top level, so both lower admit passes have nothing left to place.
+@example(instance=([FlowSpec(str(i), "A", "f", {1: _Q, 2: _Q, 3: _Q}) for i in range(3)], [_WIFI], _CFG))
+# A flow that fits nowhere keeps every admit pass running.
+@example(instance=(
+    [FlowSpec("big", "A", "f", {1: QosRequirement(10**6, Fraction(1))}), FlowSpec("small", "A", "f", {2: _Q, 1: _Q})],
+    [_WIFI, NetworkProfile("twin", "Twin", 64_000)],
+    _CFG,
+))
+# "b" declares 1 beside "a"'s True; a flow with levels outside 1..l_max only; no networks.
+@example(instance=([FlowSpec("a", "A", "f", {True: _Q}), FlowSpec("b", "A", "f", {1: _Q, 2: _Q})], [_WIFI], _CFG))
+@example(instance=([FlowSpec("out", "A", "f", {0: _Q, 4: _Q}), FlowSpec("in", "A", "f", {3: _Q})], [_WIFI], _CFG))
+@example(instance=([FlowSpec("a", "A", "f", {3: _Q, 1: _Q})], [], _CFG))
+@settings(max_examples=400)
+def test_criticality_aware_matches_the_every_pass_reference(allocate, admit_first, instance):
+    flows, networks, cfg = instance
+    table = allocate(flows, networks, cfg)
+    expected = reference_criticality_aware(flows, networks, cfg, admit_first)
+    assert _entries_in_order(table) == _entries_in_order(expected)
+    assert list(table.residual.items()) == list(expected.residual.items())
