@@ -6,7 +6,11 @@ that are already allocated at a stricter (numerically higher) level down to
 the current one, and it best-fit-allocates flows that declare the current
 level but hold no allocation yet. Running relaxation first favours the flows
 that declared high-criticality service; running new allocations first (the
-inverted variant) favours serving as many flows as possible.
+inverted variant) favours serving as many flows as possible. Two kinds of
+pass cannot place anything and are skipped: the relax pass of the highest
+declared level, and every admit pass once each flow that declares a level
+in ``1..l_max`` holds a network. Skipping them changes no table and no entry
+order.
 
 Twelve classic baselines are provided for comparison: first/best/worst fit
 (Johnson et al., SIAM J. Comput. 3(4), 1974), each in a plain and a
@@ -18,8 +22,12 @@ before it places anything. Like the exact solver, every algorithm ignores a
 declared level outside ``1..l_max`` and skips a flow that declares no other.
 ``verify_allocation_table`` and ``metrics.report`` refuse a repeated flow id
 too. A table maps each served flow's id to an ``Allocation(network_id,
-level)``; within one call, flows placed on the same network at the same
-level share one ``Allocation`` object.
+level)``; flows placed on the same network at the same level share one
+``Allocation`` object, which the table builds. Every algorithm decides on
+its own residuals and then enters its whole table in one
+``AllocationTable.fill``, which recomputes the residuals and checks the
+entries as a whole: a repeated flow id or an overloaded network refuses the
+fill and leaves the table as it was.
 
 Determinism rules used throughout (ties are never broken randomly):
 
@@ -32,6 +40,7 @@ Determinism rules used throughout (ties are never broken randomly):
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .flows import FlowSpec, utilization
@@ -83,8 +92,13 @@ class AllocationTable:
     """Flow id -> ``Allocation``, plus residual capacity per network.
 
     At most one entry exists per flow, and the residual of every network
-    stays non-negative; ``place`` refuses an entry that would overload its
-    network. Network ids must be distinct.
+    stays non-negative: ``fill`` refuses a set of entries that would break
+    either rule, and ``place`` enters one. Network ids must be distinct.
+
+    The table builds its ``Allocation`` objects itself: entries on the same
+    network at the same level share one. The level's type is part of that
+    key, so a ``True`` level stays apart from the equal ``1``, as the report
+    writer keeps it.
     """
 
     def __init__(self, networks: list[NetworkProfile]) -> None:
@@ -94,6 +108,9 @@ class AllocationTable:
             if profile.id in self.residual:
                 raise ValueError(f"duplicate network id {profile.id!r}")
             self.residual[profile.id] = profile.capacity_micro_bps
+        self._network_ids = list(self.residual)
+        # A placement's key (see ``fill``) -> its one Allocation.
+        self._placements: dict[object, Allocation] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AllocationTable):
@@ -103,33 +120,38 @@ class AllocationTable:
     def __repr__(self) -> str:
         return f"AllocationTable(entries={self.entries!r})"
 
+    def fill(self, rows: Iterable[tuple[str, int, int, int]]) -> None:
+        """Enter ``(flow id, network position, level, demand)`` rows in their order, all or none.
+
+        The residuals are recomputed from the rows' demands. A flow id that
+        repeats, within the rows or against an entry, or a network driven
+        below zero refuses the whole fill with ``ValueError`` for the first
+        bad row, and leaves the table as it was.
+        """
+        entries, network_ids, placements = self.entries, self._network_ids, self._placements
+        width = len(network_ids)
+        left = list(self.residual.values())
+        added: dict[str, Allocation] = {}
+        for flow_id, j, level, demand in rows:
+            if flow_id in added or flow_id in entries:
+                raise ValueError(f"flow {flow_id!r} is already allocated")
+            left[j] -= demand
+            if left[j] < 0:
+                raise ValueError(f"network {network_ids[j]!r} cannot take {number_text(demand)} micro-bps")
+            # One int per placement of an int level; a level of any other
+            # type (True, an int enum) keys by a tuple that holds the type.
+            key = level * width + j if type(level) is int else (j, level, type(level))
+            placed = placements.get(key)
+            if placed is None:
+                placed = placements[key] = Allocation(network_ids[j], level)
+            added[flow_id] = placed
+        entries.update(added)
+        self.residual.update(zip(network_ids, left))
+
     def place(self, flow_id: str, allocation: Allocation, demand_micro_bps: int) -> None:
-        if flow_id in self.entries:
-            raise ValueError(f"flow {flow_id!r} is already allocated")
-        remaining = self.residual[allocation.network_id] - demand_micro_bps
-        if remaining < 0:
-            raise ValueError(
-                f"network {allocation.network_id!r} cannot take {number_text(demand_micro_bps)} micro-bps"
-            )
-        self.entries[flow_id] = allocation
-        self.residual[allocation.network_id] = remaining
-
-
-class Placements(dict):
-    """``(network position, level, type of level)`` -> its one ``Allocation``, built on first use.
-
-    An allocator keeps one for a single call, so its table holds at most one
-    placement object per network and level. The type keeps a ``True`` level
-    apart from the equal ``1``, as the report writer does.
-    """
-
-    def __init__(self, networks: list[NetworkProfile]) -> None:
-        super().__init__()
-        self.network_ids = [p.id for p in networks]
-
-    def __missing__(self, key: tuple[int, int, type]) -> Allocation:
-        placed = self[key] = Allocation(self.network_ids[key[0]], key[1])
-        return placed
+        """Enter one flow: ``fill`` with the single row that ``allocation`` names."""
+        j = self._network_ids.index(allocation.network_id)
+        self.fill([(flow_id, j, allocation.level, demand_micro_bps)])
 
 
 def check_flow_ids(flows: list[FlowSpec]) -> None:
@@ -198,18 +220,32 @@ def _criticality_aware(
     table = AllocationTable(networks)
     check_flow_ids(flows)
     residual = [p.capacity_micro_bps for p in networks]
+    # Levels no flow declares change nothing; skipping them keeps a huge l_max cheap.
+    levels = _flows_by_level(flows, cfg)
     # By flow position: the network position it holds (-1 for none), its
     # level and demand there, and the pass that last tried it.
     where = [-1] * len(flows)
     held_level = [0] * len(flows)
     held_demand = [0] * len(flows)
     last_try = [0] * len(flows)
+    # Two kinds of pass place nothing and are skipped: the relax pass of the
+    # highest declared level, since no flow can hold a stricter one, and
+    # every admit pass once ``unplaced``, the flows that declare a level in
+    # 1..l_max and hold nothing, reaches 0. A skipped pass still takes its
+    # step, so every flow's last try stays put. When one level lists every
+    # flow, every flow declares a usable level and no scan is needed.
+    if any(len(declared_here) == len(flows) for _, declared_here in levels):
+        unplaced = len(flows)
+    else:
+        unplaced = len({i for _, declared_here in levels for i, _ in declared_here})
+    top = levels[0][0] if levels else 0
     step = 0
-    # Levels no flow declares change nothing; skipping them keeps a huge l_max cheap.
-    for level, declared_here in _flows_by_level(flows, cfg):
+    for level, declared_here in levels:
         for admitting in (admit_first, not admit_first):
             step += 1
             if admitting:
+                if not unplaced:
+                    continue
                 # Flows that hold nothing.
                 for i, demand in declared_here:
                     if where[i] < 0:
@@ -218,7 +254,8 @@ def _criticality_aware(
                             residual[j] -= demand
                             where[i], held_level[i], held_demand[i] = j, level, demand
                             last_try[i] = step
-            else:
+                            unplaced -= 1
+            elif level != top:
                 # Flows held at a stricter level; each keeps its hold if nothing fits.
                 for i, demand in declared_here:
                     held = where[i]
@@ -232,12 +269,11 @@ def _criticality_aware(
                             residual[held] -= held_demand[i]
                         last_try[i] = step
     # A flow's entry goes in at its last try: by pass, then by input order.
-    placements = Placements(networks)
-    for i in sorted(range(len(flows)), key=last_try.__getitem__):
-        j = where[i]
-        if j >= 0:
-            level = held_level[i]
-            table.place(flows[i].id, placements[j, level, type(level)], held_demand[i])
+    table.fill([
+        (flows[i].id, where[i], held_level[i], held_demand[i])
+        for i in sorted(range(len(flows)), key=last_try.__getitem__)
+        if where[i] >= 0
+    ])
     return table
 
 
@@ -286,12 +322,13 @@ def heuristic(
 
     fit = _FITS[name[2:4]]
     residual = [p.capacity_micro_bps for p in networks]
-    placements = Placements(networks)
+    rows = []
     for flow_id, level, demand in chosen:
         j = fit(demand, residual)
         if j >= 0:
             residual[j] -= demand
-            table.place(flow_id, placements[j, level, type(level)], demand)
+            rows.append((flow_id, j, level, demand))
+    table.fill(rows)
     return table
 
 

@@ -262,10 +262,11 @@ class SimReport:
         """The report for ``json_document``; ``final_allocation`` maps a flow id to its ``Allocation`` or None."""
         per_flow = {}
         for flow_id, levels in self.per_flow_level.items():
-            fraction = self.delivered_fraction(flow_id)
+            totals = _sum_counts(levels.values())
+            fraction = _delivered_fraction(totals)
             per_flow[flow_id] = {
                 "levels": {str(level): asdict(counts) for level, counts in levels.items()},
-                **asdict(self.flow_totals(flow_id)),
+                **asdict(totals),
                 "delivered_fraction": None if fraction is None else float(fraction),
             }
         by_level = {}

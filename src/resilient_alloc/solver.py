@@ -56,7 +56,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .allocators import AllocationTable, AllocatorConfig, Placements, check_flow_ids
+from .allocators import AllocationTable, AllocatorConfig, check_flow_ids
 from .flows import FlowSpec, utilization
 from .networks import NetworkProfile
 
@@ -244,9 +244,9 @@ def exact_solve(instance: IlpInstance) -> AllocationTable:
     if best_choice is None:
         raise Infeasible("no assignment serves every flow")
 
-    placements = Placements(networks)
-    for flow, picked in zip(instance.flows, best_choice):
-        if picked is not None:
-            level, j, demand = picked
-            table.place(flow.id, placements[j, level, type(level)], demand)
+    table.fill([
+        (flow.id, picked[1], picked[0], picked[2])
+        for flow, picked in zip(instance.flows, best_choice)
+        if picked is not None
+    ])
     return table

@@ -411,6 +411,7 @@ class TestTableChecks:
         twin = FlowSpec("1", "App", "second flow one", {1: QosRequirement(1, Fraction(60))})
         placed = []
         monkeypatch.setattr(AllocationTable, "place", lambda table, *args: placed.append(args))
+        monkeypatch.setattr(AllocationTable, "fill", lambda table, rows: placed.append(list(rows)))
         with pytest.raises(ValueError, match=r"^duplicate flow id '1'$"):
             run_algorithm(name, [*flows, twin], table2_networks, CFG8)
         assert placed == []
@@ -447,6 +448,37 @@ class TestTableChecks:
         table = AllocationTable(table2_networks)
         with pytest.raises(ValueError, match=r"^network 'sigfox' cannot take 1e\+50 micro-bps$"):
             table.place("1", Allocation("sigfox", 1), 10**50)
+
+    # table2_networks holds Wi-Fi, LoRa and Sigfox at positions 0, 1 and 2.
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([("2", 1, 1, 10), ("1", 0, 2, 10)], r"^flow '1' is already allocated$"),
+            ([("2", 1, 1, 10), ("3", 2, 1, 10), ("2", 0, 1, 10)], r"^flow '2' is already allocated$"),
+            # Sigfox (48 000 000) takes the first two rows; the third is the first bad one.
+            ([("2", 2, 1, 40_000_000), ("3", 2, 1, 8_000_000), ("4", 2, 1, 1), ("1", 0, 1, 10)],
+             r"^network 'sigfox' cannot take 1 micro-bps$"),
+        ],
+        ids=["repeats_an_entry", "repeats_within_the_rows", "overload"],
+    )
+    def test_fill_refuses_the_whole_fill(self, table2_networks, rows, message):
+        table = AllocationTable(table2_networks)
+        table.place("1", Allocation("wifi", 1), 10)
+        entries, residual = dict(table.entries), dict(table.residual)
+        with pytest.raises(ValueError, match=message):
+            table.fill(rows)
+        assert table.entries == entries and list(table.entries) == ["1"]
+        assert table.residual == residual
+
+    def test_fill_enters_rows_in_order_and_shares_placements(self, table2_networks):
+        table = AllocationTable(table2_networks)
+        table.fill([("b", 2, 1, 5), ("a", 2, True, 7), ("c", 0, 2, 3)])
+        table.fill([("d", 2, 1, 11), ("e", 2, True, 13)])
+        assert list(table.entries) == ["b", "a", "c", "d", "e"]
+        assert [type(a.level) for a in table.entries.values()] == [int, bool, int, int, bool]
+        assert table.entries["d"] is table.entries["b"] and table.entries["e"] is table.entries["a"]
+        assert table.entries["a"] is not table.entries["b"] and table.entries["b"] == Allocation("sigfox", 1)
+        assert table.residual == {"wifi": 64_000_000_000 - 3, "lora": 1_760_000_000, "sigfox": 48_000_000 - 36}
 
 
 @st.composite
