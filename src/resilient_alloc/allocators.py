@@ -8,9 +8,9 @@ level but hold no allocation yet. Running relaxation first favours the flows
 that declared high-criticality service; running new allocations first (the
 inverted variant) favours serving as many flows as possible. Two kinds of
 pass cannot place anything and are skipped: the relax pass of the highest
-declared level, and every admit pass once each flow that declares a level
-in ``1..l_max`` holds a network. Skipping them changes no table and no entry
-order.
+declared level, and every admit pass once every flow holds a network (in a
+validated flow set, every flow declares a level in ``1..l_max``). Skipping
+them changes no table and no entry order.
 
 Twelve classic baselines are provided for comparison: first/best/worst fit
 (Johnson et al., SIAM J. Comput. 3(4), 1974), each in a plain and a
@@ -123,7 +123,7 @@ class AllocationTable:
     def fill(self, rows: Iterable[tuple[str, int, int, int]]) -> None:
         """Enter ``(flow id, network position, level, demand)`` rows in their order, all or none.
 
-        The residuals are recomputed from the rows' demands. A flow id that
+        Each network's residual falls by its rows' demands. A flow id that
         repeats, within the rows or against an entry, or a network driven
         below zero refuses the whole fill with ``ValueError`` for the first
         bad row, and leaves the table as it was.
@@ -230,14 +230,12 @@ def _criticality_aware(
     last_try = [0] * len(flows)
     # Two kinds of pass place nothing and are skipped: the relax pass of the
     # highest declared level, since no flow can hold a stricter one, and
-    # every admit pass once ``unplaced``, the flows that declare a level in
-    # 1..l_max and hold nothing, reaches 0. A skipped pass still takes its
-    # step, so every flow's last try stays put. When one level lists every
-    # flow, every flow declares a usable level and no scan is needed.
-    if any(len(declared_here) == len(flows) for _, declared_here in levels):
-        unplaced = len(flows)
-    else:
-        unplaced = len({i for _, declared_here in levels for i, _ in declared_here})
+    # every admit pass once ``unplaced``, the flows that hold nothing,
+    # reaches 0. A flow that declares no level in 1..l_max (a validated flow
+    # set has none) never holds a network, so it keeps the admit passes
+    # running. A skipped pass still takes its step, so every flow's last try
+    # stays put.
+    unplaced = len(flows)
     top = levels[0][0] if levels else 0
     step = 0
     for level, declared_here in levels:

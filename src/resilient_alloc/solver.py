@@ -192,7 +192,7 @@ def exact_solve(instance: IlpInstance) -> AllocationTable:
 
     residual = [p.capacity_micro_bps for p in networks]
     objective = 0
-    # choice[k] is flow k's (level, network index, demand) on the current path, or None.
+    # choice[k] is flow k's (network index, level, demand) on the current path, or None.
     choice: list[tuple[int, int, int] | None] = [None] * n
 
     def frame(i: int):
@@ -204,7 +204,7 @@ def exact_solve(instance: IlpInstance) -> AllocationTable:
                 if residual[j] >= demand:
                     residual[j] -= demand
                     objective += score
-                    choice[i] = (level, j, demand)
+                    choice[i] = (j, level, demand)
                     yield
                     residual[j] += demand
                     objective -= score
@@ -244,9 +244,5 @@ def exact_solve(instance: IlpInstance) -> AllocationTable:
     if best_choice is None:
         raise Infeasible("no assignment serves every flow")
 
-    table.fill([
-        (flow.id, picked[1], picked[0], picked[2])
-        for flow, picked in zip(instance.flows, best_choice)
-        if picked is not None
-    ])
+    table.fill([(flow.id, *picked) for flow, picked in zip(instance.flows, best_choice) if picked is not None])
     return table

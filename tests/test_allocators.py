@@ -820,17 +820,24 @@ def reference_criticality_aware(flows, networks, cfg, admit_first):
 def criticality_instances(draw):
     """0-6 flows on 0-4 networks for the criticality-aware pair.
 
-    Levels are drawn from ``True``, ``0``, ``-1``, ``1..3`` and ``l_max + 1``,
-    so a flow may declare no usable level, ``True`` may stand beside another
-    flow's ``1``, and a level may lie outside ``1..l_max``. Capacities come
+    In half the instances levels are drawn from ``True``, ``0``, ``-1``,
+    ``1..3`` and ``l_max + 1``, so a flow may declare no usable level,
+    ``True`` may stand beside another flow's ``1``, and a level may lie
+    outside ``1..l_max``; in the other half every flow declares a level in
+    ``1..l_max`` (or ``True``), as in a validated flow set. Capacities come
     from a pool of two values, so twin networks are common, and one pool
     value may be large enough to hold every flow at its top level. About one
     demand in eight fits no network.
     """
     l_max = draw(st.integers(1, 3))
-    levels = st.sampled_from([True, 0, -1, 1, 2, 3, l_max + 1])
-    size = st.one_of(st.integers(1, 60), st.just(10_000))
-    qos = st.dictionaries(levels, st.tuples(size, st.integers(1, 10)), max_size=4)
+    if draw(st.booleans()):
+        levels = st.sampled_from([True, 0, -1, 1, 2, 3, l_max + 1])
+        size = st.one_of(st.integers(1, 60), st.just(10_000))
+        qos = st.dictionaries(levels, st.tuples(size, st.integers(1, 10)), max_size=4)
+    else:
+        # A validated flow set: every flow declares a level, all in 1..l_max.
+        levels = st.sampled_from([True, *range(1, l_max + 1)])
+        qos = st.dictionaries(levels, st.tuples(st.integers(1, 60), st.integers(1, 10)), min_size=1, max_size=3)
     raw_flows = draw(st.lists(qos, max_size=6))
     flows = [
         FlowSpec(str(i), "A", f"flow {i}", {level: QosRequirement(c, Fraction(t)) for level, (c, t) in raw.items()})
