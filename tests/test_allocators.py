@@ -770,8 +770,9 @@ def reference_criticality_aware(flows, networks, cfg, admit_first):
 
     Every level runs both its passes, and each entry goes in through
     ``AllocationTable.place``, one flow at a time. The level a flow holds is
-    the key under which ``_flows_by_level`` grouped it, so a flow that
-    declared ``1`` can hold an earlier flow's ``True`` (and the reverse).
+    the dict key its level was grouped under, so, as in the allocator, a
+    flow that declared ``1`` can hold an earlier flow's ``True`` (and the
+    reverse).
     """
     table = AllocationTable(networks)
     allocators.check_flow_ids(flows)
