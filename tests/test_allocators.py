@@ -472,10 +472,9 @@ class TestTableChecks:
 
     def test_fill_enters_rows_in_order_and_shares_placements(self, table2_networks):
         table = AllocationTable(table2_networks)
-        table.fill([("b", 2, 1, 5), ("a", 2, True, 7), ("c", 0, 2, 3)])
-        table.fill([("d", 2, 1, 11), ("e", 2, True, 13)])
+        table.fill([("b", 2, 1, 5), ("a", 2, 3, 7), ("c", 0, 2, 3)])
+        table.fill([("d", 2, 1, 11), ("e", 2, 3, 13)])
         assert list(table.entries) == ["b", "a", "c", "d", "e"]
-        assert [type(a.level) for a in table.entries.values()] == [int, bool, int, int, bool]
         assert table.entries["d"] is table.entries["b"] and table.entries["e"] is table.entries["a"]
         assert table.entries["a"] is not table.entries["b"] and table.entries["b"] == Allocation("sigfox", 1)
         assert table.residual == {"wifi": 64_000_000_000 - 3, "lora": 1_760_000_000, "sigfox": 48_000_000 - 36}
@@ -650,8 +649,7 @@ class TestPinnedTables:
 def _order_instance(rng: random.Random):
     """One seeded instance that ``_pinned_instance`` never draws.
 
-    About one flow in eight declares no level, and about half of the flows
-    key their level 1 as ``True``, so ``True`` and ``1`` sit side by side.
+    About one flow in eight declares no level.
     """
     l_max = rng.randint(1, 3)
     pool = (rng.randint(20, 300), rng.randint(20, 300))
@@ -664,8 +662,7 @@ def _order_instance(rng: random.Random):
         qos = {}
         if rng.random() >= 0.125:
             for level in rng.sample(range(1, l_max + 1), k=rng.randint(1, l_max)):
-                key = True if level == 1 and rng.random() < 0.5 else level
-                qos[key] = QosRequirement(rng.randint(1, 60), Fraction(rng.randint(1, 10), rng.choice((1, 2, 3))))
+                qos[level] = QosRequirement(rng.randint(1, 60), Fraction(rng.randint(1, 10), rng.choice((1, 2, 3))))
         flows.append(FlowSpec(id=str(i + 1), app="App", name=f"flow {i + 1}", qos=qos))
     return flows, networks, AllocatorConfig(l_max=l_max, factor=rng.choice((1, 8)))
 
@@ -692,10 +689,10 @@ def _relaxing_instance(rng: random.Random, fipy_networks):
 
 
 class TestPinnedTableOrder:
-    """The fourteen heuristics' tables, entry order and level type included, on inputs TestPinnedTables never draws."""
+    """The fourteen heuristics' tables, entry order included, on inputs TestPinnedTables never draws."""
 
     SMALL, RELAXING = 600, 40
-    DIGEST = "d2ec156e27d0c13e3f140ec5084817651f8acf0313ae38f6b1a83b439e107ef6"
+    DIGEST = "71cbbd27f05b5afe188ffda83ca62fc3ca227ea0b531c532b93328e1860d4380"
 
     def test_tables_digest(self, fipy_networks):
         rng = random.Random(0x0DE5)
@@ -769,10 +766,7 @@ def reference_criticality_aware(flows, networks, cfg, admit_first):
     """The criticality-aware pair as it was before any pass was skipped.
 
     Every level runs both its passes, and each entry goes in through
-    ``AllocationTable.place``, one flow at a time. The level a flow holds is
-    the dict key its level was grouped under, so, as in the allocator, a
-    flow that declared ``1`` can hold an earlier flow's ``True`` (and the
-    reverse).
+    ``AllocationTable.place``, one flow at a time.
     """
     table = AllocationTable(networks)
     allocators.check_flow_ids(flows)
@@ -821,23 +815,22 @@ def reference_criticality_aware(flows, networks, cfg, admit_first):
 def criticality_instances(draw):
     """0-6 flows on 0-4 networks for the criticality-aware pair.
 
-    In half the instances levels are drawn from ``True``, ``0``, ``-1``,
-    ``1..3`` and ``l_max + 1``, so a flow may declare no usable level,
-    ``True`` may stand beside another flow's ``1``, and a level may lie
-    outside ``1..l_max``; in the other half every flow declares a level in
-    ``1..l_max`` (or ``True``), as in a validated flow set. Capacities come
+    In half the instances levels are drawn from ``0``, ``-1``, ``1..3``
+    and ``l_max + 1``, so a flow may declare no usable level and a level
+    may lie outside ``1..l_max``; in the other half every flow declares a
+    level in ``1..l_max``, as in a validated flow set. Capacities come
     from a pool of two values, so twin networks are common, and one pool
     value may be large enough to hold every flow at its top level. About one
     demand in eight fits no network.
     """
     l_max = draw(st.integers(1, 3))
     if draw(st.booleans()):
-        levels = st.sampled_from([True, 0, -1, 1, 2, 3, l_max + 1])
+        levels = st.sampled_from([0, -1, 1, 2, 3, l_max + 1])
         size = st.one_of(st.integers(1, 60), st.just(10_000))
         qos = st.dictionaries(levels, st.tuples(size, st.integers(1, 10)), max_size=4)
     else:
         # A validated flow set: every flow declares a level, all in 1..l_max.
-        levels = st.sampled_from([True, *range(1, l_max + 1)])
+        levels = st.sampled_from(range(1, l_max + 1))
         qos = st.dictionaries(levels, st.tuples(st.integers(1, 60), st.integers(1, 10)), min_size=1, max_size=3)
     raw_flows = draw(st.lists(qos, max_size=6))
     flows = [
@@ -871,8 +864,8 @@ _CFG = AllocatorConfig(l_max=3, factor=8)
     [_WIFI, NetworkProfile("twin", "Twin", 64_000)],
     _CFG,
 ))
-# "b" declares 1 beside "a"'s True; a flow with levels outside 1..l_max only; no networks.
-@example(instance=([FlowSpec("a", "A", "f", {True: _Q}), FlowSpec("b", "A", "f", {1: _Q, 2: _Q})], [_WIFI], _CFG))
+# "b" declares 1 beside "a"'s 1; a flow with levels outside 1..l_max only; no networks.
+@example(instance=([FlowSpec("a", "A", "f", {1: _Q}), FlowSpec("b", "A", "f", {1: _Q, 2: _Q})], [_WIFI], _CFG))
 @example(instance=([FlowSpec("out", "A", "f", {0: _Q, 4: _Q}), FlowSpec("in", "A", "f", {3: _Q})], [_WIFI], _CFG))
 @example(instance=([FlowSpec("a", "A", "f", {3: _Q, 1: _Q})], [], _CFG))
 @settings(max_examples=400)
