@@ -64,10 +64,17 @@ HEURISTIC_NAMES = BASELINE_NAMES + ("cabf", "cabf-inv")
 
 @dataclass(frozen=True)
 class Allocation:
-    """Service on one network at one criticality level; the table key names the flow."""
+    """Service on one network at one criticality level; the table key names the flow.
+
+    The level is a plain ``int``; any other type, ``bool`` included, is a ``ValueError``.
+    """
 
     network_id: str
     level: int
+
+    def __post_init__(self) -> None:
+        if type(self.level) is not int:
+            raise ValueError(f"allocation level must be an int, got {self.level!r:.40}")
 
 
 @dataclass(frozen=True)
@@ -96,9 +103,7 @@ class AllocationTable:
     either rule, and ``place`` enters one. Network ids must be distinct.
 
     The table builds its ``Allocation`` objects itself: entries on the same
-    network at the same level share one. The level's type is part of that
-    key, so a ``True`` level stays apart from the equal ``1``, as the report
-    writer keeps it.
+    network at the same level share one.
     """
 
     def __init__(self, networks: list[NetworkProfile]) -> None:
@@ -109,8 +114,8 @@ class AllocationTable:
                 raise ValueError(f"duplicate network id {profile.id!r}")
             self.residual[profile.id] = profile.capacity_micro_bps
         self._network_ids = list(self.residual)
-        # A placement's key (see ``fill``) -> its one Allocation.
-        self._placements: dict[object, Allocation] = {}
+        # ``level * width + position`` -> the one Allocation placed there.
+        self._placements: dict[int, Allocation] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AllocationTable):
@@ -138,9 +143,7 @@ class AllocationTable:
             left[j] -= demand
             if left[j] < 0:
                 raise ValueError(f"network {network_ids[j]!r} cannot take {number_text(demand)} micro-bps")
-            # One int per placement of an int level; a level of any other
-            # type (True, an int enum) keys by a tuple that holds the type.
-            key = level * width + j if type(level) is int else (j, level, type(level))
+            key = level * width + j
             placed = placements.get(key)
             if placed is None:
                 placed = placements[key] = Allocation(network_ids[j], level)
@@ -150,6 +153,8 @@ class AllocationTable:
 
     def place(self, flow_id: str, allocation: Allocation, demand_micro_bps: int) -> None:
         """Enter one flow: ``fill`` with the single row that ``allocation`` names."""
+        if allocation.network_id not in self.residual:
+            raise ValueError(f"unknown network {allocation.network_id!r}")
         j = self._network_ids.index(allocation.network_id)
         self.fill([(flow_id, j, allocation.level, demand_micro_bps)])
 

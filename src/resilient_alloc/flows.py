@@ -85,7 +85,8 @@ class FlowSpec:
     """A declared message flow with per-level QoS requirements.
 
     ``qos`` maps criticality level (int, 1-based) to the requirement at that
-    level. Absent levels mean no service is requested there.
+    level. Absent levels mean no service is requested there. A level must be
+    a plain ``int``; any other type, ``bool`` included, is a ``ValueError``.
     """
 
     id: str
@@ -95,6 +96,9 @@ class FlowSpec:
 
     def __post_init__(self) -> None:
         check_flow_name(self.name)
+        for level in self.qos:
+            if type(level) is not int:
+                raise ValueError(f"qos level must be an int, got {level!r:.40}")
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ def json_document(value: object) -> str:
     return "".join(parts)
 
 
-def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[str, type, int, str], str]) -> None:
+def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[str, int, str], str]) -> None:
     """Append ``value``'s text to ``parts``; ``newline`` starts a line at its depth.
 
     A dict entry whose value's type is exactly ``str``, ``int``, ``float``,
@@ -234,7 +234,7 @@ def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[
             item = value[key]
             kind = type(item)
             if kind is Allocation:
-                text = memo.get((item.network_id, type(item.level), item.level, inner)) or _placement_text(item, inner, memo)
+                text = memo.get((item.network_id, item.level, inner)) or _placement_text(item, inner, memo)
             elif kind is int:
                 text = int.__repr__(item)
             elif kind is str:
@@ -266,13 +266,12 @@ def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _placement_text(placed: Allocation, newline: str, memo: dict[tuple[str, type, int, str], str]) -> str:
+def _placement_text(placed: Allocation, newline: str, memo: dict[tuple[str, int, str], str]) -> str:
     """``placed`` as the object ``{"level": L, "network": "id"}`` at the depth of ``newline``.
 
-    ``memo`` maps ``(network id, level type, level, newline)`` to that text; the
-    type keeps a ``True`` level apart from the equal ``1``.
+    ``memo`` maps ``(network id, level, newline)`` to that text.
     """
-    key = (placed.network_id, type(placed.level), placed.level, newline)
+    key = (placed.network_id, placed.level, newline)
     text = memo.get(key)
     if text is None:
         parts: list[str] = []

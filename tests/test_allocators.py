@@ -444,6 +444,19 @@ class TestTableChecks:
         assert table.entries == {}
         assert table.residual["sigfox"] == 48_000_000
 
+    def test_place_refuses_an_unknown_network(self, table2_networks):
+        table = AllocationTable(table2_networks)
+        table.place("1", Allocation("wifi", 1), 10)
+        entries, residual = dict(table.entries), dict(table.residual)
+        with pytest.raises(ValueError, match=r"^unknown network 'nope'$"):
+            table.place("2", Allocation("nope", 1), 5)
+        assert table.entries == entries and table.residual == residual
+
+    @pytest.mark.parametrize("level", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_allocation_level_that_is_not_a_plain_int_is_refused(self, level):
+        with pytest.raises(ValueError, match=rf"^allocation level must be an int, got {level!r}$"):
+            Allocation("wifi", level)
+
     def test_place_prints_a_huge_demand_in_short(self, table2_networks):
         table = AllocationTable(table2_networks)
         with pytest.raises(ValueError, match=r"^network 'sigfox' cannot take 1e\+50 micro-bps$"):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,10 @@ from hypothesis import strategies as st
 
 from resilient_alloc import FlowSpec, QosRequirement, ValidationError, utilization, validate_flow_set
 from resilient_alloc.flows import FORBIDDEN_NAME_CHARS, check_flow_name, flow_set_from_dict
+
+
+class Rank(IntEnum):
+    LOW = 1
 
 
 def _flow(fid: str, qos: dict[int, tuple[int, object]], name: str | None = None) -> FlowSpec:
@@ -165,6 +170,15 @@ class TestValidation:
             except ValueError as exc:
                 outcomes.append(("error", str(exc)))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "level,shown",
+        [(True, "True"), (False, "False"), (1.0, "1.0"), ("1", "'1'"), (Fraction(1), "Fraction(1, 1)"), (Rank.LOW, "<Rank.LOW: 1>")],
+        ids=["true", "false", "float", "str", "fraction", "int_enum"],
+    )
+    def test_level_that_is_not_a_plain_int_is_refused(self, level, shown):
+        with pytest.raises(ValueError, match=rf"^qos level must be an int, got {re.escape(shown)}$"):
+            FlowSpec(id="1", app="App", name="f", qos={level: QosRequirement(10, Fraction(1))})
 
     def test_qos_requirement_bounds(self):
         with pytest.raises(ValueError):
