@@ -17,6 +17,11 @@ Twelve classic baselines are provided for comparison: first/best/worst fit
 decreasing variant, each run with every flow pinned to either its lowest or
 its highest defined criticality level.
 
+Every algorithm reads a flow's levels and factor-1 demands from its
+``FlowSpec.ladder``, built once with the flow, and scales them by ``factor``
+in each call. Levels are plain ``int`` values, so flows that declare the same
+level are grouped, placed and reported as one level.
+
 Every algorithm refuses two flows with one id, and two networks with one id,
 before it places anything. Like the exact solver, every algorithm ignores a
 declared level outside ``1..l_max`` and skips a flow that declares no other.
@@ -182,7 +187,8 @@ def _best_fit(demand: int, residual: list[int]) -> int:
     """Position of the fitting network with the least residual (the earlier on a tie), or -1.
 
     Residuals are never negative, so -1 marks "no fit yet"; ``index`` returns
-    the first of equal residuals.
+    the first of equal residuals. ``_criticality_aware`` writes this scan
+    inline in both of its passes.
     """
     least = -1
     for left in residual:
@@ -208,12 +214,12 @@ def _flows_by_level(flows: list[FlowSpec], cfg: AllocatorConfig) -> list[tuple[i
 
     A level's pairs are in input order.
     """
-    factor = cfg.factor
+    factor, l_max = cfg.factor, cfg.l_max
     by_level: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     for i, flow in enumerate(flows):
-        for level, qos in flow.qos.items():
-            by_level[level].append((i, factor * qos.demand_micro_bps))
-    return sorted((item for item in by_level.items() if 1 <= item[0] <= cfg.l_max), reverse=True)
+        for level, demand in flow.ladder:
+            by_level[level].append((i, factor * demand))
+    return sorted((item for item in by_level.items() if 1 <= item[0] <= l_max), reverse=True)
 
 
 def _criticality_aware(
@@ -249,12 +255,18 @@ def _criticality_aware(
             if admitting:
                 if not unplaced:
                     continue
-                # Flows that hold nothing.
+                # Flows that hold nothing. Each pass scans for its best fit
+                # inline (``_best_fit``'s rule): one call per flow cost more
+                # than the scan itself.
                 for i, demand in declared_here:
                     if where[i] < 0:
-                        j = _best_fit(demand, residual)
-                        if j >= 0:
-                            residual[j] -= demand
+                        least = -1
+                        for left in residual:
+                            if left >= demand and (least < 0 or left < least):
+                                least = left
+                        if least >= 0:
+                            j = residual.index(least)
+                            residual[j] = least - demand
                             where[i], held_level[i], held_demand[i] = j, level, demand
                             last_try[i] = step
                             unplaced -= 1
@@ -264,9 +276,13 @@ def _criticality_aware(
                     held = where[i]
                     if held >= 0 and held_level[i] > level:
                         residual[held] += held_demand[i]
-                        j = _best_fit(demand, residual)
-                        if j >= 0:
-                            residual[j] -= demand
+                        least = -1
+                        for left in residual:
+                            if left >= demand and (least < 0 or left < least):
+                                least = left
+                        if least >= 0:
+                            j = residual.index(least)
+                            residual[j] = least - demand
                             where[i], held_level[i], held_demand[i] = j, level, demand
                         else:
                             residual[held] -= held_demand[i]
@@ -308,18 +324,20 @@ def heuristic(
         raise ValueError(f"unknown heuristic {name!r}; known: {', '.join(BASELINE_NAMES)}")
     table = AllocationTable(networks)
     check_flow_ids(flows)
-    pick_level = max if name[0] == "h" else min
+    factor, l_max = cfg.factor, cfg.l_max
+    # The ladder's top rung for h-*, its bottom rung for l-*.
+    pick = -1 if name[0] == "h" else 0
     chosen: list[tuple[str, int, int]] = []
     for flow in flows:
-        if not flow.qos:
+        ladder = flow.ladder
+        if not ladder:
             continue
-        level = pick_level(flow.qos)
-        if not 1 <= level <= cfg.l_max:
-            usable = [declared for declared in flow.qos if 1 <= declared <= cfg.l_max]
-            if not usable:
+        if not (1 <= ladder[0][0] and ladder[-1][0] <= l_max):
+            ladder = [rung for rung in ladder if 1 <= rung[0] <= l_max]
+            if not ladder:
                 continue
-            level = pick_level(usable)
-        chosen.append((flow.id, level, cfg.factor * flow.qos[level].demand_micro_bps))
+        level, demand = ladder[pick]
+        chosen.append((flow.id, level, factor * demand))
     if name.endswith("d"):
         chosen.sort(key=lambda item: item[2], reverse=True)
 

@@ -14,7 +14,14 @@ network capacities are quoted in: 8 treats capacities as bits per second,
 1 compares the raw quotient directly.
 
 Each ``QosRequirement`` computes its factor-1 demand once, when it is built,
-as ``demand_micro_bps``; ``utilization`` multiplies it by ``factor``.
+as ``demand_micro_bps``; ``utilization`` multiplies it by ``factor``. Each
+``FlowSpec`` likewise reads its ``qos`` once, when it is built, into
+``ladder``: its ``(level, demand_micro_bps)`` pairs in ascending level order.
+The allocators and the exact solver read the ladder, not the dict.
+
+A level is a plain ``int``. A ``bool``, an ``int`` subclass such as an
+``IntEnum`` member, or any other type is refused, so ``True`` never stands
+for a level ``1`` that another flow declares.
 """
 
 from __future__ import annotations
@@ -87,18 +94,26 @@ class FlowSpec:
     ``qos`` maps criticality level (int, 1-based) to the requirement at that
     level. Absent levels mean no service is requested there. A level must be
     a plain ``int``; any other type, ``bool`` included, is a ``ValueError``.
+
+    ``qos`` is read once, at construction: ``ladder`` holds its
+    ``(level, demand_micro_bps)`` pairs in ascending level order, at factor
+    1, and is no part of ``repr`` or ``==``. ``dataclasses.replace`` builds
+    a new ladder; changing the dict in place does not.
     """
 
     id: str
     app: str
     name: str
     qos: dict[int, QosRequirement] = field(default_factory=dict)
+    ladder: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_flow_name(self.name)
-        for level in self.qos:
+        qos = self.qos
+        for level in qos:
             if type(level) is not int:
                 raise ValueError(f"qos level must be an int, got {level!r:.40}")
+        object.__setattr__(self, "ladder", tuple([(level, qos[level].demand_micro_bps) for level in sorted(qos)]))
 
 
 @dataclass(frozen=True)

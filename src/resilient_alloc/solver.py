@@ -57,7 +57,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .allocators import AllocationTable, AllocatorConfig, check_flow_ids
-from .flows import FlowSpec, utilization
+from .flows import FlowSpec, utilization  # noqa: F401 -- bench/run.py traces solver.utilization by name
 from .networks import NetworkProfile
 
 
@@ -88,18 +88,15 @@ def level_options(instance: IlpInstance) -> list[list[tuple[int, int, int]]]:
     changes; the bound loses an option it could never use, so it only
     tightens.
     """
-    cfg = instance.cfg
+    factor, l_max = instance.cfg.factor, instance.cfg.l_max
     widest = max((p.capacity_micro_bps for p in instance.networks), default=0)
     options = []
     for flow in instance.flows:
         per_flow = []
-        for level in sorted(flow.qos):
-            if not 1 <= level <= cfg.l_max:
-                continue
-            demand = utilization(flow, level, cfg.factor)
-            assert demand is not None
-            if demand <= widest:
-                per_flow.append((level, 1 + cfg.l_max - level, demand))
+        for level, demand in flow.ladder:
+            demand *= factor
+            if 1 <= level <= l_max and demand <= widest:
+                per_flow.append((level, 1 + l_max - level, demand))
         options.append(per_flow)
     return options
 

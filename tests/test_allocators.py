@@ -339,35 +339,38 @@ def test_a_flow_with_no_level_is_left_out(name, assisted_living, table2_networks
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_levels_above_l_max_are_ignored(name):
     # Unvalidated flows with l_max 3: flow 1 declares only level 5, flow 3
-    # levels 1 and 4. Placed at 5, flow 1 would score -1 and still fit.
+    # levels 1 and 4, flow 4 levels 4, 0 and 2. Placed at 5, flow 1 would
+    # score -1 and still fit.
     small = QosRequirement(1, Fraction(1))
     flows = [
         FlowSpec("1", "App", "above only", {5: small}),
         FlowSpec("2", "App", "level one", {1: small}),
         FlowSpec("3", "App", "four and one", {4: small, 1: small}),
+        FlowSpec("4", "App", "both sides of two", {4: small, 0: small, 2: small}),
     ]
     wifi = NetworkProfile(id="wifi", name="Wi-Fi", capacity_bps=64_000)
     table = run_algorithm(name, flows, [wifi], CFG8)
-    assert table.entries == {"2": Allocation("wifi", 1), "3": Allocation("wifi", 1)}
-    assert objective(table, CFG8.l_max) == 6
+    assert table.entries == {"2": Allocation("wifi", 1), "3": Allocation("wifi", 1), "4": Allocation("wifi", 2)}
+    assert objective(table, CFG8.l_max) == 8
     verify_allocation_table(table, flows, [wifi], CFG8)
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_levels_below_1_are_ignored(name):
     # Unvalidated flows with l_max 3: flow 1 declares only level 0, flow 3
-    # levels -2 and 1. Placed at 0 or -2, a flow would score 4 or 6, above
-    # the 3 that level 1 scores.
+    # levels -2 and 1, flow 4 levels 5, -1 and 2. Placed at 0 or -2, a
+    # flow would score 4 or 6, above the 3 that level 1 scores.
     small = QosRequirement(1, Fraction(1))
     flows = [
         FlowSpec("1", "App", "zero only", {0: small}),
         FlowSpec("2", "App", "level one", {1: small}),
         FlowSpec("3", "App", "minus two and one", {-2: small, 1: small}),
+        FlowSpec("4", "App", "both sides of two", {5: small, -1: small, 2: small}),
     ]
     wifi = NetworkProfile(id="wifi", name="Wi-Fi", capacity_bps=64_000)
     table = run_algorithm(name, flows, [wifi], CFG8)
-    assert table.entries == {"2": Allocation("wifi", 1), "3": Allocation("wifi", 1)}
-    assert objective(table, CFG8.l_max) == 6
+    assert table.entries == {"2": Allocation("wifi", 1), "3": Allocation("wifi", 1), "4": Allocation("wifi", 2)}
+    assert objective(table, CFG8.l_max) == 8
     verify_allocation_table(table, flows, [wifi], CFG8)
 
 

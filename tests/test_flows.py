@@ -126,6 +126,40 @@ class TestDemand:
         assert dataclasses.replace(qos, min_interval_seconds=Fraction(1, 2)).demand_micro_bps == 60_000_000
 
 
+class TestLadder:
+    """``FlowSpec.ladder``: the declared ``(level, factor-1 demand)`` pairs, built once."""
+
+    @given(
+        st.dictionaries(
+            st.integers(-5, 10**20),
+            st.tuples(st.integers(1, 10**6), st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)),
+            max_size=6,
+        )
+    )
+    def test_is_the_sorted_level_and_demand_pairs(self, raw):
+        qos = {level: QosRequirement(c, t) for level, (c, t) in raw.items()}
+        flow = FlowSpec(id="1", app="App", name="f", qos=qos)
+        assert flow.ladder == tuple(sorted((level, req.demand_micro_bps) for level, req in qos.items()))
+        assert all(type(level) is int and type(demand) is int for level, demand in flow.ladder)
+
+    def test_not_in_repr_or_eq(self):
+        flow = _flow("1", {3: (4, 1), 1: (30, Fraction(7, 3))})
+        assert flow.ladder == ((1, 12_857_143), (3, 4_000_000))
+        assert "ladder" not in repr(flow)
+        altered = _flow("1", {3: (4, 1), 1: (30, Fraction(7, 3))})
+        object.__setattr__(altered, "ladder", ())
+        assert altered == flow
+        with pytest.raises(TypeError, match="ladder"):
+            FlowSpec(id="1", app="App", name="f", qos={}, ladder=())
+
+    def test_replace_rebuilds_it(self):
+        flow = _flow("1", {1: (30, Fraction(7, 3))})
+        replaced = dataclasses.replace(flow, qos={2: QosRequirement(60, Fraction(7, 3)), -1: QosRequirement(1, Fraction(1))})
+        assert replaced.ladder == ((-1, 1_000_000), (2, 25_714_286))
+        assert dataclasses.replace(flow, name="renamed").ladder == flow.ladder
+        assert dataclasses.replace(flow, qos={}).ladder == ()
+
+
 class TestValidation:
     def test_shipped_catalogue_is_valid(self, assisted_living):
         validate_flow_set(assisted_living.flows, assisted_living.l_max)
