@@ -5,9 +5,11 @@ assignment is feasible when no network is loaded past its capacity. Both
 oracles share nothing with the branch-and-bound search they check except
 the utilization arithmetic, which is the quantity under test elsewhere.
 
-* `best_objective_by_enumeration` scores every assignment at once with
-  numpy, which keeps full enumeration affordable: the largest instances
-  used here have 10^5 assignments.
+* `best_objective_by_enumeration` extends every partial assignment, flow by
+  flow, by each option of the next flow, and keeps one best score per
+  network load vector: two partial assignments with equal loads have the
+  same completions. Loads only grow, so one past a capacity is dropped.
+  It is plain Python, so the tests need no numpy.
 * `first_optimum` walks the feasible assignments depth-first in the exact
   solver's exploration order and keeps the first optimum, so it checks the
   solver's table, not only its objective.
@@ -17,8 +19,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-
-import numpy as np
 
 from resilient_alloc import AllocatorConfig, FlowSpec, NetworkProfile, QosRequirement
 from resilient_alloc.flows import utilization
@@ -31,40 +31,28 @@ def best_objective_by_enumeration(
 
     With ``require_all`` no flow may stay unallocated.
     """
-    if not flows:
-        return 0
-    m = len(networks)
-    caps = np.array([p.capacity_micro_bps for p in networks], dtype=np.int64)
-
-    per_flow: list[list[tuple[int, np.ndarray]]] = []
+    capacities = [p.capacity_micro_bps for p in networks]
+    # Load vector of a feasible partial assignment -> its best score so far.
+    best: dict[tuple[int, ...], int] = {tuple(0 for _ in capacities): 0}
     for flow in flows:
-        options = [] if require_all else [(0, np.zeros(m, dtype=np.int64))]
+        options = [] if require_all else [(None, 0, 0)]
         for level in sorted(flow.qos):
             demand = utilization(flow, level, factor)
             assert demand is not None
-            for j in range(m):
-                load = np.zeros(m, dtype=np.int64)
-                load[j] = demand
-                options.append((1 + l_max - level, load))
-        per_flow.append(options)
-    if not all(per_flow):
-        return None
-
-    total = 1
-    for options in per_flow:
-        total *= len(options)
-    index = np.arange(total, dtype=np.int64)
-    scores = np.zeros(total, dtype=np.int64)
-    loads = np.zeros((total, m), dtype=np.int64)
-    stride = 1
-    for options in per_flow:
-        base = len(options)
-        digit = (index // stride) % base
-        scores += np.array([score for score, _ in options], dtype=np.int64)[digit]
-        loads += np.stack([load for _, load in options])[digit]
-        stride *= base
-    feasible = (loads <= caps).all(axis=1)
-    return int(scores[feasible].max()) if feasible.any() else None
+            options += [(j, 1 + l_max - level, demand) for j in range(len(networks))]
+        extended: dict[tuple[int, ...], int] = {}
+        for loads, score in best.items():
+            for j, gain, demand in options:
+                if j is None:
+                    key = loads
+                elif loads[j] + demand <= capacities[j]:
+                    key = loads[:j] + (loads[j] + demand,) + loads[j + 1 :]
+                else:
+                    continue
+                if extended.get(key, -1) < score + gain:
+                    extended[key] = score + gain
+        best = extended
+    return max(best.values(), default=None)
 
 
 def first_optimum(

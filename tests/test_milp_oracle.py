@@ -11,7 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from resilient_alloc import (
@@ -25,7 +24,11 @@ from resilient_alloc import (
 )
 from resilient_alloc.flows import MICRO, utilization
 
-scipy_optimize = pytest.importorskip("scipy.optimize")
+# HiGHS comes with scipy. Without scipy or numpy, or with a numpy built for
+# another interpreter (an ImportError that is no ModuleNotFoundError), this
+# module is skipped.
+np = pytest.importorskip("numpy", exc_type=ImportError)
+scipy_optimize = pytest.importorskip("scipy.optimize", exc_type=ImportError)
 
 # A search that never lowers its target fails here instead of hanging the run.
 pytestmark = pytest.mark.usefixtures("time_box")

@@ -226,7 +226,7 @@ class TestOracle:
             )
 
     def test_the_two_oracles_agree(self):
-        # first_optimum's score is the numpy brute force's objective, and
+        # first_optimum's score is the enumeration's best objective, and
         # both find nothing on the same instances
         rng = random.Random(0x2C0DE)
         for _ in range(300):
