@@ -116,6 +116,33 @@ class TestReport:
             if rep.avg_criticality is not None:
                 assert 1 <= rep.avg_criticality <= cfg.l_max
 
+    def test_objective_is_the_table_objective_on_random_instances(self):
+        rng = random.Random(0x0B1E)
+        for _ in range(60):
+            flows, networks, cfg = random_instance(rng)
+            for name in HEURISTIC_NAMES:
+                table = run_algorithm(name, flows, networks, cfg)
+                assert report(table, flows, networks, cfg.l_max).objective == objective(table, cfg.l_max)
+
+    def test_objective_counts_an_entry_for_an_unlisted_flow(self, assisted_living, table2_networks):
+        flows = list(assisted_living.flows)
+        table = run_algorithm("h-ff", flows, table2_networks, CFG8)
+        unlisted = [flow for flow in flows if flow.id != "1"]
+        assert "1" in table.entries
+        rep = report(table, unlisted, table2_networks, 3)
+        assert "1" not in rep.per_flow
+        assert rep.objective == objective(table, 3) == 15
+
+    def test_objective_with_unserved_flows(self, assisted_living, table2_networks):
+        flows = list(assisted_living.flows)
+        table = run_algorithm("l-ffd", flows, table2_networks, CFG8)
+        rep = report(table, flows, table2_networks, 3)
+        assert sum(placed is None for placed in rep.per_flow.values()) == 2
+        assert rep.objective == objective(table, 3) == 18
+        # Unserved and unlisted at once.
+        rep = report(table, [flow for flow in flows if flow.id != next(iter(table.entries))], table2_networks, 3)
+        assert rep.objective == objective(table, 3)
+
 
 class TestRendering:
     def test_truncated_two_decimals(self):
@@ -238,7 +265,63 @@ class Rows(list):
     pass
 
 
+class Loose:
+    """A non-``str`` dict key that sorts among ``str`` keys by its text."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __lt__(self, other) -> bool:
+        return self.text < (other.text if isinstance(other, Loose) else other)
+
+    def __gt__(self, other) -> bool:
+        return self.text > (other.text if isinstance(other, Loose) else other)
+
+
+# Keys from a pool of five, so the same key sets recur at one depth and across
+# depths, in different insertion orders. ``Tech.WIFI`` is equal to "wi-fi", so
+# a dict holds at most one of the two.
+POOLED_KEYS = st.lists(st.sampled_from(["a", "b", "wi-fi", Tech.WIFI, "é"]), unique=True, max_size=4)
+POOLED_VALUES = st.recursive(
+    st.one_of(st.none(), st.integers(-3, 3), st.sampled_from(["x", 0.5, True]), st.just(PLACED)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(POOLED_KEYS, st.lists(children, min_size=4, max_size=4)).map(lambda pair: dict(zip(*pair))),
+    ),
+    max_leaves=30,
+)
+
+
+def last_dict(value):
+    """The last dict in a depth-first walk of ``value``, or None."""
+    found = None
+    if isinstance(value, dict):
+        found = value
+        children = value.values()
+    elif isinstance(value, list):
+        children = value
+    else:
+        return None
+    for child in children:
+        found = last_dict(child) or found
+    return found
+
+
 class TestJsonDocument:
+    @settings(max_examples=300)
+    @given(POOLED_VALUES, st.sampled_from([1, 2.5, None, Loose("a"), Loose("z")]))
+    @example([{"a": 1, "b": 2}, {"b": 3, "a": 4}, {"a": {"b": 5, "a": 6}}], 1)
+    @example({"a": {"a": {"a": None, "b": 0}}, "b": [{"b": 1, "a": 2}, {"a": 3, "b": 4}]}, Loose("a"))
+    @example([{"wi-fi": 1, "a": 2}, {"a": 3, Tech.WIFI: 4}, {Tech.WIFI: {"wi-fi": 5, "a": 6}, "a": 7}], Loose("b"))
+    @example([{}, {"a": {}}, {"a": []}], None)
+    def test_recurring_key_sets_match_the_stdlib_encoder(self, value, bad_key):
+        assert json_document(value) == stdlib_document(value)
+        # An earlier dict's keys plus one that is not a str.
+        earlier = last_dict(value) or {}
+        with pytest.raises(TypeError):
+            json_document([value, {**earlier, bad_key: 0}])
+
+
     @settings(max_examples=300)
     @given(JSON_VALUES)
     @example({"": {}, "a": [], "b": [[], {}, ()], "c": ({"d": [{}]},)})
