@@ -15,7 +15,8 @@ them changes no table and no entry order.
 Twelve classic baselines are provided for comparison: first/best/worst fit
 (Johnson et al., SIAM J. Comput. 3(4), 1974), each in a plain and a
 decreasing variant, each run with every flow pinned to either its lowest or
-its highest defined criticality level.
+its highest defined criticality level. Each fit rule is one loop over a
+table's flows, called once per table.
 
 Every algorithm reads a flow's levels and factor-1 demands from its
 ``FlowSpec.ladder``, built once with the flow, and scales them by ``factor``
@@ -175,35 +176,54 @@ def check_flow_ids(flows: list[FlowSpec]) -> None:
         seen.add(flow.id)
 
 
-def _first_fit(demand: int, residual: list[int]) -> int:
-    """Position of the first network that fits ``demand``, or -1."""
-    for left in residual:
-        if left >= demand:
-            return residual.index(left)
-    return -1
+def _first_fit(items: list[tuple[str, int, int]], residual: list[int]) -> list[tuple[str, int, int, int]]:
+    """Place each ``(flow id, level, demand)`` item on the first network that fits it.
+
+    ``residual`` falls by each placed demand; the result holds ``fill``'s
+    rows, in item order. An item that fits nowhere is left out.
+    """
+    rows = []
+    for flow_id, level, demand in items:
+        for left in residual:
+            if left >= demand:
+                j = residual.index(left)
+                residual[j] = left - demand
+                rows.append((flow_id, j, level, demand))
+                break
+    return rows
 
 
-def _best_fit(demand: int, residual: list[int]) -> int:
-    """Position of the fitting network with the least residual (the earlier on a tie), or -1.
+def _best_fit(items: list[tuple[str, int, int]], residual: list[int]) -> list[tuple[str, int, int, int]]:
+    """``_first_fit``, but on the fitting network with the least residual (the earlier on a tie).
 
     Residuals are never negative, so -1 marks "no fit yet"; ``index`` returns
     the first of equal residuals. ``_criticality_aware`` writes this scan
-    inline in both of its passes.
+    inline in both of its passes, one flow at a time.
     """
-    least = -1
-    for left in residual:
-        if left >= demand and (least < 0 or left < least):
-            least = left
-    return -1 if least < 0 else residual.index(least)
+    rows = []
+    for flow_id, level, demand in items:
+        least = -1
+        for left in residual:
+            if left >= demand and (least < 0 or left < least):
+                least = left
+        if least >= 0:
+            j = residual.index(least)
+            residual[j] = least - demand
+            rows.append((flow_id, j, level, demand))
+    return rows
 
 
-def _worst_fit(demand: int, residual: list[int]) -> int:
-    """Position of the fitting network with the most residual (the earlier on a tie), or -1."""
+def _worst_fit(items: list[tuple[str, int, int]], residual: list[int]) -> list[tuple[str, int, int, int]]:
+    """``_first_fit``, but on the network with the most residual (the earlier on a tie), if it fits."""
+    rows = []
     if residual:
-        most = max(residual)
-        if most >= demand:
-            return residual.index(most)
-    return -1
+        for flow_id, level, demand in items:
+            most = max(residual)
+            if most >= demand:
+                j = residual.index(most)
+                residual[j] = most - demand
+                rows.append((flow_id, j, level, demand))
+    return rows
 
 
 _FITS = {"ff": _first_fit, "bf": _best_fit, "wf": _worst_fit}
@@ -341,15 +361,7 @@ def heuristic(
     if name.endswith("d"):
         chosen.sort(key=lambda item: item[2], reverse=True)
 
-    fit = _FITS[name[2:4]]
-    residual = [p.capacity_micro_bps for p in networks]
-    rows = []
-    for flow_id, level, demand in chosen:
-        j = fit(demand, residual)
-        if j >= 0:
-            residual[j] -= demand
-            rows.append((flow_id, j, level, demand))
-    table.fill(rows)
+    table.fill(_FITS[name[2:4]](chosen, [p.capacity_micro_bps for p in networks]))
     return table
 
 

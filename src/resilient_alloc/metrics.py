@@ -16,7 +16,8 @@ does, and one ``Allocation`` may sit under many flow ids. A dict entry whose
 value's type is exactly ``str``, ``int``, ``float``, ``NoneType`` or
 ``Allocation`` (most of a comparison report) is written inside the dict's
 loop, not by a recursive call; containers, bools and subclasses take the
-general path.
+general path. Each dict key set, at each depth, is sorted and its key text
+built once per document.
 """
 
 from __future__ import annotations
@@ -74,10 +75,16 @@ def report(
 
     n = len(flows)
     served = len(served_levels)
+    level_sum = sum(served_levels)
+    # Every entry belongs to a listed flow: the objective needs no second scan.
+    if served == len(table.entries):
+        score = served * (1 + l_max) - level_sum
+    else:
+        score = objective(table, l_max)
     return AllocationReport(
-        objective=objective(table, l_max),
+        objective=score,
         percent_served=Fraction(100 * served, n) if n else Fraction(0),
-        avg_criticality=Fraction(sum(served_levels), served) if served else None,
+        avg_criticality=Fraction(level_sum, served) if served else None,
         per_flow=per_flow,
         per_network_load=per_network_load,
     )
@@ -193,25 +200,34 @@ def json_document(value: object) -> str:
     Up to CPython 3.13, any indent makes ``json.dumps`` fall back to its pure-Python,
     generator-based encoder; this writer appends to one list and joins once.
     An ``Allocation`` is written as the object ``{"level": L, "network": "id"}``;
-    its text is built once per network, level and depth in this call.
+    its text is built once per network, level and depth in this call, and a
+    dict's sorted keys and their text once per key set and depth.
     Dict keys must be ``str``; a key or value of any other type is a TypeError.
     """
     parts: list[str] = []
-    _write_json(value, parts, "\n", {})
+    _write_json(value, parts, "\n", {}, {})
     return "".join(parts)
 
 
-def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[str, int, str], str]) -> None:
+def _write_json(
+    value: object,
+    parts: list[str],
+    newline: str,
+    memo: dict[tuple[str, int, str], str],
+    shapes: dict[tuple[str, ...], list[tuple[str, str]]],
+) -> None:
     """Append ``value``'s text to ``parts``; ``newline`` starts a line at its depth.
 
     A dict entry whose value's type is exactly ``str``, ``int``, ``float``,
     ``NoneType`` or ``Allocation`` is written in the dict's own loop; any other
     value, a ``bool`` or a subclass included, takes the tests below.
+    ``shapes`` maps a dict's depth and keys, in insertion order, to its keys in
+    sorted order, each with the text that leads its entry.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif isinstance(value, Allocation):
-        parts.append(_placement_text(value, newline, memo))
+        parts.append(_placement_text(value, newline, memo, shapes))
     elif value is None:
         parts.append("null")
     elif value is True:
@@ -227,14 +243,22 @@ def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[
             parts.append("{}")
             return
         inner = newline + "  "
-        lead, separator = "{" + inner, "," + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        shape = (inner, *value)
+        heads = shapes.get(shape)
+        if heads is None:
+            heads = []
+            lead = "{" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                heads.append((key, lead + encode_basestring_ascii(key) + ": "))
+                lead = "," + inner
+            shapes[shape] = heads
+        for key, head in heads:
             item = value[key]
             kind = type(item)
             if kind is Allocation:
-                text = memo.get((item.network_id, item.level, inner)) or _placement_text(item, inner, memo)
+                text = memo.get((item.network_id, item.level, inner)) or _placement_text(item, inner, memo, shapes)
             elif kind is int:
                 text = int.__repr__(item)
             elif kind is str:
@@ -244,12 +268,10 @@ def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[
             elif kind is float:
                 text = _float_text(item)
             else:
-                parts += (lead, encode_basestring_ascii(key), ": ")
-                _write_json(item, parts, inner, memo)
-                lead = separator
+                parts.append(head)
+                _write_json(item, parts, inner, memo, shapes)
                 continue
-            parts += (lead, encode_basestring_ascii(key), ": ", text)
-            lead = separator
+            parts += (head, text)
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -259,14 +281,19 @@ def _write_json(value: object, parts: list[str], newline: str, memo: dict[tuple[
         lead, separator = "[" + inner, "," + inner
         for item in value:
             parts.append(lead)
-            _write_json(item, parts, inner, memo)
+            _write_json(item, parts, inner, memo, shapes)
             lead = separator
         parts.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _placement_text(placed: Allocation, newline: str, memo: dict[tuple[str, int, str], str]) -> str:
+def _placement_text(
+    placed: Allocation,
+    newline: str,
+    memo: dict[tuple[str, int, str], str],
+    shapes: dict[tuple[str, ...], list[tuple[str, str]]],
+) -> str:
     """``placed`` as the object ``{"level": L, "network": "id"}`` at the depth of ``newline``.
 
     ``memo`` maps ``(network id, level, newline)`` to that text.
@@ -275,7 +302,7 @@ def _placement_text(placed: Allocation, newline: str, memo: dict[tuple[str, int,
     text = memo.get(key)
     if text is None:
         parts: list[str] = []
-        _write_json({"level": placed.level, "network": placed.network_id}, parts, newline, memo)
+        _write_json({"level": placed.level, "network": placed.network_id}, parts, newline, memo, shapes)
         text = memo[key] = "".join(parts)
     return text
 

@@ -747,21 +747,33 @@ def reference_worst_fit(demand: int, residual: list[int]) -> int:
     return best
 
 
+def reference_fit_rows(reference, items, residual: list[int]) -> list:
+    """``reference`` driven one item at a time: ``fill``'s rows, with ``residual`` lowered."""
+    rows = []
+    for flow_id, level, demand in items:
+        j = reference(demand, residual)
+        if j >= 0:
+            residual[j] -= demand
+            rows.append((flow_id, j, level, demand))
+    return rows
+
+
 @st.composite
 def fit_inputs(draw):
-    """A demand and 0-6 residuals drawn from a pool of at most four values, zero among them.
+    """0-8 ``(flow id, level, demand)`` items and 0-6 residuals, drawn from a pool of at most four values, zero among them.
 
-    The small pool makes equal residuals common, and the demand is often
-    one of the residuals.
+    The small pool makes equal residuals common, and a demand is often one
+    of the residuals.
     """
     pool = [0, *draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))]
     residual = draw(st.lists(st.sampled_from(pool), max_size=6))
-    demand = draw(st.one_of(st.sampled_from(pool), st.integers(0, 13)))
-    return demand, residual
+    demands = draw(st.lists(st.one_of(st.sampled_from(pool), st.integers(0, 13)), max_size=8))
+    items = [(str(i), draw(st.integers(1, 3)), demand) for i, demand in enumerate(demands)]
+    return items, residual
 
 
 @pytest.mark.parametrize(
-    "kernel,reference",
+    "rule,reference",
     [
         (allocators._first_fit, reference_first_fit),
         (allocators._best_fit, reference_best_fit),
@@ -770,12 +782,22 @@ def fit_inputs(draw):
     ids=["first", "best", "worst"],
 )
 @given(case=fit_inputs())
+# Equal residuals: each tie goes to the earlier network.
+@example(case=([("a", 1, 3), ("b", 2, 3), ("c", 1, 3)], [5, 5, 5]))
+# A demand equal to a residual, which it leaves at zero.
+@example(case=([("a", 1, 4), ("b", 1, 2), ("c", 3, 6)], [6, 4, 9]))
+# Zero-capacity networks: only a zero demand fits them.
+@example(case=([("a", 1, 1), ("b", 2, 0), ("c", 1, 0)], [0, 0]))
+# No networks, and no items.
+@example(case=([("a", 1, 0), ("b", 1, 5)], []))
+@example(case=([], [3, 0, 3]))
 @settings(max_examples=400)
-def test_fit_kernels_pick_the_reference_position(kernel, reference, case):
-    demand, residual = case
-    before = list(residual)
-    assert kernel(demand, residual) == reference(demand, residual)
-    assert residual == before
+def test_fit_rules_match_the_reference_loop(rule, reference, case):
+    items, residual = case
+    expected_residual = list(residual)
+    expected = reference_fit_rows(reference, items, expected_residual)
+    assert rule(items, residual) == expected
+    assert residual == expected_residual
 
 
 def reference_criticality_aware(flows, networks, cfg, admit_first):
